@@ -20,11 +20,8 @@ from .line_sim import (
     ClassificationTrace,
     LineConfig,
     buffer_decide,
-    classify_line,
-    precharge,
     simulate_batch,
     simulate_digit,
-    step,
 )
 from .quantizer import (
     DeviceConfig,

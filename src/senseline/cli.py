@@ -183,10 +183,16 @@ def cmd_build(cfg: RunConfig) -> int:
     return 0
 
 
-def _eval_subset(cfg: RunConfig, test_x, test_y):
-    if cfg.evaluate.subset is not None:
-        return test_x[: cfg.evaluate.subset], test_y[: cfg.evaluate.subset]
-    return test_x, test_y
+def _evaluate(cfg: RunConfig, sysc: system.SystemConfig, test_x, test_y) -> system.MetricsReport:
+    """Evaluate the configured mode on the first `subset` test digits; write its metrics."""
+    mode = cfg.evaluate.mode
+    n = cfg.evaluate.subset
+    report = system.evaluate(sysc, test_x[:n], test_y[:n], mode=mode)
+    system.save_metrics(report, _out(cfg, f"metrics_{mode}.json"),
+                        metadata={"config_hash": config_hash(cfg), "created": _now()})
+    system.save_confusion_csv(report.confusion, _out(cfg, f"confusion_{mode}.csv"),
+                              header=f"config_hash={config_hash(cfg)}")
+    return report
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -240,12 +246,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "metadata": {"config_hash": config_hash(cfg), "created": _now()},
     })
 
-    ev_x, ev_y = _eval_subset(cfg, test_x, test_y)
-    report = system.evaluate(sysc, ev_x, ev_y, mode=mode)
-    system.save_metrics(report, _out(cfg, f"metrics_{mode}.json"),
-                        metadata={"config_hash": config_hash(cfg), "created": _now()})
-    system.save_confusion_csv(report.confusion, _out(cfg, f"confusion_{mode}.csv"),
-                              header=f"config_hash={config_hash(cfg)}")
+    report = _evaluate(cfg, sysc, test_x, test_y)
     print(f"simulate [{mode}]: {n_trace} vote records; accuracy {report.accuracy:.4f} "
           f"over {report.n_evaluated} digits")
     if report.energy_per_decision is not None:
@@ -258,12 +259,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     """Metrics JSON + confusion CSV for the configured mode."""
     sysc = _assemble(cfg)
     _, _, (test_x, test_y) = _load_features(cfg)
-    ev_x, ev_y = _eval_subset(cfg, test_x, test_y)
-    report = system.evaluate(sysc, ev_x, ev_y, mode=cfg.evaluate.mode)
-    system.save_metrics(report, _out(cfg, f"metrics_{cfg.evaluate.mode}.json"),
-                        metadata={"config_hash": config_hash(cfg), "created": _now()})
-    system.save_confusion_csv(report.confusion, _out(cfg, f"confusion_{cfg.evaluate.mode}.csv"),
-                              header=f"config_hash={config_hash(cfg)}")
+    report = _evaluate(cfg, sysc, test_x, test_y)
     print(f"evaluate [{cfg.evaluate.mode}]: accuracy {report.accuracy:.4f} "
           f"over {report.n_evaluated} digits")
     return 0
@@ -307,12 +303,16 @@ def cmd_report(cfg: RunConfig) -> int:
 
 
 def cmd_run_all(cfg: RunConfig) -> int:
-    """prepare -> train -> select -> quantize -> build -> simulate -> evaluate -> report."""
+    """prepare -> train -> select -> quantize -> build -> simulate -> report.
+
+    `simulate` already writes the mode's metrics and confusion matrix, so
+    the standalone `evaluate` stage is not repeated here.
+    """
     for fn in (cmd_prepare, cmd_train):
         fn(cfg)
     if cfg.sbs.enabled:
         cmd_select(cfg)
-    for fn in (cmd_quantize, cmd_build, cmd_simulate, cmd_evaluate, cmd_report):
+    for fn in (cmd_quantize, cmd_build, cmd_simulate, cmd_report):
         fn(cfg)
     return 0
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .dataset import GridSpec, SplitSpec
 from .device import DeviceParams
 from .quantizer import QuantSpec
+from .system import EVAL_MODES
 from .trainer import SBSSpec, TrainHyper
 
 
@@ -39,6 +40,15 @@ class EvalSpec:
     mode: str = "digital-quantized"
     subset: int | None = None   # evaluate the first N test digits; None = all
     trace_digits: int = 10      # vote/trace records exported by `simulate`
+
+    def __post_init__(self):
+        if self.mode not in EVAL_MODES:
+            raise ValueError(f"evaluate.mode must be one of {EVAL_MODES}, got {self.mode!r}")
+        if self.subset is not None and not (isinstance(self.subset, int) and self.subset >= 1):
+            raise ValueError(f"evaluate.subset must be null or an integer >= 1, got {self.subset!r}")
+        if not (isinstance(self.trace_digits, int) and self.trace_digits >= 0):
+            raise ValueError(f"evaluate.trace_digits must be an integer >= 0, "
+                             f"got {self.trace_digits!r}")
 
 
 @dataclass(frozen=True)

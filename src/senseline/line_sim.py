@@ -9,23 +9,22 @@ products; a non-inverting buffer snaps the final voltage to a rail and that
 is the classifier's vote.
 
 Integration is explicit Euler on dv/dt = I_net(v) / c_line with the voltage
-clamped to [0, vdd]. simulate_digit walks devices one by one (reference
-path); simulate_batch evaluates many digits at once by exploiting that all
-devices on a line share the same channel-voltage clamp factor.
+clamped to [0, vdd]. One vectorized integrator evaluates every line for a
+batch of digits at once, exploiting that all devices on a line share the
+same channel-voltage clamp factor. simulate_batch runs it for evaluation;
+simulate_digit runs it on one digit and can keep every step as the line
+traces.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import device as dev
 from .quantizer import QuantSpec, level_to_vtg, quantize_features
-
-PRECHARGE = "PRECHARGE"
-CLASSIFY = "CLASSIFY"
 
 
 @dataclass
@@ -51,31 +50,6 @@ class LineConfig:
 
 
 @dataclass
-class SensingLineState:
-    """Line voltage plus charge/energy bookkeeping during one cycle.
-
-    trace_t/trace_v sample the classify phase, with t = 0 at the instant
-    precharge releases the line at vdd/2.
-    """
-
-    v_sen: float
-    phase: str
-    q_delivered_vdd: float = 0.0
-    t: float = 0.0
-    trace_t: list[float] = field(default_factory=list)
-    trace_v: list[float] = field(default_factory=list)
-
-
-@dataclass
-class LineResult:
-    v_final: float
-    vote: int
-    energy: float
-    q_delivered_vdd: float
-    trace: np.ndarray | None = None  # (n, 2) columns t, v_sen
-
-
-@dataclass
 class ClassificationTrace:
     """Outcome of pushing one digit through all 45 lines."""
 
@@ -92,43 +66,6 @@ def precharge_energy(cfg: LineConfig, params: dev.DeviceParams) -> float:
     return cfg.c_line * (params.vdd / 2) ** 2
 
 
-def precharge(cfg: LineConfig, params: dev.DeviceParams = dev.DeviceParams()) -> SensingLineState:
-    """Ideal instantaneous precharge: line at exactly vdd/2, devices off."""
-    state = SensingLineState(v_sen=params.vdd / 2, phase=PRECHARGE)
-    state.trace_t.append(0.0)
-    state.trace_v.append(state.v_sen)
-    return state
-
-
-def step(state: SensingLineState, cfg: LineConfig, feature_levels: np.ndarray,
-         quant: QuantSpec, params: dev.DeviceParams = dev.DeviceParams()) -> SensingLineState:
-    """One explicit-Euler step of the classify phase (mutates state).
-
-    P devices conduct rail-to-line, N devices line-to-ground, each gated by
-    the top-gate voltage of its feature's quantized level.
-    """
-    if state.phase != CLASSIFY:
-        raise ValueError(f"step requires phase {CLASSIFY}, line is in {state.phase}")
-    v = state.v_sen
-    i_in = 0.0
-    i_out = 0.0
-    for d in cfg.devices:
-        v_tg = level_to_vtg(int(feature_levels[d.feature_index]), d.dtype, quant)
-        if d.dtype == "P":
-            i_in += dev.channel_current(v_tg, d.v_bg, params.vdd, v, params)
-        else:
-            i_out += dev.channel_current(v_tg, d.v_bg, v, 0.0, params)
-    v_new = v + (cfg.dt / cfg.c_line) * (i_in - i_out)
-    if not math.isfinite(v_new):
-        raise FloatingPointError("line voltage became non-finite")
-    state.v_sen = min(params.vdd, max(0.0, v_new))
-    state.q_delivered_vdd += i_in * cfg.dt
-    state.t += cfg.dt
-    state.trace_t.append(state.t)
-    state.trace_v.append(state.v_sen)
-    return state
-
-
 def buffer_decide(v_sen: float, vdd: float):
     """Ideal comparator at vdd/2; returns (+/-1 vote, rail voltage).
 
@@ -138,22 +75,6 @@ def buffer_decide(v_sen: float, vdd: float):
     if not 0 <= v_sen <= vdd:
         raise ValueError(f"v_sen = {v_sen} outside [0, {vdd}]")
     return (1, vdd) if v_sen >= vdd / 2 else (-1, 0.0)
-
-
-def classify_line(cfg: LineConfig, feature_levels: np.ndarray, quant: QuantSpec,
-                  params: dev.DeviceParams = dev.DeviceParams(),
-                  record_trace: bool = False) -> LineResult:
-    """Run one full precharge + classify cycle on a single line."""
-    state = precharge(cfg, params)
-    state.phase = CLASSIFY
-    for _ in range(cfg.n_steps):
-        step(state, cfg, feature_levels, quant, params)
-    vote, _ = buffer_decide(state.v_sen, params.vdd)
-    energy = params.vdd * state.q_delivered_vdd + precharge_energy(cfg, params)
-    trace = None
-    if record_trace:
-        trace = np.column_stack([state.trace_t, state.trace_v])
-    return LineResult(state.v_sen, vote, energy, state.q_delivered_vdd, trace)
 
 
 def tally_votes(pairs: list[tuple[int, int]], votes: np.ndarray):
@@ -168,33 +89,6 @@ def tally_votes(pairs: list[tuple[int, int]], votes: np.ndarray):
     return tallies, preds
 
 
-def simulate_digit(lines: list[LineConfig], quant: QuantSpec, params: dev.DeviceParams,
-                   x: np.ndarray, record_traces: bool = False) -> ClassificationTrace:
-    """Classify one normalized 64-feature input through every line.
-
-    The input is quantized once; the 45 lines are evaluated independently
-    and their energies summed. Deterministic.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (64,):
-        raise ValueError(f"expected a (64,) feature vector, got shape {x.shape}")
-    levels = quantize_features(x, quant)
-    votes = np.zeros(len(lines), dtype=int)
-    finals = np.zeros(len(lines))
-    energy = 0.0
-    traces = [] if record_traces else None
-    for k, cfg in enumerate(lines):
-        res = classify_line(cfg, levels, quant, params, record_trace=record_traces)
-        votes[k] = res.vote
-        finals[k] = res.v_final
-        energy += res.energy
-        if record_traces:
-            traces.append(res.trace)
-    tallies, preds = tally_votes([c.pair for c in lines], votes)
-    return ClassificationTrace(votes=votes, tally=tallies[0], predicted=int(preds[0]),
-                               energy=energy, line_finals=finals, line_traces=traces)
-
-
 @dataclass
 class BatchResult:
     votes: np.ndarray        # (n, 45)
@@ -204,16 +98,17 @@ class BatchResult:
     line_finals: np.ndarray  # (n, 45)
 
 
-def simulate_batch(lines: list[LineConfig], quant: QuantSpec, params: dev.DeviceParams,
-                   X: np.ndarray) -> BatchResult:
-    """Transient-evaluate a batch of normalized inputs over all lines.
+def _integrate(lines: list[LineConfig], quant: QuantSpec, params: dev.DeviceParams,
+               X: np.ndarray, record: bool):
+    """Classify phase of every line for a batch of (n, 64) normalized inputs.
 
-    Exploits that every device on a line sees the same channel voltage, so
-    each line reduces to a p-side and an n-side aggregate drive current per
-    digit. Requires homogeneous timing and capacitance across lines (which
-    is how systems are assembled); results match the per-device path.
+    Every device on a line sees the same channel voltage, so each line
+    reduces to a p-side and an n-side aggregate drive current per digit.
+    Returns (BatchResult, voltages) where voltages is the (n_steps + 1, n,
+    lines) record of every Euler step starting at vdd/2, or None unless
+    `record`. Raises FloatingPointError if a voltage or charge ends
+    non-finite (the [0, vdd] clamp would otherwise hide an overflow).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n = len(X)
     base = lines[0]
     for cfg in lines:
@@ -232,21 +127,63 @@ def simulate_batch(lines: list[LineConfig], quant: QuantSpec, params: dev.Device
             g_bg = np.array([dev.gate_drive_bg(d.v_bg, dtype, params) for d in group])
             v_tg = level_to_vtg(levels[:, fidx], dtype, quant)
             g_tg = dev.gate_drive_tg(v_tg, dtype, params)
-            acc[:, k] = params.i_on * (g_tg * g_bg).sum(axis=1)
+            # Summed one device after another for any batch size: .sum pairs
+            # the terms of a single row differently from those of many rows.
+            acc[:, k] = params.i_on * functools.reduce(np.add, (g_tg * g_bg).T)
 
     vdd = params.vdd
     v = np.full((n, len(lines)), vdd / 2)
     q = np.zeros((n, len(lines)))
+    voltages = np.empty((base.n_steps + 1, n, len(lines))) if record else None
+    if record:
+        voltages[0] = v
     scale = base.dt / base.c_line
-    for _ in range(base.n_steps):
+    for k in range(base.n_steps):
         i_in = p_sum * np.clip((vdd - v) / params.v_dsat, -1.0, 1.0)
         i_out = n_sum * np.clip(v / params.v_dsat, -1.0, 1.0)
         q += i_in * base.dt
         v = np.clip(v + scale * (i_in - i_out), 0.0, vdd)
+        if record:
+            voltages[k + 1] = v
+    if not (np.isfinite(v).all() and np.isfinite(q).all()):
+        raise FloatingPointError("line voltage or charge became non-finite")
 
     votes = np.where(v >= vdd / 2, 1, -1)
     tallies, preds = tally_votes([c.pair for c in lines], votes)
     e_pre = sum(precharge_energy(cfg, params) for cfg in lines)
     energies = vdd * q.sum(axis=1) + e_pre
     return BatchResult(votes=votes, tallies=tallies, predictions=preds,
-                       energies=energies, line_finals=v)
+                       energies=energies, line_finals=v), voltages
+
+
+def simulate_batch(lines: list[LineConfig], quant: QuantSpec, params: dev.DeviceParams,
+                   X: np.ndarray) -> BatchResult:
+    """Transient-evaluate a batch of normalized inputs over all lines.
+
+    Requires homogeneous timing and capacitance across lines (which is how
+    systems are assembled). Row i equals simulate_digit on X[i] bit for bit.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    return _integrate(lines, quant, params, X, record=False)[0]
+
+
+def simulate_digit(lines: list[LineConfig], quant: QuantSpec, params: dev.DeviceParams,
+                   x: np.ndarray, record_traces: bool = False) -> ClassificationTrace:
+    """Classify one normalized 64-feature input through every line.
+
+    With record_traces, line_traces[k] is line k's (n_steps + 1, 2) record
+    of columns t, v_sen, sampled at t = j * dt from the release of the
+    precharge at vdd/2. Deterministic.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (64,):
+        raise ValueError(f"expected a (64,) feature vector, got shape {x.shape}")
+    res, voltages = _integrate(lines, quant, params, x[None, :], record=record_traces)
+    traces = None
+    if record_traces:
+        t = np.arange(lines[0].n_steps + 1) * lines[0].dt
+        traces = [np.column_stack([t, voltages[:, 0, k]]) for k in range(len(lines))]
+    return ClassificationTrace(votes=res.votes[0], tally=res.tallies[0],
+                               predicted=int(res.predictions[0]),
+                               energy=float(res.energies[0]),
+                               line_finals=res.line_finals[0], line_traces=traces)

@@ -144,6 +144,8 @@ def parse_netlist(path) -> SystemConfig:
     }
     for rec in records:
         pair = tuple(int(x) for x in rec["line"].split("-"))
+        if pair not in per_pair:
+            raise ValueError(f"device on line {rec['line']} not declared in the 'pairs' header")
         cfg = DeviceConfig(feature_index=int(rec["feat"]), dtype=rec["type"],
                            w_level=int(rec["wlevel"]))
         if rec["rail"] != cfg.rail:

@@ -20,7 +20,7 @@ import pytest
 from conftest import requires_mnist
 from senseline import system, trainer
 from senseline.device import DeviceParams, channel_current
-from senseline.line_sim import classify_line, simulate_batch, tally_votes
+from senseline.line_sim import simulate_batch, tally_votes
 from senseline.quantizer import QuantSpec
 from senseline.trainer import SBSSpec, TrainHyper, logistic_grad, logistic_loss
 from test_system import model_with_counts, reference_counts
@@ -210,13 +210,10 @@ def test_c6_device_line_properties(synth_system, synth_features):
     # Monotone response of final v_sen to any single device's drive.
     monotone = True
     line = synth_system.lines[0]
-    levels = np.full(64, 16)
     for d in rng.choice(line.devices, size=4, replace=False):
-        finals = []
-        for lv in range(0, 32, 4):
-            trial = levels.copy()
-            trial[d.feature_index] = lv
-            finals.append(classify_line(line, trial, q, p).v_final)
+        trials = np.full((8, 64), 16)
+        trials[:, d.feature_index] = np.arange(0, 32, 4)
+        finals = simulate_batch([line], q, p, trials / q.max_level).line_finals[:, 0]
         diffs = np.diff(finals)
         monotone &= bool(np.all(diffs >= 0) if d.dtype == "P" else np.all(diffs <= 0))
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from senseline import cli
+from senseline.config import config_from_dict
 
 
 def run(args, **kw):
@@ -160,10 +161,23 @@ class TestRunAll:
                      "netlist.txt", "system.json", "votes.csv", "report.json"):
             assert (out / name).exists(), name
 
+    def test_run_all_writes_mode_metrics_once(self, workdir, monkeypatch):
+        evaluated = []
+        monkeypatch.setattr(cli, "cmd_evaluate", lambda cfg: evaluated.append(cfg))
+        assert run(["run-all", "-c", workdir["config"], "--no-sbs", "--mode", "analog"]) == 0
+        assert evaluated == []
+        out = workdir["tmp"] / "out"
+        metrics = json.loads((out / "metrics_analog.json").read_text())
+        assert metrics["n_evaluated"] == 60
+        confusion = np.loadtxt(out / "confusion_analog.csv", delimiter=",")
+        assert confusion.sum() == 60
+        report = json.loads((out / "report.json").read_text())
+        assert report["metrics"]["analog"]["accuracy"] == metrics["accuracy"]
+
     def test_outputs_embed_config_hash(self, workdir):
         run(["run-all", "-c", workdir["config"], "--no-sbs"])
         out = workdir["tmp"] / "out"
-        from senseline.config import config_from_dict, config_hash
+        from senseline.config import config_hash
         doc = dict(workdir["doc"])
         doc.setdefault("sbs", {})["enabled"] = False
         h = config_hash(config_from_dict(doc))
@@ -178,6 +192,16 @@ class TestConfigErrors:
         bad.write_text(json.dumps({"unknown_section": 1}))
         assert run(["prepare", "-c", bad]) == cli.EXIT_CONFIG
         assert "unknown" in capsys.readouterr().err
+
+    def test_negative_subset_rejected(self, workdir, capsys):
+        assert run(["evaluate", "-c", workdir["config"], "--subset", -5]) == cli.EXIT_CONFIG
+        assert "subset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("evaluate", [{"mode": "bogus"}, {"subset": 0}, {"subset": 2.5},
+                                          {"trace_digits": -1}])
+    def test_invalid_evaluate_section_rejected(self, evaluate):
+        with pytest.raises(ValueError, match="evaluate"):
+            config_from_dict({"evaluate": evaluate})
 
     def test_missing_config_file(self, capsys):
         assert run(["prepare", "-c", "/nonexistent/config.json"]) == cli.EXIT_CONFIG

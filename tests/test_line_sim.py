@@ -1,16 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from senseline.device import DeviceParams, channel_current, current, make_instance
 from senseline.line_sim import (
-    CLASSIFY,
     LineConfig,
     buffer_decide,
-    classify_line,
-    precharge,
+    precharge_energy,
     simulate_batch,
     simulate_digit,
-    step,
 )
 from senseline.quantizer import DeviceConfig, QuantSpec, level_to_vtg
 
@@ -28,14 +27,24 @@ def levels_all(value):
     return np.full(64, value, dtype=int)
 
 
+def run_line(line, levels, params=P):
+    """One traced cycle of a single line at the given feature levels.
+
+    levels / 31 are the features that quantize back to exactly these levels.
+    Returns (final voltage, vote, energy, (n_steps + 1, 2) trace of t, v).
+    """
+    rec = simulate_digit([line], Q, params, levels / Q.max_level, record_traces=True)
+    return rec.line_finals[0], rec.votes[0], rec.energy, rec.line_traces[0]
+
+
 class TestPrecharge:
     def test_half_rail(self):
-        state = precharge(make_line([(0, "P", 31)]), P)
-        assert state.v_sen == 1.5
+        _, _, _, trace = run_line(make_line([(0, "P", 31)]), levels_all(31))
+        assert trace[0, 1] == 1.5
 
     def test_trace_starts_at_origin(self):
-        state = precharge(make_line([]), P)
-        assert (state.trace_t[0], state.trace_v[0]) == (0.0, 1.5)
+        _, _, _, trace = run_line(make_line([]), levels_all(0))
+        assert tuple(trace[0]) == (0.0, 1.5)
 
     def test_devices_conduct_nothing_while_gated_off(self):
         line = make_line([(0, "P", 31), (1, "N", 31)])
@@ -47,43 +56,26 @@ class TestPrecharge:
 
 
 class TestStep:
-    def test_requires_classify_phase(self):
-        line = make_line([(0, "P", 31)])
-        state = precharge(line, P)
-        with pytest.raises(ValueError, match="phase"):
-            step(state, line, levels_all(31), Q, P)
-
     def test_no_devices_no_change(self):
-        line = make_line([])
-        state = precharge(line, P)
-        state.phase = CLASSIFY
-        step(state, line, levels_all(31), Q, P)
-        assert state.v_sen == 1.5
+        _, _, _, trace = run_line(make_line([]), levels_all(31))
+        assert np.all(trace[:, 1] == 1.5)
 
     def test_single_full_drive_p_steps_two_millivolts(self):
         # 2 uA into 10 fF for 10 ps moves the line by exactly 2 mV.
-        line = make_line([(0, "P", 31)])
-        state = precharge(line, P)
-        state.phase = CLASSIFY
-        step(state, line, levels_all(31), Q, P)
-        assert state.v_sen == pytest.approx(1.5 + 2e-3)
+        _, _, _, trace = run_line(make_line([(0, "P", 31)]), levels_all(31))
+        assert trace[1, 1] == pytest.approx(1.5 + 2e-3)
 
     def test_n_only_monotone_non_increasing(self):
-        line = make_line([(0, "N", 25), (1, "N", 10)])
-        state = precharge(line, P)
-        state.phase = CLASSIFY
-        vs = [state.v_sen]
-        for _ in range(50):
-            step(state, line, levels_all(20), Q, P)
-            vs.append(state.v_sen)
-        assert np.all(np.diff(vs) <= 0)
+        _, _, _, trace = run_line(make_line([(0, "N", 25), (1, "N", 10)]), levels_all(20))
+        assert np.all(np.diff(trace[:51, 1]) <= 0)
 
     def test_charge_accounting_counts_p_side_only(self):
+        # Matched full drives hold the line at vdd/2, so 2 uA flows from VDD
+        # on every step; the n-side current to ground must not be charged.
         line = make_line([(0, "P", 31), (1, "N", 31)])
-        state = precharge(line, P)
-        state.phase = CLASSIFY
-        step(state, line, levels_all(31), Q, P)
-        assert state.q_delivered_vdd == pytest.approx(2e-6 * 10e-12)
+        _, _, energy, _ = run_line(line, levels_all(31))
+        q = (energy - precharge_energy(line, P)) / P.vdd
+        assert q == pytest.approx(2e-6 * line.t_classify)
 
 
 class TestBuffer:
@@ -103,36 +95,37 @@ class TestBuffer:
 
 class TestClassifyLine:
     def test_p_only_votes_positive(self):
-        res = classify_line(make_line([(0, "P", 10)]), levels_all(15), Q, P)
-        assert res.vote == 1
-        assert res.v_final > 1.5
+        v_final, vote, _, _ = run_line(make_line([(0, "P", 10)]), levels_all(15))
+        assert vote == 1
+        assert v_final > 1.5
 
     def test_n_only_votes_negative(self):
-        res = classify_line(make_line([(0, "N", 10)]), levels_all(15), Q, P)
-        assert res.vote == -1
-        assert res.v_final < 1.5
+        v_final, vote, _, _ = run_line(make_line([(0, "N", 10)]), levels_all(15))
+        assert vote == -1
+        assert v_final < 1.5
 
     def test_zero_drive_ties_positive(self):
-        res = classify_line(make_line([(0, "P", 20), (1, "N", 20)]), levels_all(0), Q, P)
-        assert res.v_final == 1.5
-        assert res.vote == 1
+        v_final, vote, _, _ = run_line(make_line([(0, "P", 20), (1, "N", 20)]), levels_all(0))
+        assert v_final == 1.5
+        assert vote == 1
 
     def test_full_drive_swing_calibration(self):
         # One full-drive device moves the line 0.4 V in one classify phase
         # with default parameters (2 uA * 2 ns / 10 fF).
-        res = classify_line(make_line([(0, "P", 31)]), levels_all(31), Q, P)
-        assert res.v_final == pytest.approx(1.9, abs=1e-9)
+        v_final, _, _, _ = run_line(make_line([(0, "P", 31)]), levels_all(31))
+        assert v_final == pytest.approx(1.9, abs=1e-9)
 
     def test_energy_includes_precharge_refill(self):
-        res = classify_line(make_line([]), levels_all(0), Q, P)
-        assert res.energy == pytest.approx(10e-15 * 1.5 ** 2)
+        _, _, energy, _ = run_line(make_line([]), levels_all(0))
+        assert energy == pytest.approx(10e-15 * 1.5 ** 2)
 
     def test_energy_consistency_two_accountings(self):
-        # vdd * q_delivered equals the per-device integral of the P currents.
+        # The aggregate charge from VDD equals the per-device integral of the
+        # P currents over the recorded trace.
         line = make_line([(0, "P", 31), (1, "P", 17), (2, "N", 22)])
         levels = levels_all(24)
-        res = classify_line(line, levels, Q, P, record_trace=True)
-        t, v = res.trace[:, 0], res.trace[:, 1]
+        _, _, energy, trace = run_line(line, levels)
+        v = trace[:, 1]
         integral = 0.0
         for d in line.devices:
             if d.dtype != "P":
@@ -140,7 +133,7 @@ class TestClassifyLine:
             v_tg = level_to_vtg(int(levels[d.feature_index]), "P", Q)
             i = np.array([channel_current(v_tg, d.v_bg, P.vdd, vk, P) for vk in v[:-1]])
             integral += float(np.sum(i) * line.dt)
-        assert P.vdd * res.q_delivered_vdd == pytest.approx(P.vdd * integral, rel=0.01)
+        assert energy - precharge_energy(line, P) == pytest.approx(P.vdd * integral, rel=0.01)
 
     def test_bounded_voltage_random_lines(self):
         rng = np.random.default_rng(8)
@@ -153,33 +146,43 @@ class TestClassifyLine:
             specs = [(fi, dt, lv) for k, (fi, dt, lv) in enumerate(specs)
                      if fi not in [s[0] for s in specs[:k]]]
             line = make_line(specs, t_classify=4e-9)
-            res = classify_line(line, rng.integers(0, 32, size=64), Q, hot, record_trace=True)
-            assert np.all(res.trace[:, 1] >= 0.0)
-            assert np.all(res.trace[:, 1] <= hot.vdd)
+            _, _, _, trace = run_line(line, rng.integers(0, 32, size=64), hot)
+            assert np.all(trace[:, 1] >= 0.0)
+            assert np.all(trace[:, 1] <= hot.vdd)
 
     def test_monotone_in_single_device_level(self):
         # Raising one P device's feature level never lowers the final voltage;
         # raising an N device's never raises it.
         line = make_line([(0, "P", 25), (1, "N", 25), (2, "P", 12)])
-        base = levels_all(16)
-        finals_p, finals_n = [], []
-        for lv in range(0, 32, 4):
-            lp = base.copy()
-            lp[0] = lv
-            finals_p.append(classify_line(line, lp, Q, P).v_final)
-            ln = base.copy()
-            ln[1] = lv
-            finals_n.append(classify_line(line, ln, Q, P).v_final)
-        assert np.all(np.diff(finals_p) >= 0)
-        assert np.all(np.diff(finals_n) <= 0)
+        for fi, order in ((0, 1), (1, -1)):
+            levels = np.tile(levels_all(16), (8, 1))
+            levels[:, fi] = np.arange(0, 32, 4)
+            finals = simulate_batch([line], Q, P, levels / Q.max_level).line_finals[:, 0]
+            assert np.all(order * np.diff(finals) >= 0)
 
     def test_dt_halving_stable(self):
         line = make_line([(0, "P", 31), (1, "N", 29), (2, "P", 9)])
         fine = make_line([(0, "P", 31), (1, "N", 29), (2, "P", 9)], dt=5e-12)
         levels = levels_all(27)
-        a = classify_line(line, levels, Q, P).v_final
-        b = classify_line(fine, levels, Q, P).v_final
+        a, _, _, _ = run_line(line, levels)
+        b, _, _, _ = run_line(fine, levels)
         assert abs(a - b) < 1e-3
+
+    def test_exact_zero_margin_votes_positive(self):
+        # Integer margins 20*15 - 20*15 and 12*3 - 18*2 are exactly zero: the
+        # p and n drives cancel, the line stays at vdd/2 and the buffer
+        # resolves the tie to +1.
+        for (wp, lp), (wn, ln) in (((20, 15), (20, 15)), ((12, 3), (18, 2))):
+            levels = levels_all(0)
+            levels[0], levels[1] = lp, ln
+            v_final, vote, _, trace = run_line(make_line([(0, "P", wp), (1, "N", wn)]), levels)
+            assert np.all(trace[:, 1] == 1.5)
+            assert (v_final, vote) == (1.5, 1)
+
+    def test_non_finite_voltage_raises(self):
+        line = make_line([(0, "P", 31)])
+        with pytest.raises(FloatingPointError, match="non-finite"), np.errstate(invalid="ignore"):
+            run_line(line, levels_all(31), dataclasses.replace(P, i_on=np.inf))
 
 
 class TestSimulateDigit:
@@ -202,15 +205,28 @@ class TestSimulateDigit:
         with pytest.raises(ValueError, match="64"):
             simulate_digit(synth_system.lines, Q, P, np.zeros(63))
 
-    def test_batch_matches_reference(self, synth_system, synth_features):
+    def test_traced_row_equals_batch_row(self, synth_system, synth_features):
         _, _, (sx, _) = synth_features
-        lines = synth_system.lines[:6]
-        batch = simulate_batch(lines, Q, P, sx[:3])
+        batch = simulate_batch(synth_system.lines, Q, P, sx[:3])
         for i in range(3):
-            ref = simulate_digit(lines, Q, P, sx[i])
-            assert np.array_equal(ref.votes, batch.votes[i])
-            np.testing.assert_allclose(ref.line_finals, batch.line_finals[i], rtol=1e-12)
-            assert ref.energy == pytest.approx(batch.energies[i], rel=1e-12)
+            rec = simulate_digit(synth_system.lines, Q, P, sx[i], record_traces=True)
+            assert np.array_equal(rec.votes, batch.votes[i])
+            assert np.array_equal(rec.tally, batch.tallies[i])
+            assert rec.predicted == batch.predictions[i]
+            assert np.array_equal(rec.line_finals, batch.line_finals[i])
+            assert rec.energy == batch.energies[i]
+            assert np.array_equal([tr[-1, 1] for tr in rec.line_traces], batch.line_finals[i])
+
+    def test_trace_shape_origin_and_time_grid(self, synth_system, synth_features):
+        _, _, (sx, _) = synth_features
+        rec = simulate_digit(synth_system.lines, Q, P, sx[0], record_traces=True)
+        base = synth_system.lines[0]
+        assert len(rec.line_traces) == len(synth_system.lines)
+        for tr in rec.line_traces:
+            assert tr.shape == (base.n_steps + 1, 2)
+            assert tuple(tr[0]) == (0.0, P.vdd / 2)
+            assert np.array_equal(tr[:, 0], np.arange(base.n_steps + 1) * base.dt)
+        assert simulate_digit(synth_system.lines, Q, P, sx[0]).line_traces is None
 
     def test_batch_requires_homogeneous_lines(self, synth_system):
         lines = list(synth_system.lines[:2])

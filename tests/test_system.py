@@ -130,6 +130,15 @@ class TestNetlist:
         with pytest.raises(ValueError, match="rail"):
             system.parse_netlist(bad)
 
+    def test_undeclared_line_rejected(self, synth_system, tmp_path):
+        path = tmp_path / "netlist.txt"
+        system.emit_netlist(synth_system, path)
+        text = path.read_text().replace("line=0-1", "line=0-0", 1)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match="0-0"):
+            system.parse_netlist(bad)
+
     def test_missing_header_rejected(self, synth_system, tmp_path):
         path = tmp_path / "netlist.txt"
         system.emit_netlist(synth_system, path)
