@@ -18,7 +18,7 @@ from .dataset import (
 from .device import DeviceInstance, DeviceParams, channel_current, current, drive, region_of
 from .line_sim import (
     ClassificationTrace,
-    LineConfig,
+    LineTiming,
     buffer_decide,
     simulate_batch,
     simulate_digit,

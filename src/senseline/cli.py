@@ -44,11 +44,15 @@ def _write_json(path, doc: dict):
         f.write("\n")
 
 
-def _load_splits(cfg: RunConfig) -> dataset.DataSplits:
+def _check_paths(cfg: RunConfig, keys):
     paths = dataclasses.asdict(cfg.data)
-    for key, p in paths.items():
-        if not os.path.exists(p):
-            raise FileNotFoundError(f"data file for '{key}' not found: {p}")
+    for key in keys:
+        if not os.path.exists(paths[key]):
+            raise FileNotFoundError(f"data file for '{key}' not found: {paths[key]}")
+
+
+def _load_splits(cfg: RunConfig) -> dataset.DataSplits:
+    _check_paths(cfg, ("train_images", "train_labels", "test_images", "test_labels"))
     train_pool = dataset.load_idx(cfg.data.train_images, cfg.data.train_labels)
     test_pool = dataset.load_idx(cfg.data.test_images, cfg.data.test_labels)
     return dataset.split(train_pool, test_pool, cfg.split)
@@ -64,6 +68,13 @@ def _features_of(cfg: RunConfig, s: dataset.LabeledImageSet):
 def _load_features(cfg: RunConfig):
     splits = _load_splits(cfg)
     return tuple(_features_of(cfg, s) for s in (splits.train, splits.val, splits.test))
+
+
+def _load_test_features(cfg: RunConfig):
+    """Features of the test split alone; the training pool is not read."""
+    _check_paths(cfg, ("test_images", "test_labels"))
+    test_pool = dataset.load_idx(cfg.data.test_images, cfg.data.test_labels)
+    return _features_of(cfg, dataset.select_test(test_pool, cfg.split))
 
 
 def _model_path(cfg: RunConfig, prefer_sbs: bool = True) -> str:
@@ -163,9 +174,8 @@ def cmd_quantize(cfg: RunConfig) -> int:
 
 def _assemble(cfg: RunConfig) -> system.SystemConfig:
     model = trainer.load_model(_model_path(cfg))
-    return system.assemble(model, cfg.quant, cfg.device,
-                           c_line=cfg.line.c_line, t_precharge=cfg.line.t_precharge,
-                           t_classify=cfg.line.t_classify, dt=cfg.line.dt)
+    return system.assemble(model, cfg.quant, cfg.device, cfg.line,
+                           n_features=cfg.feature_space)
 
 
 def cmd_build(cfg: RunConfig) -> int:
@@ -198,7 +208,7 @@ def _evaluate(cfg: RunConfig, sysc: system.SystemConfig, test_x, test_y) -> syst
 def cmd_simulate(cfg: RunConfig) -> int:
     """Per-digit vote records (and transient traces in analog mode) + metrics."""
     sysc = _assemble(cfg)
-    _, _, (test_x, test_y) = _load_features(cfg)
+    test_x, test_y = _load_test_features(cfg)
     mode = cfg.evaluate.mode
     n_trace = min(cfg.evaluate.trace_digits, len(test_x))
 
@@ -209,16 +219,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
         writer.writerow(["digit_index", "true_label", "predicted"]
                         + [f"votes_class_{k}" for k in range(10)])
         if mode == "analog":
+            system.check_euler_stability(sysc)
             trace_rows = []
             for i in range(n_trace):
-                rec = simulate_digit(sysc.lines, sysc.quant, sysc.params, test_x[i],
-                                     record_traces=True)
+                rec = simulate_digit(sysc, test_x[i], record_traces=True)
                 writer.writerow([i, int(test_y[i]), rec.predicted] + rec.tally.tolist())
                 records.append({"index": i, "true_label": int(test_y[i]),
                                 "predicted": rec.predicted, "tally": rec.tally.tolist(),
                                 "votes": rec.votes.tolist(), "energy_j": rec.energy})
-                for cfg_line, tr in zip(sysc.lines, rec.line_traces):
-                    a, b = cfg_line.pair
+                for (a, b), tr in zip(sysc.pairs, rec.line_traces):
                     trace_rows += [[i, f"{a}-{b}", f"{t:.3e}", f"{v:.6f}"] for t, v in tr]
             with open(_out(cfg, "traces.csv"), "w", newline="") as tf:
                 tf.write(f"# config_hash={config_hash(cfg)}\n")
@@ -232,7 +241,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             else:
                 margins = system.quantized_margins(sysc, test_x[:n_trace])
                 votes_pm = np.where(margins >= 0, 1, -1)
-                tallies, preds = tally_votes([c.pair for c in sysc.lines], votes_pm)
+                tallies, preds = tally_votes(sysc.pairs, votes_pm)
             for i in range(n_trace):
                 writer.writerow([i, int(test_y[i]), int(preds[i])] + tallies[i].tolist())
                 rec = {"index": i, "true_label": int(test_y[i]), "predicted": int(preds[i]),
@@ -258,7 +267,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_evaluate(cfg: RunConfig) -> int:
     """Metrics JSON + confusion CSV for the configured mode."""
     sysc = _assemble(cfg)
-    _, _, (test_x, test_y) = _load_features(cfg)
+    test_x, test_y = _load_test_features(cfg)
     report = _evaluate(cfg, sysc, test_x, test_y)
     print(f"evaluate [{cfg.evaluate.mode}]: accuracy {report.accuracy:.4f} "
           f"over {report.n_evaluated} digits")

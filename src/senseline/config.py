@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .dataset import GridSpec, SplitSpec
 from .device import DeviceParams
+from .line_sim import LineTiming
 from .quantizer import QuantSpec
 from .system import EVAL_MODES
 from .trainer import SBSSpec, TrainHyper
@@ -25,14 +26,6 @@ class DataPaths:
     train_labels: str = "data/train-labels-idx1-ubyte.gz"
     test_images: str = "data/t10k-images-idx3-ubyte.gz"
     test_labels: str = "data/t10k-labels-idx1-ubyte.gz"
-
-
-@dataclass(frozen=True)
-class LineDefaults:
-    c_line: float = 10e-15
-    t_precharge: float = 2e-9
-    t_classify: float = 2e-9
-    dt: float = 10e-12
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,7 @@ class RunConfig:
     sbs: SBSSpec = SBSSpec()
     quant: QuantSpec = QuantSpec()
     device: DeviceParams = DeviceParams()
-    line: LineDefaults = LineDefaults()
+    line: LineTiming = LineTiming()
     evaluate: EvalSpec = EvalSpec()
     out_dir: str = "out"
     seed: int = 42
@@ -82,7 +75,7 @@ _SECTIONS = {
     "sbs": SBSSpec,
     "quant": QuantSpec,
     "device": DeviceParams,
-    "line": LineDefaults,
+    "line": LineTiming,
     "evaluate": EvalSpec,
 }
 

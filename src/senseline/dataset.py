@@ -185,10 +185,7 @@ def split(train_pool: LabeledImageSet, test_pool: LabeledImageSet,
             f"train_count + val_count = {spec.train_count + spec.val_count} "
             f"exceeds the {len(train_pool)} available training records"
         )
-    if spec.test_count > len(test_pool):
-        raise ValueError(
-            f"test_count = {spec.test_count} exceeds the {len(test_pool)} available test records"
-        )
+    test = select_test(test_pool, spec)
     rng = np.random.default_rng(spec.shuffle_seed)
     perm = rng.permutation(len(train_pool))
     train_idx = perm[: spec.train_count]
@@ -196,5 +193,14 @@ def split(train_pool: LabeledImageSet, test_pool: LabeledImageSet,
     return DataSplits(
         train=train_pool.subset(train_idx),
         val=train_pool.subset(val_idx),
-        test=test_pool.subset(np.arange(spec.test_count)),
+        test=test,
     )
+
+
+def select_test(test_pool: LabeledImageSet, spec: SplitSpec = SplitSpec()) -> LabeledImageSet:
+    """The first spec.test_count records of the test pool, unshuffled."""
+    if spec.test_count > len(test_pool):
+        raise ValueError(
+            f"test_count = {spec.test_count} exceeds the {len(test_pool)} available test records"
+        )
+    return test_pool.subset(np.arange(spec.test_count))

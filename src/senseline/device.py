@@ -16,6 +16,7 @@ on the sensing line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,13 @@ class DeviceParams:
     tg_window_span: float = 1.24
 
     def __post_init__(self):
-        if self.i_on <= 0 or self.v_dsat <= 0 or self.tg_window_span <= 0:
-            raise ValueError("i_on, v_dsat, and tg_window_span must be positive")
         p_lo, p_hi = self.p_window
         n_lo, n_hi = self.n_window
+        values = (self.i_on, self.v_dsat, self.vdd, self.tg_window_span, p_lo, p_hi, n_lo, n_hi)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("device parameters and bias window bounds must be finite")
+        if self.i_on <= 0 or self.v_dsat <= 0 or self.tg_window_span <= 0:
+            raise ValueError("i_on, v_dsat, and tg_window_span must be positive")
         if not (p_lo < p_hi and n_lo < n_hi):
             raise ValueError("bias windows must have low < high")
         if p_hi >= n_lo:

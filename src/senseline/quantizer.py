@@ -54,6 +54,10 @@ class QuantSpec:
         return self.max_level * self.step_volts
 
 
+# P devices source charge from VDD; N devices sink it to ground.
+RAILS = {"P": "VDD", "N": "GND"}
+
+
 @dataclass(frozen=True)
 class DeviceConfig:
     """One array device: polarity, weight level, and the feature it serves."""
@@ -70,8 +74,7 @@ class DeviceConfig:
 
     @property
     def rail(self) -> str:
-        # P devices source charge from VDD; N devices sink it to ground.
-        return "VDD" if self.dtype == "P" else "GND"
+        return RAILS[self.dtype]
 
 
 def quantize_unit(v, q: QuantSpec = QuantSpec()):
@@ -91,12 +94,13 @@ def quantize_features(x, q: QuantSpec = QuantSpec()):
     return quantize_unit(x, q)
 
 
-def map_weights(c: BinaryClassifier, q: QuantSpec = QuantSpec()) -> list[DeviceConfig]:
-    """Map a classifier's real weights to device configurations.
+def weight_levels(c: BinaryClassifier, q: QuantSpec = QuantSpec()) -> np.ndarray:
+    """Signed weight level of each of a classifier's weights, in one call.
 
     Weights are scaled by 1/max|w| over the classifier so the largest
-    magnitude uses the full dynamic range, then quantized. Zero weights and
-    weights that quantize to level 0 are dropped (no device).
+    magnitude uses the full dynamic range, then quantized. +level is a
+    p-type device, -level an n-type one, and 0 (a zero weight or one that
+    quantizes to level 0) is no device.
     """
     if c.intercept != 0.0:
         raise ValueError(
@@ -107,15 +111,13 @@ def map_weights(c: BinaryClassifier, q: QuantSpec = QuantSpec()) -> list[DeviceC
     scale = np.max(np.abs(w))
     if scale == 0.0:
         raise ValueError(f"classifier {c.class_pair} has an all-zero weight vector")
-    configs = []
-    for fi, wi in zip(c.feature_indices, w):
-        if wi == 0.0:
-            continue
-        level = quantize_unit(abs(wi) / scale, q)
-        if level == 0:
-            continue
-        configs.append(DeviceConfig(int(fi), "P" if wi > 0 else "N", level))
-    return configs
+    return np.sign(w).astype(np.int64) * quantize_unit(np.abs(w) / scale, q)
+
+
+def map_weights(c: BinaryClassifier, q: QuantSpec = QuantSpec()) -> list[DeviceConfig]:
+    """Device configurations of a classifier's nonzero weight levels."""
+    return [DeviceConfig(int(fi), "P" if level > 0 else "N", abs(int(level)))
+            for fi, level in zip(c.feature_indices, weight_levels(c, q)) if level]
 
 
 def _check_level(level, q: QuantSpec):

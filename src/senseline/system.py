@@ -1,26 +1,34 @@
 """Array assembly, netlist serialization, and system-level metrics.
 
-assemble() compiles a trained ensemble into the device array: one sensing
-line per binary classifier, one device per surviving quantized weight.
-Features eliminated by selection or zero-quantized weights leave gaps in
-the array. The netlist is a line-oriented text format that round-trips to
-an equal system. Metrics follow the transistor-count accounting: area is a
-pure per-device footprint, and the reported charge-based energy covers the
-MAC array and line precharge only.
+assemble() compiles a trained ensemble into the device array, held as one
+signed weight-level matrix L (input features x lines): L[f, k] = +w for a
+p-type device of weight level w on line k's feature f, -w for an n-type
+device, and 0 where there is none (a feature eliminated by selection or a
+weight that quantizes to level 0). The bottom-gate drive matrices of the
+line simulator and the integer decision margins both derive from L. The
+netlist is a line-oriented text format that round-trips to an equal
+system. Metrics follow the transistor-count accounting: area is a pure
+per-device footprint, and the reported charge-based energy covers the MAC
+array and line precharge only.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import line_sim
-from .device import DeviceInstance, DeviceParams, make_instance
-from .quantizer import DeviceConfig, QuantSpec, map_weights, quantize_features
+from .device import DeviceParams, RegionMismatchError, gate_drive_bg
+from .line_sim import LineTiming
+from .quantizer import RAILS, QuantSpec, level_to_vbg, quantize_features, weight_levels
 from .trainer import OvOModel, evaluate_model
+
+# Input features driving the array: the 8x8 downsampled grid.
+N_FEATURES = 64
 
 # Calibrated so a 1,021-device array occupies 3.8 square microns.
 DEFAULT_FOOTPRINT_UM2 = 3.8 / 1021
@@ -31,50 +39,100 @@ ENERGY_SCOPE = ("MAC array charge + line precharge only; buffers, voltage divide
 EVAL_MODES = ("digital-float", "digital-quantized", "analog")
 
 
-@dataclass
-class SystemConfig:
-    """The assembled 45-line device array plus its electrical parameters.
+def _bottom_gate_drives(L: np.ndarray, quant: QuantSpec, params: DeviceParams):
+    """Bottom-gate drive matrices (G_p, G_n) of the p- and n-type devices in L.
 
-    The source model rides along (excluded from equality) so the float
-    pipeline can be evaluated against the same system.
+    Raises RegionMismatchError if a device's bias falls outside the window
+    of its polarity.
+    """
+    drives = []
+    for dtype, levels, window in (("P", np.maximum(L, 0), params.p_window),
+                                  ("N", np.maximum(-L, 0), params.n_window)):
+        v_bg = level_to_vbg(levels, dtype, quant)
+        outside = (levels > 0) & ((v_bg < window[0]) | (v_bg > window[1]))
+        if np.any(outside):
+            raise RegionMismatchError(
+                f"v_bg = {v_bg[outside][0]:.3f} V is outside the {dtype} window; "
+                "quantizer step/window and device windows are inconsistent")
+        drives.append(np.where(levels > 0, gate_drive_bg(v_bg, dtype, params), 0.0))
+    return drives
+
+
+@dataclass(eq=False)
+class SystemConfig:
+    """The compiled 45-line array (L, see the module docstring) and its parameters.
+
+    G_p and G_n, derived from L, hold each device's bottom-gate drive in
+    [0, 1] at its polarity's position and 0 elsewhere. The source model
+    rides along (excluded from equality) so the float pipeline can be
+    evaluated against the same system.
     """
 
-    lines: list[line_sim.LineConfig]
-    quant: QuantSpec
-    params: DeviceParams
-    model: OvOModel | None = field(default=None, compare=False)
+    pairs: list[tuple[int, int]]
+    L: np.ndarray
+    quant: QuantSpec = QuantSpec()
+    params: DeviceParams = DeviceParams()
+    timing: LineTiming = LineTiming()
+    model: OvOModel | None = None
 
     def __post_init__(self):
-        for cfg in self.lines:
-            feats = [d.feature_index for d in cfg.devices]
-            if len(feats) != len(set(feats)):
-                raise ValueError(f"line {cfg.pair} references a feature index twice")
+        self.L = np.asarray(self.L, dtype=np.int64)
+        if self.L.ndim != 2 or self.L.shape[1] != len(self.pairs):
+            raise ValueError(f"L must be (features, {len(self.pairs)}), got {self.L.shape}")
+        self.G_p, self.G_n = _bottom_gate_drives(self.L, self.quant, self.params)
+
+    def __eq__(self, other):
+        if not isinstance(other, SystemConfig):
+            return NotImplemented
+        return (self.pairs == other.pairs and np.array_equal(self.L, other.L)
+                and (self.quant, self.params, self.timing)
+                == (other.quant, other.params, other.timing))
 
     @property
     def device_count(self) -> int:
-        return sum(len(cfg.devices) for cfg in self.lines)
+        return int(np.count_nonzero(self.L))
+
+
+def check_euler_stability(s: SystemConfig):
+    """Reject an analog simulation whose explicit-Euler step can overshoot.
+
+    In the triode region each step scales a line's distance to its
+    equilibrium by 1 - dt * i_on * (sum G_p + sum G_n) / (c_line * v_dsat),
+    worst case every feature at full level. Outside (0, 1] the line would
+    oscillate, and the [0, vdd] clamp would hide it. Digital evaluation does
+    not step the lines, so only the analog paths check this.
+    """
+    g_sum = (s.G_p + s.G_n).sum(axis=0)
+    factor = 1.0 - s.timing.dt * s.params.i_on * g_sum / (s.timing.c_line * s.params.v_dsat)
+    bad = np.flatnonzero(factor <= 0)
+    if bad.size:
+        a, b = s.pairs[bad[0]]
+        raise ValueError(f"unstable Euler step on line {a}-{b}: worst-case factor "
+                         f"{factor[bad[0]]:.3g} is outside (0, 1]; "
+                         "lower line.dt or raise line.c_line")
 
 
 def assemble(model: OvOModel, quant: QuantSpec = QuantSpec(),
-             params: DeviceParams = DeviceParams(),
-             c_line: float = 10e-15, t_precharge: float = 2e-9,
-             t_classify: float = 2e-9, dt: float = 10e-12) -> SystemConfig:
+             params: DeviceParams = DeviceParams(), timing: LineTiming = LineTiming(),
+             n_features: int = N_FEATURES) -> SystemConfig:
     """Compile a trained model onto the device array."""
-    lines = []
-    for c in model.classifiers:
-        if np.all(np.asarray(c.weights) == 0.0):
-            # Tolerated here (strict map_weights rejects it): the line keeps
+    L = np.zeros((n_features, len(model.classifiers)), dtype=np.int64)
+    for k, c in enumerate(model.classifiers):
+        feats = c.feature_indices
+        if len(np.unique(feats)) != len(feats):
+            raise ValueError(f"classifier {c.class_pair} references a feature index twice")
+        if feats.min() < 0 or feats.max() >= n_features:
+            raise ValueError(f"classifier {c.class_pair} references a feature outside "
+                             f"the {n_features}-feature array")
+        if not np.any(c.weights):
+            # Tolerated here (strict weight_levels rejects it): the line keeps
             # no devices and always votes for the smaller digit.
             warnings.warn(f"classifier {c.class_pair} has no surviving devices after "
                           "quantization", RuntimeWarning)
-            configs = []
-        else:
-            configs = map_weights(c, quant)
-        devices = [make_instance(cfg, quant, params) for cfg in configs]
-        lines.append(line_sim.LineConfig(pair=c.class_pair, devices=devices,
-                                         c_line=c_line, t_precharge=t_precharge,
-                                         t_classify=t_classify, dt=dt))
-    return SystemConfig(lines=lines, quant=quant, params=params, model=model)
+            continue
+        L[feats, k] = weight_levels(c, quant)
+    return SystemConfig([c.class_pair for c in model.classifiers], L, quant, params, timing,
+                        model)
 
 
 def estimate_area(s: SystemConfig, footprint_um2: float = DEFAULT_FOOTPRINT_UM2) -> float:
@@ -85,8 +143,10 @@ def estimate_area(s: SystemConfig, footprint_um2: float = DEFAULT_FOOTPRINT_UM2)
 
 
 def emit_netlist(s: SystemConfig, path):
-    """Write the array as text, one device per line, with a parameter header."""
-    base = s.lines[0]
+    """Write the array as text, one device per line, with a parameter header.
+
+    Devices are listed line by line, in ascending feature order.
+    """
     header = {
         "quant": {"bits": s.quant.bits, "step_volts": s.quant.step_volts, "vdd": s.quant.vdd},
         "device": {
@@ -94,21 +154,57 @@ def emit_netlist(s: SystemConfig, path):
             "p_window": list(s.params.p_window), "n_window": list(s.params.n_window),
             "tg_window_span": s.params.tg_window_span,
         },
-        "line": {"c_line": base.c_line, "t_precharge": base.t_precharge,
-                 "t_classify": base.t_classify, "dt": base.dt},
-        "pairs": [f"{a}-{b}" for a, b in (cfg.pair for cfg in s.lines)],
+        "line": dataclasses.asdict(s.timing),
+        "pairs": [f"{a}-{b}" for a, b in s.pairs],
     }
+    lines, feats = np.nonzero(s.L.T)
     with open(path, "w") as f:
         f.write("* senseline netlist v1\n")
         for key, value in header.items():
             f.write(f"* {key} {json.dumps(value)}\n")
-        k = 0
-        for cfg in s.lines:
-            a, b = cfg.pair
-            for d in cfg.devices:
-                f.write(f"D{k} line={a}-{b} feat={d.feature_index} type={d.dtype} "
-                        f"wlevel={d.config.w_level} rail={d.config.rail}\n")
-                k += 1
+        for k, (line, feat, level) in enumerate(zip(lines.tolist(), feats.tolist(),
+                                                    s.L[feats, lines].tolist())):
+            a, b = s.pairs[line]
+            dtype = "P" if level > 0 else "N"
+            f.write(f"D{k} line={a}-{b} feat={feat} type={dtype} "
+                    f"wlevel={abs(level)} rail={RAILS[dtype]}\n")
+
+
+_DEVICE_FIELDS = ("line", "feat", "type", "wlevel", "rail")
+
+
+def _parse_device(tokens: list[str], columns: dict, quant: QuantSpec):
+    """One netlist device line -> (line column, feature, signed weight level).
+
+    Raises a ValueError naming the device for any missing or invalid field.
+    """
+    name = tokens[0]
+    fields = dict(tok.partition("=")[::2] for tok in tokens[1:])
+    missing = [key for key in _DEVICE_FIELDS if key not in fields]
+    if missing:
+        raise ValueError(f"netlist device {name} is missing "
+                         + ", ".join(f"{key}=" for key in missing))
+    try:
+        pair = tuple(int(x) for x in fields["line"].split("-"))
+        feat, level = int(fields["feat"]), int(fields["wlevel"])
+    except ValueError:
+        raise ValueError(f"netlist device {name}: line, feat and wlevel must be integers") from None
+    if pair not in columns:
+        raise ValueError(f"netlist device {name}: line {fields['line']} is not declared "
+                         "in the 'pairs' header")
+    if not 0 <= feat < N_FEATURES:
+        raise ValueError(f"netlist device {name}: feat={feat} is outside the "
+                         f"{N_FEATURES}-feature array")
+    if not 1 <= level <= quant.max_level:
+        raise ValueError(f"netlist device {name}: wlevel={level} is outside "
+                         f"1..{quant.max_level}")
+    dtype = fields["type"]
+    if dtype not in RAILS:
+        raise ValueError(f"netlist device {name}: type must be P or N, got {dtype!r}")
+    if fields["rail"] != RAILS[dtype]:
+        raise ValueError(f"netlist device {name}: rail {fields['rail']} contradicts "
+                         f"type {dtype}")
+    return columns[pair], feat, level if dtype == "P" else -level
 
 
 def parse_netlist(path) -> SystemConfig:
@@ -117,7 +213,7 @@ def parse_netlist(path) -> SystemConfig:
     The parsed system carries no float model.
     """
     header: dict = {}
-    records: list[dict] = []
+    devices: list[list[str]] = []
     with open(path) as f:
         for raw in f:
             tokens = raw.split()
@@ -127,8 +223,7 @@ def parse_netlist(path) -> SystemConfig:
                 if len(tokens) >= 3 and tokens[1] in ("quant", "device", "line", "pairs"):
                     header[tokens[1]] = json.loads(raw.split(None, 2)[2])
                 continue
-            fields = dict(tok.split("=", 1) for tok in tokens[1:])
-            records.append(fields)
+            devices.append(tokens)
     for key in ("quant", "device", "line", "pairs"):
         if key not in header:
             raise ValueError(f"netlist {path} is missing the '{key}' header")
@@ -138,43 +233,27 @@ def parse_netlist(path) -> SystemConfig:
     params = DeviceParams(i_on=d["i_on"], v_dsat=d["v_dsat"], vdd=d["vdd"],
                           p_window=tuple(d["p_window"]), n_window=tuple(d["n_window"]),
                           tg_window_span=d["tg_window_span"])
-
-    per_pair: dict[tuple[int, int], list[DeviceInstance]] = {
-        tuple(int(x) for x in p.split("-")): [] for p in header["pairs"]
-    }
-    for rec in records:
-        pair = tuple(int(x) for x in rec["line"].split("-"))
-        if pair not in per_pair:
-            raise ValueError(f"device on line {rec['line']} not declared in the 'pairs' header")
-        cfg = DeviceConfig(feature_index=int(rec["feat"]), dtype=rec["type"],
-                           w_level=int(rec["wlevel"]))
-        if rec["rail"] != cfg.rail:
-            raise ValueError(f"device on line {pair}: rail {rec['rail']} contradicts type {cfg.dtype}")
-        per_pair[pair].append(make_instance(cfg, quant, params))
-
-    ln = header["line"]
-    lines = [line_sim.LineConfig(pair=pair, devices=devs, c_line=ln["c_line"],
-                                 t_precharge=ln["t_precharge"],
-                                 t_classify=ln["t_classify"], dt=ln["dt"])
-             for pair, devs in per_pair.items()]
-    return SystemConfig(lines=lines, quant=quant, params=params, model=None)
+    pairs = [tuple(int(x) for x in p.split("-")) for p in header["pairs"]]
+    columns = {pair: k for k, pair in enumerate(pairs)}
+    L = np.zeros((N_FEATURES, len(pairs)), dtype=np.int64)
+    for tokens in devices:
+        k, feat, level = _parse_device(tokens, columns, quant)
+        if L[feat, k]:
+            a, b = pairs[k]
+            raise ValueError(f"netlist device {tokens[0]}: a second device on line {a}-{b} "
+                             f"feature {feat}")
+        L[feat, k] = level
+    return SystemConfig(pairs, L, quant, params, LineTiming(**header["line"]))
 
 
 def quantized_margins(s: SystemConfig, X: np.ndarray) -> np.ndarray:
     """Integer decision margins of the quantized array, sign-exact.
 
     margin[:, k] = sum over line k's devices of +/- w_level * x_level, with
-    + for p-type and - for n-type. This is the digital oracle the analog
-    lines are checked against.
+    + for p-type and - for n-type: levels @ L. This is the digital oracle
+    the analog lines are checked against.
     """
-    X = np.atleast_2d(X)
-    levels = quantize_features(X, s.quant)
-    margins = np.zeros((len(X), len(s.lines)), dtype=np.int64)
-    for k, cfg in enumerate(s.lines):
-        for d in cfg.devices:
-            sign = 1 if d.dtype == "P" else -1
-            margins[:, k] += sign * d.config.w_level * levels[:, d.feature_index]
-    return margins
+    return quantize_features(np.atleast_2d(X), s.quant) @ s.L
 
 
 @dataclass
@@ -227,16 +306,16 @@ def evaluate(s: SystemConfig, X: np.ndarray, labels: np.ndarray,
     elif mode == "digital-quantized":
         margins = quantized_margins(s, X)
         votes = np.where(margins >= 0, 1, -1)
-        _, preds = line_sim.tally_votes([c.pair for c in s.lines], votes)
+        _, preds = line_sim.tally_votes(s.pairs, votes)
         confusion = _confusion(labels, preds)
         accuracy = float(np.trace(confusion) / len(labels))
     else:
-        result = line_sim.simulate_batch(s.lines, s.quant, s.params, X)
+        check_euler_stability(s)
+        result = line_sim.simulate_batch(s, X)
         confusion = _confusion(labels, result.predictions)
         accuracy = float(np.trace(confusion) / len(labels))
         energy = float(np.mean(result.energies))
 
-    base = s.lines[0]
     return MetricsReport(
         mode=mode,
         n_evaluated=len(X),
@@ -244,7 +323,7 @@ def evaluate(s: SystemConfig, X: np.ndarray, labels: np.ndarray,
         confusion=confusion,
         device_count=s.device_count,
         area_um2=estimate_area(s, footprint_um2),
-        throughput_hz=1.0 / (base.t_precharge + base.t_classify),
+        throughput_hz=1.0 / (s.timing.t_precharge + s.timing.t_classify),
         energy_per_decision=energy,
         total_current_per_decision=None if energy is None else energy / s.params.vdd,
         energy_scope=ENERGY_SCOPE,

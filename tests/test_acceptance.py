@@ -141,11 +141,11 @@ def _analog_vs_quantized(model, sx, sy, n=1000):
     s = system.assemble(model)
     sx, sy = sx[:n], sy[:n]
     t0 = time.perf_counter()
-    batch = simulate_batch(s.lines, s.quant, s.params, sx)
+    batch = simulate_batch(s, sx)
     wall = time.perf_counter() - t0
     margins = system.quantized_margins(s, sx)
     votes_q = np.where(margins >= 0, 1, -1)
-    _, preds_q = tally_votes([c.pair for c in s.lines], votes_q)
+    _, preds_q = tally_votes(s.pairs, votes_q)
     agreement = float(np.mean(batch.predictions == preds_q))
     acc_a = float(np.mean(batch.predictions == sy))
     acc_q = float(np.mean(preds_q == sy))
@@ -204,22 +204,23 @@ def test_c6_device_line_properties(synth_system, synth_features):
 
     # Line voltage bounded in [0, vdd] across a simulated batch.
     _, _, (sx, _) = synth_features
-    batch = simulate_batch(synth_system.lines, q, p, sx[:200])
+    batch = simulate_batch(synth_system, sx[:200])
     bounded_v = bool(np.all(batch.line_finals >= 0.0) and np.all(batch.line_finals <= p.vdd))
 
     # Monotone response of final v_sen to any single device's drive.
     monotone = True
-    line = synth_system.lines[0]
-    for d in rng.choice(line.devices, size=4, replace=False):
+    s = synth_system
+    line = system.SystemConfig(s.pairs[:1], s.L[:, :1], q, p, s.timing)
+    for fi in rng.choice(np.flatnonzero(line.L[:, 0]), size=4, replace=False):
         trials = np.full((8, 64), 16)
-        trials[:, d.feature_index] = np.arange(0, 32, 4)
-        finals = simulate_batch([line], q, p, trials / q.max_level).line_finals[:, 0]
+        trials[:, fi] = np.arange(0, 32, 4)
+        finals = simulate_batch(line, trials / q.max_level).line_finals[:, 0]
         diffs = np.diff(finals)
-        monotone &= bool(np.all(diffs >= 0) if d.dtype == "P" else np.all(diffs <= 0))
+        monotone &= bool(np.all(diffs >= 0) if line.L[fi, 0] > 0 else np.all(diffs <= 0))
 
     # Halving dt changes every final line voltage by < 1 mV.
-    half_lines = [dataclasses.replace(cfg, dt=cfg.dt / 2) for cfg in synth_system.lines]
-    batch_half = simulate_batch(half_lines, q, p, sx[:100])
+    half = dataclasses.replace(s, timing=dataclasses.replace(s.timing, dt=s.timing.dt / 2))
+    batch_half = simulate_batch(half, sx[:100])
     dt_shift = float(np.max(np.abs(batch_half.line_finals - batch.line_finals[:100])))
     dt_ok = dt_shift < 1e-3
 
@@ -297,7 +298,7 @@ def test_c8_gradient_correctness():
 def _artifact_check(model, sx, sy, tag):
     s = system.assemble(model)
     rep = system.evaluate(s, sx[:200], sy[:200], mode="digital-quantized")
-    batch = simulate_batch(s.lines, s.quant, s.params, sx[:10])
+    batch = simulate_batch(s, sx[:10])
     sums_ok = bool(np.all(batch.tallies.sum(axis=1) == 45))
     max_ok = bool(np.all(batch.tallies.max(axis=1) <= 9))
     shape_ok = rep.confusion.shape == (10, 10) and rep.confusion.sum() == 200

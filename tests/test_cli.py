@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -145,6 +146,26 @@ class TestPipelineArtifacts:
         assert confusion.shape == (10, 10)
         assert confusion.sum() == 60
 
+    def test_simulate_and_evaluate_read_only_the_test_pool(self, trained):
+        for key in ("train_images", "train_labels"):
+            os.remove(trained["doc"]["data"][key])
+        assert run(["simulate", "-c", trained["config"]]) == 0
+        assert run(["evaluate", "-c", trained["config"]]) == 0
+
+    def test_unstable_analog_line_exits_4(self, trained, capsys):
+        doc = dict(trained["doc"], line={"c_line": 1e-16})
+        bad = trained["tmp"] / "unstable.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["simulate", "-c", bad, "--mode", "analog"]) == cli.EXIT_CONFIG
+        assert "Euler" in capsys.readouterr().err
+        assert run(["evaluate", "-c", bad]) == 0
+
+    def test_full_resolution_array_digital_evaluation(self, workdir):
+        args = ["-c", workdir["config"], "--feature-space", 784]
+        assert run(["train"] + args) == 0
+        assert run(["build"] + args) == 0
+        assert run(["evaluate"] + args) == 0
+
     def test_report_consolidates(self, trained, capsys):
         run(["evaluate", "-c", trained["config"]])
         assert run(["report", "-c", trained["config"]]) == 0
@@ -202,6 +223,21 @@ class TestConfigErrors:
     def test_invalid_evaluate_section_rejected(self, evaluate):
         with pytest.raises(ValueError, match="evaluate"):
             config_from_dict({"evaluate": evaluate})
+
+    @pytest.mark.parametrize("doc", [
+        {"device": {"i_on": float("inf")}},
+        {"device": {"v_dsat": float("nan")}},
+        {"device": {"n_window": [1.76, float("inf")]}},
+        {"line": {"c_line": float("inf")}},
+        {"line": {"t_precharge": 0.0}},
+        {"line": {"dt": -1e-12}},
+        {"line": {"dt": 1e-9}},          # t_classify / dt = 2 < 10
+    ])
+    def test_invalid_device_or_line_section_exits_4(self, workdir, doc, capsys):
+        bad = workdir["tmp"] / "bad_section.json"
+        bad.write_text(json.dumps(doc))  # non-finite floats as JSON Infinity / NaN
+        assert run(["prepare", "-c", bad]) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert run(["prepare", "-c", "/nonexistent/config.json"]) == cli.EXIT_CONFIG

@@ -34,6 +34,13 @@ class TestRegions:
         with pytest.raises(ValueError, match="OFF band"):
             DeviceParams(p_window=(0.0, 2.0), n_window=(1.9, 3.0))
 
+    @pytest.mark.parametrize("kw", [{"i_on": np.inf}, {"v_dsat": np.nan},
+                                    {"tg_window_span": np.inf}, {"vdd": np.nan},
+                                    {"p_window": (-np.inf, 1.24)}, {"n_window": (1.76, np.nan)}])
+    def test_non_finite_rejected(self, kw):
+        with pytest.raises(ValueError, match="finite"):
+            DeviceParams(**kw)
+
 
 class TestDrive:
     def test_p_gated_off_at_vdd(self):

@@ -9,6 +9,7 @@ from senseline.quantizer import (
     level_to_vtg,
     map_weights,
     quantize_unit,
+    weight_levels,
 )
 from senseline.trainer import BinaryClassifier
 
@@ -91,6 +92,13 @@ class TestMapWeights:
             for d in map_weights(clf(w)):
                 assert (d.dtype == "P") == (w[d.feature_index] > 0)
                 assert (d.dtype == "N") == (w[d.feature_index] < 0)
+
+    def test_signed_levels_in_one_call(self):
+        levels = weight_levels(clf([2.0, -1.0, 0.0, 0.01, -2.0]))
+        assert levels.tolist() == [31, -16, 0, 0, -31]
+        devs = map_weights(clf([2.0, -1.0, 0.0, 0.01, -2.0]))
+        assert [(d.feature_index, d.dtype, d.w_level) for d in devs] == [
+            (0, "P", 31), (1, "N", 16), (4, "N", 31)]
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="all-zero"):

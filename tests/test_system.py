@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from senseline import quantizer, system, trainer
-from senseline.device import DeviceParams
-from senseline.quantizer import QuantSpec
+from senseline.device import DeviceParams, RegionMismatchError
+from senseline.line_sim import LineTiming
 from senseline.trainer import BinaryClassifier, OvOModel, all_pairs
 
 
@@ -45,15 +45,28 @@ def reference_counts() -> dict:
 
 class TestAssemble:
     def test_line_and_device_counts(self, synth_system, synth_model):
-        assert len(synth_system.lines) == 45
+        assert len(synth_system.pairs) == 45
+        assert synth_system.L.shape == (64, 45)
         assert synth_system.device_count <= 45 * 64
         doc = quantizer.quantize_model(synth_model)
         assert synth_system.device_count == sum(len(c["entries"]) for c in doc["classifiers"])
 
+    def test_levels_match_map_weights(self, synth_system, synth_model):
+        # One quantization decides both the level matrix and the device list.
+        for k, c in enumerate(synth_model.classifiers):
+            devs = quantizer.map_weights(c)
+            expected = np.zeros(64, dtype=np.int64)
+            for d in devs:
+                expected[d.feature_index] = d.w_level if d.dtype == "P" else -d.w_level
+            assert np.array_equal(synth_system.L[:, k], expected)
+        # With windows matched to the quantizer a level-w device drives w / 31.
+        assert np.allclose(synth_system.G_p, np.maximum(synth_system.L, 0) / 31)
+        assert np.allclose(synth_system.G_n, np.maximum(-synth_system.L, 0) / 31)
+
     def test_six_feature_classifier_yields_six_devices(self):
         counts = {p: 6 for p in all_pairs()}
         s = system.assemble(model_with_counts(counts))
-        assert all(len(cfg.devices) == 6 for cfg in s.lines)
+        assert np.all(np.count_nonzero(s.L, axis=0) == 6)
 
     def test_reference_counts_near_target_total(self):
         s = system.assemble(model_with_counts(reference_counts()))
@@ -65,17 +78,45 @@ class TestAssemble:
         model.classifiers[0].weights = np.zeros(4)
         with pytest.warns(RuntimeWarning, match="no surviving devices"):
             s = system.assemble(model)
-        assert len(s.lines[0].devices) == 0
+        assert not np.any(s.L[:, 0])
 
-    def test_duplicate_feature_on_line_rejected(self, synth_system):
-        lines = synth_system.lines
-        bad = [line for line in lines]
-        dup = lines[0].devices[0]
-        bad_line = type(lines[0])(pair=lines[0].pair,
-                                  devices=lines[0].devices + [dup],
-                                  c_line=lines[0].c_line)
+    def test_duplicate_feature_on_line_rejected(self):
+        model = model_with_counts({p: 4 for p in all_pairs()})
+        feats = model.classifiers[0].feature_indices
+        feats[1] = feats[0]
         with pytest.raises(ValueError, match="twice"):
-            system.SystemConfig([bad_line] + bad[1:], synth_system.quant, synth_system.params)
+            system.assemble(model)
+
+    def test_feature_outside_array_rejected(self):
+        model = model_with_counts({p: 4 for p in all_pairs()})
+        model.classifiers[3].feature_indices[-1] = 64
+        with pytest.raises(ValueError, match="64-feature"):
+            system.assemble(model)
+
+    def test_bias_outside_window_rejected(self):
+        # Levels below 19 put the p-type bottom gate above 0.5 V.
+        params = DeviceParams(p_window=(0.0, 0.5), n_window=(2.5, 3.0))
+        with pytest.raises(RegionMismatchError):
+            system.assemble(model_with_counts({p: 8 for p in all_pairs()}), params=params)
+
+
+class TestEulerStability:
+    def test_default_array_passes(self, synth_system):
+        s = synth_system
+        g_sum = (s.G_p + s.G_n).sum(axis=0)
+        factor = 1 - s.timing.dt * s.params.i_on * g_sum / (s.timing.c_line * s.params.v_dsat)
+        assert np.all((factor > 0) & (factor <= 1))
+        system.check_euler_stability(s)
+
+    def test_small_line_capacitance_rejected(self, synth_model, synth_features):
+        # dt * i_on / (c_line * v_dsat) = 1: a line driven by more than one
+        # full-level device overshoots in one step. Digital evaluation never
+        # steps the lines and still runs.
+        _, _, (sx, sy) = synth_features
+        s = system.assemble(synth_model, timing=LineTiming(c_line=1e-16))
+        with pytest.raises(ValueError, match="Euler"):
+            system.evaluate(s, sx[:5], sy[:5], mode="analog")
+        assert system.evaluate(s, sx[:5], sy[:5]).n_evaluated == 5
 
 
 class TestArea:
@@ -90,7 +131,7 @@ class TestArea:
         assert 1021 * system.DEFAULT_FOOTPRINT_UM2 == pytest.approx(3.8)
 
     def test_zero_devices_zero_area(self):
-        s = system.SystemConfig([], QuantSpec(), DeviceParams())
+        s = system.SystemConfig([(0, 1)], np.zeros((64, 1), dtype=np.int64))
         assert system.estimate_area(s) == 0.0
 
     def test_linearity(self):
@@ -137,6 +178,55 @@ class TestNetlist:
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
         with pytest.raises(ValueError, match="0-0"):
+            system.parse_netlist(bad)
+
+    def test_device_line_format(self, tmp_path):
+        L = np.zeros((64, 2), dtype=np.int64)
+        L[3, 0], L[60, 0], L[7, 1] = 5, -31, 12
+        path = tmp_path / "netlist.txt"
+        system.emit_netlist(system.SystemConfig([(0, 1), (2, 9)], L), path)
+        assert [l for l in path.read_text().splitlines() if not l.startswith("*")] == [
+            "D0 line=0-1 feat=3 type=P wlevel=5 rail=VDD",
+            "D1 line=0-1 feat=60 type=N wlevel=31 rail=GND",
+            "D2 line=2-9 feat=7 type=P wlevel=12 rail=VDD",
+        ]
+
+    @staticmethod
+    def _edit_first_device(s, tmp_path, edit):
+        path = tmp_path / "netlist.txt"
+        system.emit_netlist(s, path)
+        lines = path.read_text().splitlines()
+        first = next(i for i, l in enumerate(lines) if l.startswith("D0 "))
+        lines[first:first + 1] = edit(lines[first])
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        return bad
+
+    def test_missing_feat_rejected(self, synth_system, tmp_path):
+        bad = self._edit_first_device(
+            synth_system, tmp_path,
+            lambda l: [" ".join(t for t in l.split() if not t.startswith("feat="))])
+        with pytest.raises(ValueError, match="D0 is missing feat="):
+            system.parse_netlist(bad)
+
+    def test_feature_outside_array_rejected(self, synth_system, tmp_path):
+        bad = self._edit_first_device(
+            synth_system, tmp_path,
+            lambda l: [" ".join("feat=99" if t.startswith("feat=") else t for t in l.split())])
+        with pytest.raises(ValueError, match="D0: feat=99"):
+            system.parse_netlist(bad)
+
+    def test_weight_level_outside_range_rejected(self, synth_system, tmp_path):
+        bad = self._edit_first_device(
+            synth_system, tmp_path,
+            lambda l: [" ".join("wlevel=0" if t.startswith("wlevel=") else t for t in l.split())])
+        with pytest.raises(ValueError, match="D0: wlevel=0"):
+            system.parse_netlist(bad)
+
+    def test_second_device_on_same_feature_rejected(self, synth_system, tmp_path):
+        bad = self._edit_first_device(
+            synth_system, tmp_path, lambda l: [l, l.replace("D0 ", "D0b ", 1)])
+        with pytest.raises(ValueError, match="D0b: a second device"):
             system.parse_netlist(bad)
 
     def test_missing_header_rejected(self, synth_system, tmp_path):
