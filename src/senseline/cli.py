@@ -65,9 +65,11 @@ def _features_of(cfg: RunConfig, s: dataset.LabeledImageSet):
     return X, s.labels.astype(int)
 
 
-def _load_features(cfg: RunConfig):
-    splits = _load_splits(cfg)
-    return tuple(_features_of(cfg, s) for s in (splits.train, splits.val, splits.test))
+def _load_train_val_features(cfg: RunConfig):
+    """Features of the train and val splits; the test pool is not read."""
+    _check_paths(cfg, ("train_images", "train_labels"))
+    train_pool = dataset.load_idx(cfg.data.train_images, cfg.data.train_labels)
+    return tuple(_features_of(cfg, s) for s in dataset.split_train_val(train_pool, cfg.split))
 
 
 def _load_test_features(cfg: RunConfig):
@@ -109,7 +111,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     """Train the 45 pairwise classifiers without feature selection."""
-    (train_x, train_y), (val_x, val_y), _ = _load_features(cfg)
+    (train_x, train_y), (val_x, val_y) = _load_train_val_features(cfg)
     model = trainer.build_ovo(train_x, train_y, val_x, val_y, cfg.hyper, sbs=None)
     trainer.save_model(model, _out(cfg, "model.json"),
                        metadata={"config_hash": config_hash(cfg)})
@@ -134,7 +136,7 @@ def cmd_select(cfg: RunConfig) -> int:
     if cfg.feature_space != 64:
         raise ValueError("feature selection expects the 64-feature downsampled space")
     base_model = trainer.load_model(base_path)
-    (train_x, train_y), (val_x, val_y), _ = _load_features(cfg)
+    (train_x, train_y), (val_x, val_y) = _load_train_val_features(cfg)
     model = trainer.build_ovo(train_x, train_y, val_x, val_y, cfg.hyper, sbs=cfg.sbs)
     trainer.save_model(model, _out(cfg, "model_sbs.json"),
                        metadata={"config_hash": config_hash(cfg)})

@@ -176,25 +176,28 @@ def split(train_pool: LabeledImageSet, test_pool: LabeledImageSet,
           spec: SplitSpec = SplitSpec()) -> DataSplits:
     """Partition the training pool into train/val; pass the test pool through.
 
+    The test pool is never shuffled into training.
+    """
+    train, val = split_train_val(train_pool, spec)
+    return DataSplits(train=train, val=val, test=select_test(test_pool, spec))
+
+
+def split_train_val(train_pool: LabeledImageSet, spec: SplitSpec = SplitSpec()):
+    """The (train, val) partition of the training pool alone.
+
     The shuffle over the training pool is a seeded permutation, so equal
-    seeds give identical partitions. The test pool is never shuffled into
-    training.
+    seeds give identical partitions.
     """
     if spec.train_count + spec.val_count > len(train_pool):
         raise ValueError(
             f"train_count + val_count = {spec.train_count + spec.val_count} "
             f"exceeds the {len(train_pool)} available training records"
         )
-    test = select_test(test_pool, spec)
     rng = np.random.default_rng(spec.shuffle_seed)
     perm = rng.permutation(len(train_pool))
     train_idx = perm[: spec.train_count]
     val_idx = perm[spec.train_count: spec.train_count + spec.val_count]
-    return DataSplits(
-        train=train_pool.subset(train_idx),
-        val=train_pool.subset(val_idx),
-        test=test,
-    )
+    return train_pool.subset(train_idx), train_pool.subset(val_idx)
 
 
 def select_test(test_pool: LabeledImageSet, spec: SplitSpec = SplitSpec()) -> LabeledImageSet:

@@ -52,8 +52,11 @@ class LineTiming:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"line {name} must be finite and positive, got {value!r}")
-        if self.t_classify / self.dt < 10:
+        steps = self.t_classify / self.dt
+        if steps < 10:
             raise ValueError("t_classify must span at least 10 integration steps")
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"line dt must divide t_classify, got {steps!r} steps")
 
     @property
     def n_steps(self) -> int:

@@ -83,7 +83,7 @@ def quantize_unit(v, q: QuantSpec = QuantSpec()):
     Accepts scalars or arrays.
     """
     v = np.asarray(v, dtype=np.float64)
-    if np.any(v < 0) or np.any(v > 1):
+    if not np.all((v >= 0) & (v <= 1)):  # written so that NaN fails too
         raise ValueError("values must lie in [0, 1]")
     level = np.rint(v * q.max_level).astype(int)
     return int(level) if level.ndim == 0 else level

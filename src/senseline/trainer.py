@@ -121,15 +121,17 @@ def all_pairs(n_classes: int = 10) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n_classes), 2))
 
 
-def _sigmoid_neg(u: np.ndarray) -> np.ndarray:
-    # sigma(-u), one exp per element, stable for all u.
+def _sigmoid_neg(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # sigma(-u) in one pass, no masks, no overflow: e = exp(-|u|) <= 1, so
+    # max(e, u < 0) is 1 where u < 0 (giving 1/(1 + exp(u))) and e elsewhere
+    # (giving exp(-u)/(1 + exp(-u))). min(u, -u) is -|u| and keeps a NaN's
+    # sign. out may be u itself.
     u = np.asarray(u, dtype=np.float64)
-    out = np.empty(u.shape)
-    pos = u >= 0
-    eu = np.exp(-u[pos])
-    out[pos] = eu / (1.0 + eu)
-    ev = np.exp(u[~pos])
-    out[~pos] = 1.0 / (1.0 + ev)
+    e = np.minimum(u, -u)
+    np.exp(e, out=e)
+    out = np.maximum(e, u < 0, out=out)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -182,28 +184,44 @@ def filter_pair(X: np.ndarray, labels: np.ndarray, pair: tuple[int, int]):
     return X[mask], y
 
 
-def _gd_masked(X: np.ndarray, y: np.ndarray, W0: np.ndarray, mask: np.ndarray,
+def _gd_masked(X: np.ndarray, y: np.ndarray, W: np.ndarray, mask: np.ndarray,
                hyper: TrainHyper, epochs: int, with_intercept: bool) -> np.ndarray:
-    """Train a batch of linear-logistic models simultaneously.
+    """Train a batch of linear-logistic models simultaneously, in place.
 
-    Row c of W is one model; mask entries that are False stay pinned at zero,
-    which makes row c equivalent to a model trained without those features.
-    When with_intercept, the last column of X is the constant 1 and is never
-    masked or regularized.
+    Row c of W (float64, C-contiguous) is one model and is updated in place;
+    entries where mask is False must be zero on entry and stay zero, which
+    makes row c equivalent to a model trained without those features. When
+    with_intercept, the last column of X is the constant 1 and is never
+    masked or regularized. Returns W.
+
+    Each epoch is the plain full-batch step W <- (W - lr*(l2*W - M/n)) * mask
+    with M = (y * sigma(-y * (X @ W.T))).T @ X, computed with y folded into
+    the rows of X: (y*X) @ W.T equals y * (X @ W.T) and sigma(..).T @ (y*X)
+    equals M bit for bit, because y = +/-1 only flips signs. The two matmuls
+    see the layouts of X and W that a direct transcription would, so BLAS
+    sums in the same order (its order can depend on operand layout).
     """
     n = len(y)
     lr = hyper.learning_rate
-    l2 = np.full(X.shape[1], hyper.l2_lambda)
-    if with_intercept:
+    l2 = hyper.l2_lambda
+    if with_intercept:  # the constant column is not regularized
+        l2 = np.full(X.shape[1], l2)
         l2[-1] = 0.0
-    W = W0 * mask
-    yc = y[:, None]
+    keep = mask.astype(np.float64)
+    Xy = X * y[:, None]              # a contiguous X keeps its memory order
+    V = np.empty((n, len(W)))        # y * margins, then sigma(-y * margins)
+    G = np.empty_like(W)
+    R = np.empty_like(W)
     with np.errstate(over="ignore"):  # divergence is detected below, not warned
         for _ in range(epochs):
-            Z = X @ W.T
-            S = yc * _sigmoid_neg(yc * Z)
-            G = -(S.T @ X) / n + l2 * W
-            W = (W - lr * G) * mask
+            np.matmul(Xy, W.T, out=V)
+            np.matmul(_sigmoid_neg(V, out=V).T, Xy, out=G)
+            G /= n
+            np.multiply(W, l2, out=R)
+            np.subtract(R, G, out=G)
+            G *= lr
+            W -= G
+            W *= keep
     if not np.all(np.isfinite(W)):
         raise TrainingDivergedError("weights became non-finite; lower the learning rate")
     return W
@@ -280,35 +298,31 @@ def sbs_select(pair: tuple[int, int], train_x: np.ndarray, train_y: np.ndarray,
 
     d = train_x.shape[1]
     with_b = hyper.include_intercept
-    Xa = np.hstack([Xtr, np.ones((len(ytr), 1))]) if with_b else Xtr
-    Xva = np.hstack([Xv, np.ones((len(yv), 1))]) if with_b else Xv
+    # Columns of the active features (then the constant column, if any),
+    # Fortran-ordered like a column gather; np.delete keeps that order.
+    Xa = np.asfortranarray(np.hstack([Xtr, np.ones((len(ytr), 1))]) if with_b else Xtr)
+    Xva = np.asfortranarray(np.hstack([Xv, np.ones((len(yv), 1))]) if with_b else Xv)
+    val_pos = yv[:, None] > 0
 
-    def val_acc(W, cols):
-        Z = Xva[:, cols] @ W.T
-        return np.mean((Z >= 0) == (yv[:, None] > 0), axis=0)
+    def val_acc(W):
+        return np.mean((Xva @ W.T >= 0) == val_pos, axis=0)
 
     active = np.arange(d)
-
-    def cols_of(act):
-        return np.concatenate([act, [d]]) if with_b else act
-
-    parent = _gd_masked(Xa[:, cols_of(active)], ytr,
-                        np.zeros((1, len(active) + with_b)),
-                        np.ones((1, len(active) + with_b), dtype=bool),
+    parent = _gd_masked(Xa, ytr, np.zeros((1, d + with_b)), np.ones((1, d + with_b), dtype=bool),
                         hyper, spec.full_epochs, with_b)[0]
-    record = [(active.copy(), float(val_acc(parent[None, :], cols_of(active))[0]))]
+    record = [(active.copy(), float(val_acc(parent[None, :])[0]))]
 
     while len(active) > 1:
         k = len(active)
-        W0 = np.tile(parent, (k, 1))
         mask = np.ones((k, k + with_b), dtype=bool)
         mask[np.arange(k), np.arange(k)] = False
-        W = _gd_masked(Xa[:, cols_of(active)], ytr, W0, mask, hyper,
-                       spec.candidate_epochs, with_b)
-        accs = val_acc(W, cols_of(active))
+        W = _gd_masked(Xa, ytr, parent * mask, mask, hyper, spec.candidate_epochs, with_b)
+        accs = val_acc(W)
         j = int(np.argmax(accs))
         parent = np.delete(W[j], j)
         active = np.delete(active, j)
+        Xa = np.delete(Xa, j, axis=1)
+        Xva = np.delete(Xva, j, axis=1)
         record.append((active.copy(), float(accs[j])))
 
     best_acc = max(acc for _, acc in record)

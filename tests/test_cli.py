@@ -89,6 +89,12 @@ class TestSelect:
         assert all(int(r[2]) == 64 for r in rows)
         assert "mean 64.0" in capsys.readouterr().out
 
+    def test_train_and_select_read_only_the_training_pool(self, workdir):
+        for key in ("test_images", "test_labels"):
+            os.remove(workdir["doc"]["data"][key])
+        assert run(["train", "-c", workdir["config"]]) == 0
+        assert run(["select", "-c", workdir["config"]]) == 0
+
     def test_select_reduces_features(self, workdir):
         run(["train", "-c", workdir["config"]])
         assert run(["select", "-c", workdir["config"]]) == 0
@@ -232,6 +238,7 @@ class TestConfigErrors:
         {"line": {"t_precharge": 0.0}},
         {"line": {"dt": -1e-12}},
         {"line": {"dt": 1e-9}},          # t_classify / dt = 2 < 10
+        {"line": {"dt": 3e-12}},         # t_classify / dt = 666.67 steps
     ])
     def test_invalid_device_or_line_section_exits_4(self, workdir, doc, capsys):
         bad = workdir["tmp"] / "bad_section.json"

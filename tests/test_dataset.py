@@ -168,6 +168,17 @@ class TestSplit:
         val_rows = {pool_bytes[img.tobytes()] for img in spl.val.images}
         assert not train_rows & val_rows
 
+    def test_train_val_alone_equals_split(self):
+        train_pool, test_pool = self._pools()
+        spec = SplitSpec(120, 60, 100, shuffle_seed=4)
+        full = dataset.split(train_pool, test_pool, spec)
+        train, val = dataset.split_train_val(train_pool, spec)
+        for got, want in ((train, full.train), (val, full.val)):
+            assert np.array_equal(got.images, want.images)
+            assert np.array_equal(got.labels, want.labels)
+        with pytest.raises(ValueError, match="exceeds"):
+            dataset.split_train_val(train_pool, SplitSpec(180, 60, 0))
+
     def test_overflow_errors(self):
         train_pool, test_pool = self._pools()
         with pytest.raises(ValueError, match="exceeds"):

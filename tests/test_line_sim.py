@@ -253,6 +253,16 @@ class TestLineConfig:
         with pytest.raises(ValueError, match="10"):
             LineTiming(dt=1e-9)
 
+    @pytest.mark.parametrize("dt", [3e-12, 7e-12, 2e-9 / 199.5])
+    def test_dt_must_divide_t_classify(self, dt):
+        with pytest.raises(ValueError, match="divide"):
+            LineTiming(dt=dt)
+
+    @pytest.mark.parametrize("dt,steps", [(10e-12, 200), (5e-12, 400), (4e-12, 500)])
+    def test_dt_dividing_up_to_rounding_accepted(self, dt, steps):
+        # 2e-9 / dt is 200.00000000000003, 400.00000000000006, 500.00000000000006.
+        assert LineTiming(dt=dt).n_steps == steps
+
     def test_requires_positive_capacitance(self):
         with pytest.raises(ValueError, match="c_line"):
             LineTiming(c_line=0.0)

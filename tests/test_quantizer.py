@@ -8,6 +8,7 @@ from senseline.quantizer import (
     level_to_vbg,
     level_to_vtg,
     map_weights,
+    quantize_features,
     quantize_unit,
     weight_levels,
 )
@@ -34,6 +35,12 @@ class TestQuantizeUnit:
             quantize_unit(-0.01)
         with pytest.raises(ValueError):
             quantize_unit(1.01)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="lie in"):
+            quantize_unit(np.nan)
+        with pytest.raises(ValueError, match="lie in"):
+            quantize_features(np.array([[0.5, np.nan]]))
 
     def test_monotone(self):
         v = np.linspace(0, 1, 1001)

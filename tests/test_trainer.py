@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -152,13 +153,127 @@ class TestTrainLogistic:
         Xp, yp = Xp[:300, :10], yp[:300]
         k = 10
         mask = ~np.eye(k, dtype=bool)
-        W = trainer._gd_masked(Xp, yp, np.zeros((k, k)), mask, hyper, 40, False)
+        W = np.zeros((k, k))
+        assert trainer._gd_masked(Xp, yp, W, mask, hyper, 40, False) is W  # in place
         mask_rows = (ty == pair[0]) | (ty == pair[1])
         labels = ty[mask_rows][:300]
         for c in (0, 4, 9):
             feats = [f for f in range(k) if f != c]
             ref = trainer.train_logistic(Xp, labels, pair, feats, hyper)
             np.testing.assert_allclose(np.delete(W[c], c), ref.weights, rtol=1e-10, atol=1e-12)
+
+
+def sigmoid_neg_two_branch(u):
+    # Reference: sigma(-u) by sign, one exp per element.
+    out = np.empty(u.shape)
+    pos = u >= 0
+    eu = np.exp(-u[pos])
+    out[pos] = eu / (1.0 + eu)
+    ev = np.exp(u[~pos])
+    out[~pos] = 1.0 / (1.0 + ev)
+    return out
+
+
+def gd_masked_reference(X, y, W0, mask, hyper, epochs, with_intercept):
+    # Reference: masked full-batch gradient descent written out directly.
+    l2 = np.full(X.shape[1], hyper.l2_lambda)
+    if with_intercept:
+        l2[-1] = 0.0
+    W = W0 * mask
+    yc = y[:, None]
+    for _ in range(epochs):
+        Z = X @ W.T
+        S = yc * sigmoid_neg_two_branch(yc * Z)
+        G = -(S.T @ X) / len(y) + l2 * W
+        W = (W - hyper.learning_rate * G) * mask
+    return W
+
+
+def sbs_record_reference(pair, tx, ty, vx, vy, hyper, spec):
+    # Reference elimination: gathers the active columns afresh every round.
+    Xtr, ytr = trainer.filter_pair(tx, ty, pair)
+    Xv, yv = trainer.filter_pair(vx, vy, pair)
+    Xtr, ytr = Xtr[: spec.candidate_rows], ytr[: spec.candidate_rows]
+    d, b = tx.shape[1], int(hyper.include_intercept)
+    Xtr = np.hstack([Xtr, np.ones((len(ytr), b))])
+    Xv = np.hstack([Xv, np.ones((len(yv), b))])
+
+    def cols(act):
+        return np.concatenate([act, np.arange(d, d + b)])
+
+    def acc(W, act):
+        return np.mean((Xv[:, cols(act)] @ W.T >= 0) == (yv[:, None] > 0), axis=0)
+
+    active = np.arange(d)
+    parent = gd_masked_reference(Xtr, ytr, np.zeros((1, d + b)), np.ones((1, d + b), dtype=bool),
+                                 hyper, spec.full_epochs, b)[0]
+    record = [(active, acc(parent[None, :], active)[0])]
+    while len(active) > 1:
+        k = len(active)
+        mask = np.ones((k, k + b), dtype=bool)
+        mask[np.arange(k), np.arange(k)] = False
+        W = gd_masked_reference(Xtr[:, cols(active)], ytr, np.tile(parent, (k, 1)), mask,
+                                hyper, spec.candidate_epochs, b)
+        accs = acc(W, active)
+        j = int(np.argmax(accs))
+        parent = np.delete(W[j], j)
+        active = np.delete(active, j)
+        record.append((active, accs[j]))
+    return record
+
+
+def assert_bits_equal(a, b):
+    np.testing.assert_array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+class TestKernelMatchesReference:
+    """The candidate-training kernel is bit-identical to the direct form."""
+
+    def test_sigmoid_single_pass_equals_two_branch(self):
+        u = np.array([0.0, -0.0, 1e-310, -1e-310, 745.0, -745.0, np.inf, -np.inf,
+                      np.nan, -np.nan, 1e-20, -1e-20, 36.0, -36.0])
+        u = np.concatenate([u, np.random.default_rng(8).normal(scale=40.0, size=5001)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = trainer._sigmoid_neg(u)
+            ref = sigmoid_neg_two_branch(u)
+            in_place = u.copy()
+            trainer._sigmoid_neg(in_place, out=in_place)
+        assert_bits_equal(got, ref)
+        assert_bits_equal(in_place, ref)
+
+    @pytest.mark.parametrize("with_b", [False, True])
+    @pytest.mark.parametrize("k,n", [(1, 7), (5, 173), (30, 200), (64, 200), (65, 1000)])
+    @pytest.mark.parametrize("layout", ["C", "gathered", "sliced"])
+    def test_gd_masked_equals_reference(self, k, n, with_b, layout):
+        rng = np.random.default_rng(k * 1000 + n)
+        X = rng.random((n, 2 * k + with_b))
+        X[:, k:] = 1.0                               # the last column: intercept
+        cols = np.r_[np.arange(k), np.arange(2 * k, 2 * k + with_b)]
+        X = {"C": np.ascontiguousarray(X[:, cols]),  # row-major copy
+             "gathered": X[:, cols],                 # column gather: Fortran order
+             "sliced": X[:, : k + with_b]}[layout]   # view with a wider row stride
+        y = np.where(rng.random(n) > 0.5, 1.0, -1.0)
+        hyper = TrainHyper(learning_rate=0.5, l2_lambda=1e-3, include_intercept=with_b)
+        parent = rng.normal(scale=0.3, size=k + with_b)
+        candidates = np.ones((k, k + with_b), dtype=bool)
+        candidates[np.arange(k), np.arange(k)] = False
+        for mask in (np.ones((1, k + with_b), dtype=bool), candidates):
+            W = trainer._gd_masked(X, y, parent * mask, mask, hyper, 12, with_b)
+            ref = gd_masked_reference(X, y, np.tile(parent, (len(mask), 1)), mask, hyper, 12, with_b)
+            assert_bits_equal(W, ref)
+
+    @pytest.mark.parametrize("with_b", [False, True])
+    def test_sbs_record_equals_reference_elimination(self, synth_features, with_b):
+        (tx, ty), (vx, vy), _ = synth_features
+        hyper = TrainHyper(max_epochs=150, include_intercept=with_b)
+        spec = SBSSpec(candidate_epochs=8, full_epochs=60, candidate_rows=200)
+        _, record = trainer.sbs_select((3, 8), tx, ty, vx, vy, hyper, spec, return_record=True)
+        ref = sbs_record_reference((3, 8), tx, ty, vx, vy, hyper, spec)
+        assert len(record) == len(ref) == 64
+        for (sub, acc), (ref_sub, ref_acc) in zip(record, ref):
+            assert np.array_equal(sub, ref_sub)
+            assert acc == ref_acc
 
 
 class TestSBS:
