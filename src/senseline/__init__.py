@@ -15,35 +15,29 @@ from .dataset import (
     normalize,
     split,
 )
-from .device import DeviceInstance, DeviceParams, channel_current, current, drive, region_of
-from .line_sim import (
-    ClassificationTrace,
-    LineTiming,
-    buffer_decide,
-    simulate_batch,
-    simulate_digit,
+from .device import DeviceParams, channel_current, region_of
+from .line_sim import ClassificationTrace, LineTiming, simulate_batch, simulate_digit
+from .quantizer import QuantSpec, level_to_vbg, level_to_vtg, quantize_unit, weight_levels
+from .system import (
+    MetricsReport,
+    SystemConfig,
+    assemble,
+    emit_netlist,
+    estimate_area,
+    evaluate,
+    parse_netlist,
 )
-from .quantizer import (
-    DeviceConfig,
-    QuantSpec,
-    level_to_vbg,
-    level_to_vtg,
-    map_weights,
-    quantize_features,
-    quantize_unit,
-)
-from .system import MetricsReport, SystemConfig, assemble, emit_netlist, estimate_area, evaluate, parse_netlist
 from .trainer import (
     BinaryClassifier,
     OvOModel,
     SBSSpec,
     TrainHyper,
     build_ovo,
+    pair_votes,
     predict_margin,
-    predict_sign,
     sbs_select,
+    tally_votes,
     train_logistic,
-    vote,
 )
 
 __version__ = "0.1.0"

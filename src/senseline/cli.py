@@ -18,11 +18,11 @@ import sys
 
 import numpy as np
 
-from . import dataset, quantizer, system, trainer
+from . import dataset, system, trainer
 from .config import RunConfig, config_from_dict, config_hash
 from .dataset import CountMismatchError, IdxFormatError
-from .line_sim import simulate_digit, tally_votes
-from .trainer import TrainingDivergedError
+from .line_sim import simulate_digit
+from .trainer import TrainingDivergedError, tally_votes
 
 EXIT_DATA = 2
 EXIT_COMPUTE = 3
@@ -113,8 +113,8 @@ def cmd_train(cfg: RunConfig) -> int:
     """Train the 45 pairwise classifiers without feature selection."""
     (train_x, train_y), (val_x, val_y) = _load_train_val_features(cfg)
     model = trainer.build_ovo(train_x, train_y, val_x, val_y, cfg.hyper, sbs=None)
-    trainer.save_model(model, _out(cfg, "model.json"),
-                       metadata={"config_hash": config_hash(cfg)})
+    _write_json(_out(cfg, "model.json"),
+                dict(trainer.model_to_dict(model), metadata={"config_hash": config_hash(cfg)}))
     pair_acc = trainer.per_pair_val_accuracy(model, val_x, val_y)
     val_acc, _, _ = trainer.evaluate_model(model, val_x, val_y)
     _write_json(_out(cfg, "train_report.json"), {
@@ -138,8 +138,8 @@ def cmd_select(cfg: RunConfig) -> int:
     base_model = trainer.load_model(base_path)
     (train_x, train_y), (val_x, val_y) = _load_train_val_features(cfg)
     model = trainer.build_ovo(train_x, train_y, val_x, val_y, cfg.hyper, sbs=cfg.sbs)
-    trainer.save_model(model, _out(cfg, "model_sbs.json"),
-                       metadata={"config_hash": config_hash(cfg)})
+    _write_json(_out(cfg, "model_sbs.json"),
+                dict(trainer.model_to_dict(model), metadata={"config_hash": config_hash(cfg)}))
 
     counts = {c.class_pair: len(c.feature_indices) for c in model.classifiers}
     with open(_out(cfg, "feature_counts.csv"), "w", newline="") as f:
@@ -164,13 +164,12 @@ def cmd_select(cfg: RunConfig) -> int:
 
 
 def cmd_quantize(cfg: RunConfig) -> int:
-    """Quantize the model weights to device levels."""
-    model = trainer.load_model(_model_path(cfg))
-    doc = quantizer.quantize_model(model, cfg.quant)
-    quantizer.save_quantized(doc, _out(cfg, "model_quant.json"),
-                             metadata={"config_hash": config_hash(cfg)})
-    n_dev = sum(len(c["entries"]) for c in doc["classifiers"])
-    print(f"quantized model: {n_dev} devices at {cfg.quant.bits}-bit resolution")
+    """Report how many devices the quantized model compiles to; writes nothing.
+
+    `build` quantizes the weights itself, into the netlist.
+    """
+    sysc = _assemble(cfg)
+    print(f"quantized model: {sysc.device_count} devices at {cfg.quant.bits}-bit resolution")
     return 0
 
 
@@ -200,8 +199,8 @@ def _evaluate(cfg: RunConfig, sysc: system.SystemConfig, test_x, test_y) -> syst
     mode = cfg.evaluate.mode
     n = cfg.evaluate.subset
     report = system.evaluate(sysc, test_x[:n], test_y[:n], mode=mode)
-    system.save_metrics(report, _out(cfg, f"metrics_{mode}.json"),
-                        metadata={"config_hash": config_hash(cfg), "created": _now()})
+    _write_json(_out(cfg, f"metrics_{mode}.json"), dict(
+        report.to_dict(), metadata={"config_hash": config_hash(cfg), "created": _now()}))
     system.save_confusion_csv(report.confusion, _out(cfg, f"confusion_{mode}.csv"),
                               header=f"config_hash={config_hash(cfg)}")
     return report
@@ -237,19 +236,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
                 tw.writerow(["digit_index", "pair", "t_seconds", "v_sen"])
                 tw.writerows(trace_rows)
         else:
-            if mode == "digital-float":
-                tallies, preds = trainer.vote_batch(sysc.model, test_x[:n_trace])
-                votes_pm = None
-            else:
-                margins = system.quantized_margins(sysc, test_x[:n_trace])
-                votes_pm = np.where(margins >= 0, 1, -1)
-                tallies, preds = tally_votes(sysc.pairs, votes_pm)
+            votes = system.digital_votes(sysc, test_x[:n_trace], mode)
+            tallies, preds = tally_votes(sysc.pairs, votes)
             for i in range(n_trace):
                 writer.writerow([i, int(test_y[i]), int(preds[i])] + tallies[i].tolist())
                 rec = {"index": i, "true_label": int(test_y[i]), "predicted": int(preds[i]),
                        "tally": tallies[i].tolist(), "energy_j": None}
-                if votes_pm is not None:
-                    rec["votes"] = votes_pm[i].tolist()
+                if mode == "digital-quantized":  # float-model records carry no line votes
+                    rec["votes"] = votes[i].tolist()
                 records.append(rec)
     _write_json(_out(cfg, "digit_records.json"), {
         "mode": mode,
@@ -314,16 +308,17 @@ def cmd_report(cfg: RunConfig) -> int:
 
 
 def cmd_run_all(cfg: RunConfig) -> int:
-    """prepare -> train -> select -> quantize -> build -> simulate -> report.
+    """prepare -> train -> select -> build -> simulate -> report.
 
-    `simulate` already writes the mode's metrics and confusion matrix, so
-    the standalone `evaluate` stage is not repeated here.
+    `build` quantizes the weights into the netlist, and `simulate` already
+    writes the mode's metrics and confusion matrix, so the standalone
+    `quantize` and `evaluate` stages are not repeated here.
     """
     for fn in (cmd_prepare, cmd_train):
         fn(cfg)
     if cfg.sbs.enabled:
         cmd_select(cfg)
-    for fn in (cmd_quantize, cmd_build, cmd_simulate, cmd_report):
+    for fn in (cmd_build, cmd_simulate, cmd_report):
         fn(cfg)
     return 0
 

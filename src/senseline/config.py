@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .dataset import GridSpec, SplitSpec
 from .device import DeviceParams
-from .line_sim import LineTiming
+from .line_sim import LineTiming, euler_factor
 from .quantizer import QuantSpec
 from .system import EVAL_MODES
 from .trainer import SBSSpec, TrainHyper
@@ -62,6 +62,13 @@ class RunConfig:
     def __post_init__(self):
         if self.feature_space not in (64, 784):
             raise ValueError("feature_space must be 64 or 784")
+        if self.evaluate.mode == "analog":
+            # Worst case: a device on every feature of a line, each at full drive.
+            factor = euler_factor(self.line, self.device, self.feature_space)
+            if factor <= 0:
+                raise ValueError(f"unstable Euler step: line.dt = {self.line.dt!r} s gives a "
+                                 f"worst-case factor {factor:.3g} at {self.feature_space} "
+                                 "features, outside (0, 1]; lower line.dt or raise line.c_line")
         # The global seed pins the split shuffle.
         object.__setattr__(self, "split",
                            dataclasses.replace(self.split, shuffle_seed=self.seed))
@@ -107,27 +114,13 @@ def config_from_dict(doc: dict) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def load_config(path) -> RunConfig:
-    with open(path) as f:
-        return config_from_dict(json.load(f))
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    doc = dataclasses.asdict(cfg)
-    for name in _TUPLE_FIELDS:
-        for section in doc.values():
-            if isinstance(section, dict) and name in section:
-                section[name] = list(section[name])
-    return doc
-
-
 def config_hash(cfg: RunConfig) -> str:
     """Short provenance hash over the canonical config JSON.
 
     The output directory is excluded: where artifacts land does not change
     what they contain.
     """
-    doc = config_to_dict(cfg)
+    doc = dataclasses.asdict(cfg)
     doc.pop("out_dir", None)
     canonical = json.dumps(doc, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]

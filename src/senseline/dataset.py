@@ -9,7 +9,9 @@ sets are immutable after loading.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,35 +107,39 @@ def _open_maybe_gzip(path):
     return open(path, "rb")
 
 
-def _read_exact(f, n: int, path, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise IdxFormatError(f"{path}: truncated {what} (wanted {n} bytes, got {len(buf)})")
-    return buf
+def _read_idx(path, magic: int, n_dims: int, what: str) -> np.ndarray:
+    """Parse an IDX file: big-endian uint32 magic and n_dims sizes, then uint8 data.
+
+    The whole stream is read, so a gzip file's CRC and length are checked;
+    a corrupt or cut-off gzip stream is an IdxFormatError.
+    """
+    try:
+        with _open_maybe_gzip(path) as f:
+            data = f.read()
+    except (EOFError, zlib.error, gzip.BadGzipFile) as e:
+        raise IdxFormatError(f"{path}: corrupt gzip stream ({e})") from None
+    header = 4 * (1 + n_dims)
+    if len(data) < header:
+        raise IdxFormatError(f"{path}: truncated header (wanted {header} bytes, got {len(data)})")
+    found, *shape = struct.unpack_from(f">{1 + n_dims}I", data)
+    if found != magic:
+        raise IdxFormatError(f"{path}: bad magic number 0x{found:08x}, expected 0x{magic:08x}")
+    size, got = math.prod(shape), len(data) - header
+    if got < size:
+        raise IdxFormatError(f"{path}: truncated {what} (wanted {size} bytes, got {got})")
+    if got > size:
+        raise IdxFormatError(f"{path}: {got - size} bytes after the {what}")
+    return np.frombuffer(data, dtype=np.uint8, count=size, offset=header).reshape(shape)
 
 
 def read_idx_images(path) -> np.ndarray:
     """Parse an IDX image file into a (n, rows, cols) uint8 array."""
-    with _open_maybe_gzip(path) as f:
-        magic, n, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, path, "header"))
-        if magic != IMAGE_MAGIC:
-            raise IdxFormatError(
-                f"{path}: bad magic number 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}"
-            )
-        raw = _read_exact(f, n * rows * cols, path, "pixel payload")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(n, rows, cols)
+    return _read_idx(path, IMAGE_MAGIC, 3, "pixel payload")
 
 
 def read_idx_labels(path) -> np.ndarray:
     """Parse an IDX label file into a (n,) uint8 array."""
-    with _open_maybe_gzip(path) as f:
-        magic, n = struct.unpack(">II", _read_exact(f, 8, path, "header"))
-        if magic != LABEL_MAGIC:
-            raise IdxFormatError(
-                f"{path}: bad magic number 0x{magic:08x}, expected 0x{LABEL_MAGIC:08x}"
-            )
-        raw = _read_exact(f, n, path, "label payload")
-    return np.frombuffer(raw, dtype=np.uint8)
+    return _read_idx(path, LABEL_MAGIC, 1, "label payload")
 
 
 def load_idx(images_path, labels_path) -> LabeledImageSet:

@@ -62,14 +62,6 @@ class DeviceParams:
         if p_hi >= n_lo:
             raise ValueError("p and n bias windows overlap; no OFF band remains")
 
-    @classmethod
-    def matched_to(cls, q: QuantSpec, i_on: float = 2e-6, v_dsat: float = 0.2) -> "DeviceParams":
-        """Windows sized to the quantizer step and bit width, anchored at the rails."""
-        span = q.window_span
-        return cls(i_on=i_on, v_dsat=v_dsat, vdd=q.vdd,
-                   p_window=(0.0, span), n_window=(q.vdd - span, q.vdd),
-                   tg_window_span=span)
-
 
 @dataclass(frozen=True)
 class DeviceInstance:
@@ -139,18 +131,6 @@ def gate_drive_bg(v_bg, dtype: str, p: DeviceParams = DeviceParams()):
     raise ValueError(f"dtype must be 'P' or 'N', got {dtype!r}")
 
 
-def drive(v_tg, v_bg: float, dtype: str, p: DeviceParams = DeviceParams()):
-    """Combined gate drive g_tg * g_bg in [0, 1].
-
-    The bottom-gate bias must lie in the window of the requested polarity.
-    """
-    if region_of(v_bg, p) != dtype:
-        raise RegionMismatchError(
-            f"v_bg = {v_bg} V is in region {region_of(v_bg, p)}, not {dtype}"
-        )
-    return gate_drive_tg(v_tg, dtype, p) * gate_drive_bg(v_bg, dtype, p)
-
-
 def channel_current(v_tg, v_bg: float, v_a, v_b, p: DeviceParams = DeviceParams()):
     """Signed current into terminal b for arbitrary gate biases.
 
@@ -168,11 +148,3 @@ def channel_current(v_tg, v_bg: float, v_a, v_b, p: DeviceParams = DeviceParams(
         return p.i_on * g * min(1.0, max(-1.0, dv))
     i = p.i_on * g * np.clip(dv, -1.0, 1.0)
     return float(i) if np.ndim(i) == 0 else i
-
-
-def current(inst: DeviceInstance, v_a: float, v_b: float,
-            p: DeviceParams = DeviceParams()):
-    """Signed current into terminal b for a configured device."""
-    if not (0 <= v_a <= p.vdd and 0 <= v_b <= p.vdd):
-        raise ValueError(f"terminal voltages must lie in [0, {p.vdd}] V")
-    return channel_current(inst.v_tg, inst.v_bg, v_a, v_b, p)

@@ -26,7 +26,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import device as dev
-from .quantizer import level_to_vtg, quantize_features
+from .quantizer import level_to_vtg, quantize_unit
+from .trainer import tally_votes
 
 if TYPE_CHECKING:
     from .system import SystemConfig
@@ -63,6 +64,17 @@ class LineTiming:
         return int(round(self.t_classify / self.dt))
 
 
+def euler_factor(timing: LineTiming, params: dev.DeviceParams, drive_sum):
+    """Worst-case factor by which one Euler step scales a line's distance to equilibrium.
+
+    In the triode region, with every feature at full level, a step scales it
+    by 1 - dt * i_on * drive_sum / (c_line * v_dsat), where drive_sum is the
+    sum of the line's bottom-gate drives (each in [0, 1]). Outside (0, 1]
+    the line oscillates, and the [0, vdd] clamp hides it.
+    """
+    return 1.0 - timing.dt * params.i_on * drive_sum / (timing.c_line * params.v_dsat)
+
+
 @dataclass
 class ClassificationTrace:
     """Outcome of pushing one digit through all 45 lines."""
@@ -78,29 +90,6 @@ class ClassificationTrace:
 def precharge_energy(timing: LineTiming, params: dev.DeviceParams) -> float:
     # Worst-case refill of one line's half-swing each cycle.
     return timing.c_line * (params.vdd / 2) ** 2
-
-
-def buffer_decide(v_sen: float, vdd: float):
-    """Ideal comparator at vdd/2; returns (+/-1 vote, rail voltage).
-
-    Equality resolves to +1 (the decision boundary belongs to the positive
-    class). Draws zero input current.
-    """
-    if not 0 <= v_sen <= vdd:
-        raise ValueError(f"v_sen = {v_sen} outside [0, {vdd}]")
-    return (1, vdd) if v_sen >= vdd / 2 else (-1, 0.0)
-
-
-def tally_votes(pairs: list[tuple[int, int]], votes: np.ndarray):
-    """votes (..., 45) of +/-1 -> (tallies (..., 10), predictions)."""
-    votes = np.atleast_2d(votes)
-    n = votes.shape[0]
-    tallies = np.zeros((n, 10), dtype=int)
-    for k, (a, b) in enumerate(pairs):
-        winner = np.where(votes[:, k] > 0, a, b)
-        tallies[np.arange(n), winner] += 1
-    preds = np.argmax(tallies, axis=1)  # argmax takes the smallest digit on ties
-    return tallies, preds
 
 
 @dataclass
@@ -166,7 +155,7 @@ def _integrate(s: SystemConfig, X: np.ndarray, record: bool):
     non-finite (the [0, vdd] clamp would otherwise hide an overflow).
     """
     params, vdd = s.params, s.params.vdd
-    levels = quantize_features(X, s.quant)
+    levels = quantize_unit(X, s.quant)
     T_p = dev.gate_drive_tg(level_to_vtg(levels, "P", s.quant), "P", params)
     T_n = dev.gate_drive_tg(level_to_vtg(levels, "N", s.quant), "N", params)
 

@@ -16,12 +16,11 @@ Gate-window placement (matching the device model's bias windows):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .trainer import BinaryClassifier, OvOModel
+from .trainer import BinaryClassifier
 
 
 @dataclass(frozen=True)
@@ -87,11 +86,6 @@ def quantize_unit(v, q: QuantSpec = QuantSpec()):
         raise ValueError("values must lie in [0, 1]")
     level = np.rint(v * q.max_level).astype(int)
     return int(level) if level.ndim == 0 else level
-
-
-def quantize_features(x, q: QuantSpec = QuantSpec()):
-    """Quantize normalized feature vectors (any shape) to levels."""
-    return quantize_unit(x, q)
 
 
 def weight_levels(c: BinaryClassifier, q: QuantSpec = QuantSpec()) -> np.ndarray:
@@ -164,34 +158,3 @@ def level_to_vtg(level, dtype: str, q: QuantSpec = QuantSpec()):
 def off_vtg(dtype: str, q: QuantSpec = QuantSpec()) -> float:
     """Top-gate voltage that gates the device off (precharge value)."""
     return level_to_vtg(0, dtype, q)
-
-
-def quantize_model(model: OvOModel, q: QuantSpec = QuantSpec()) -> dict:
-    """Quantize every classifier; returns the quantized-model document."""
-    return {
-        "quant": {"bits": q.bits, "step_volts": q.step_volts, "vdd": q.vdd},
-        "classifiers": [
-            {
-                "pair": list(c.class_pair),
-                "entries": [
-                    {"feature_index": d.feature_index, "dtype": d.dtype, "w_level": d.w_level}
-                    for d in map_weights(c, q)
-                ],
-            }
-            for c in model.classifiers
-        ],
-    }
-
-
-def save_quantized(doc: dict, path, metadata: dict | None = None):
-    doc = dict(doc)
-    if metadata:
-        doc["metadata"] = metadata
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
-
-
-def load_quantized(path) -> dict:
-    with open(path) as f:
-        return json.load(f)

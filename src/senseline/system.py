@@ -24,8 +24,8 @@ import numpy as np
 from . import line_sim
 from .device import DeviceParams, RegionMismatchError, gate_drive_bg
 from .line_sim import LineTiming
-from .quantizer import RAILS, QuantSpec, level_to_vbg, quantize_features, weight_levels
-from .trainer import OvOModel, evaluate_model
+from .quantizer import RAILS, QuantSpec, level_to_vbg, quantize_unit, weight_levels
+from .trainer import OvOModel, pair_votes, score_votes
 
 # Input features driving the array: the 8x8 downsampled grid.
 N_FEATURES = 64
@@ -96,14 +96,11 @@ class SystemConfig:
 def check_euler_stability(s: SystemConfig):
     """Reject an analog simulation whose explicit-Euler step can overshoot.
 
-    In the triode region each step scales a line's distance to its
-    equilibrium by 1 - dt * i_on * (sum G_p + sum G_n) / (c_line * v_dsat),
-    worst case every feature at full level. Outside (0, 1] the line would
-    oscillate, and the [0, vdd] clamp would hide it. Digital evaluation does
+    Every line's line_sim.euler_factor, taken at its summed bottom-gate
+    drives (sum G_p + sum G_n), must lie in (0, 1]. Digital evaluation does
     not step the lines, so only the analog paths check this.
     """
-    g_sum = (s.G_p + s.G_n).sum(axis=0)
-    factor = 1.0 - s.timing.dt * s.params.i_on * g_sum / (s.timing.c_line * s.params.v_dsat)
+    factor = line_sim.euler_factor(s.timing, s.params, (s.G_p + s.G_n).sum(axis=0))
     bad = np.flatnonzero(factor <= 0)
     if bad.size:
         a, b = s.pairs[bad[0]]
@@ -131,8 +128,7 @@ def assemble(model: OvOModel, quant: QuantSpec = QuantSpec(),
                           "quantization", RuntimeWarning)
             continue
         L[feats, k] = weight_levels(c, quant)
-    return SystemConfig([c.class_pair for c in model.classifiers], L, quant, params, timing,
-                        model)
+    return SystemConfig(model.pairs, L, quant, params, timing, model)
 
 
 def estimate_area(s: SystemConfig, footprint_um2: float = DEFAULT_FOOTPRINT_UM2) -> float:
@@ -253,7 +249,20 @@ def quantized_margins(s: SystemConfig, X: np.ndarray) -> np.ndarray:
     + for p-type and - for n-type: levels @ L. This is the digital oracle
     the analog lines are checked against.
     """
-    return quantize_features(np.atleast_2d(X), s.quant) @ s.L
+    return quantize_unit(np.atleast_2d(X), s.quant) @ s.L
+
+
+def digital_votes(s: SystemConfig, X: np.ndarray, mode: str) -> np.ndarray:
+    """(n, 45) +/-1 pair votes of a digital mode, in the system's line order.
+
+    digital-float votes with the retained real-weight model, and
+    digital-quantized with the signs of the integer margins.
+    """
+    if mode == "digital-float":
+        if s.model is None:
+            raise ValueError("system carries no float model (parsed from netlist?)")
+        return pair_votes(s.model, X)
+    return np.where(quantized_margins(s, X) >= 0, 1, -1)
 
 
 @dataclass
@@ -297,24 +306,13 @@ def evaluate(s: SystemConfig, X: np.ndarray, labels: np.ndarray,
         raise ValueError("test set is empty")
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
-    labels = np.asarray(labels, dtype=int)
-    energy = None
-    if mode == "digital-float":
-        if s.model is None:
-            raise ValueError("system carries no float model (parsed from netlist?)")
-        accuracy, confusion, _ = evaluate_model(s.model, X, labels)
-    elif mode == "digital-quantized":
-        margins = quantized_margins(s, X)
-        votes = np.where(margins >= 0, 1, -1)
-        _, preds = line_sim.tally_votes(s.pairs, votes)
-        confusion = _confusion(labels, preds)
-        accuracy = float(np.trace(confusion) / len(labels))
-    else:
+    if mode == "analog":
         check_euler_stability(s)
         result = line_sim.simulate_batch(s, X)
-        confusion = _confusion(labels, result.predictions)
-        accuracy = float(np.trace(confusion) / len(labels))
-        energy = float(np.mean(result.energies))
+        votes, energy = result.votes, float(np.mean(result.energies))
+    else:
+        votes, energy = digital_votes(s, X, mode), None
+    accuracy, confusion, _ = score_votes(s.pairs, votes, labels)
 
     return MetricsReport(
         mode=mode,
@@ -328,21 +326,6 @@ def evaluate(s: SystemConfig, X: np.ndarray, labels: np.ndarray,
         total_current_per_decision=None if energy is None else energy / s.params.vdd,
         energy_scope=ENERGY_SCOPE,
     )
-
-
-def _confusion(labels: np.ndarray, preds: np.ndarray) -> np.ndarray:
-    confusion = np.zeros((10, 10), dtype=int)
-    np.add.at(confusion, (labels, np.asarray(preds, dtype=int)), 1)
-    return confusion
-
-
-def save_metrics(report: MetricsReport, path, metadata: dict | None = None):
-    doc = report.to_dict()
-    if metadata:
-        doc["metadata"] = metadata
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
 
 
 def save_confusion_csv(confusion: np.ndarray, path, header: str = ""):

@@ -107,6 +107,10 @@ class OvOModel:
         if len(pairs) != 45 or len(set(pairs)) != 45:
             raise ValueError(f"expected 45 distinct digit pairs, got {len(set(pairs))}")
 
+    @property
+    def pairs(self) -> list[tuple[int, int]]:
+        return [c.class_pair for c in self.classifiers]
+
     def mean_feature_count(self) -> float:
         return float(np.mean([len(c.feature_indices) for c in self.classifiers]))
 
@@ -166,11 +170,6 @@ def predict_margin(c: BinaryClassifier, x: np.ndarray) -> np.ndarray | float:
         raise IndexError(f"input dimension {x.shape[-1]} does not cover feature index {max_idx}")
     z = x[..., c.feature_indices] @ c.weights + c.intercept
     return float(z) if z.ndim == 0 else z
-
-
-def predict_sign(z, z_th: float = 0.0):
-    """+1 where z >= z_th, else -1 (the boundary belongs to +1)."""
-    return np.where(np.asarray(z) >= z_th, 1, -1)[()]
 
 
 def filter_pair(X: np.ndarray, labels: np.ndarray, pair: tuple[int, int]):
@@ -361,37 +360,44 @@ def build_ovo(train_x: np.ndarray, train_y: np.ndarray,
     return OvOModel(classifiers)
 
 
-def vote(model: OvOModel, x: np.ndarray):
-    """Tally one vote per classifier; argmax wins, ties to the smaller digit.
+def pair_votes(model: OvOModel, X: np.ndarray) -> np.ndarray:
+    """+/-1 vote of every classifier on each row of X: (n, 45), classifier order.
 
-    Returns (tally of 10 ints, predicted digit).
+    +1 (class_pair[0]) where the margin reaches the threshold; the boundary
+    belongs to +1.
     """
-    tally = np.zeros(10, dtype=int)
-    for c in model.classifiers:
-        z = predict_margin(c, x)
-        winner = c.class_pair[0] if z >= c.threshold else c.class_pair[1]
-        tally[winner] += 1
-    return tally, int(np.argmax(tally))
+    X = np.atleast_2d(X)
+    return np.stack([np.where(predict_margin(c, X) >= c.threshold, 1, -1)
+                     for c in model.classifiers], axis=1)
 
 
-def vote_batch(model: OvOModel, X: np.ndarray):
-    """Vectorized voting over a batch. Returns (tallies (n, 10), predictions (n,))."""
-    n = len(X)
+def tally_votes(pairs: list[tuple[int, int]], votes: np.ndarray):
+    """votes (..., 45) of +/-1 -> (tallies (..., 10), predictions)."""
+    votes = np.atleast_2d(votes)
+    n = votes.shape[0]
     tallies = np.zeros((n, 10), dtype=int)
-    for c in model.classifiers:
-        z = predict_margin(c, X)
-        winner = np.where(z >= c.threshold, c.class_pair[0], c.class_pair[1])
+    for k, (a, b) in enumerate(pairs):
+        winner = np.where(votes[:, k] > 0, a, b)
         tallies[np.arange(n), winner] += 1
-    return tallies, np.argmax(tallies, axis=1)
+    preds = np.argmax(tallies, axis=1)  # argmax takes the smallest digit on ties
+    return tallies, preds
+
+
+def score_votes(pairs: list[tuple[int, int]], votes: np.ndarray, labels: np.ndarray):
+    """Tally (n, 45) pair votes and score them against the true labels.
+
+    Returns (accuracy, 10x10 confusion matrix with rows true and columns
+    predicted, predictions).
+    """
+    _, preds = tally_votes(pairs, votes)
+    confusion = np.zeros((10, 10), dtype=int)
+    np.add.at(confusion, (np.asarray(labels, dtype=int), preds), 1)
+    return float(np.trace(confusion) / len(labels)), confusion, preds
 
 
 def evaluate_model(model: OvOModel, X: np.ndarray, labels: np.ndarray):
-    """Accuracy and 10x10 confusion matrix (rows true, columns predicted)."""
-    _, preds = vote_batch(model, X)
-    confusion = np.zeros((10, 10), dtype=int)
-    np.add.at(confusion, (labels.astype(int), preds), 1)
-    accuracy = float(np.trace(confusion) / len(labels))
-    return accuracy, confusion, preds
+    """Majority-vote accuracy, confusion matrix and predictions (see score_votes)."""
+    return score_votes(model.pairs, pair_votes(model, X), labels)
 
 
 def per_pair_val_accuracy(model: OvOModel, val_x: np.ndarray, val_y: np.ndarray) -> dict:
@@ -430,16 +436,6 @@ def model_from_dict(d: dict) -> OvOModel:
         )
         for rec in d["classifiers"]
     ])
-
-
-def save_model(model: OvOModel, path, metadata: dict | None = None):
-    """Write the model as JSON; floats use shortest round-trip formatting."""
-    doc = model_to_dict(model)
-    if metadata:
-        doc["metadata"] = metadata
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
 
 
 def load_model(path) -> OvOModel:

@@ -76,6 +76,15 @@ class TestPrepareAndTrain:
         assert run(["train", "-c", bad]) == cli.EXIT_DATA
         assert "/nonexistent/mnist-images" in capsys.readouterr().err
 
+    def test_truncated_gzip_exits_2(self, workdir, capsys):
+        path = workdir["doc"]["data"]["test_images"]
+        with open(path, "rb") as f:
+            raw = f.read()
+        with open(path, "wb") as f:
+            f.write(raw[:len(raw) // 2])
+        assert run(["prepare", "-c", workdir["config"]]) == cli.EXIT_DATA
+        assert "corrupt gzip stream" in capsys.readouterr().err
+
 
 class TestSelect:
     def test_select_requires_model(self, workdir):
@@ -107,18 +116,19 @@ class TestPipelineArtifacts:
     @pytest.fixture()
     def trained(self, workdir):
         run(["train", "-c", workdir["config"]])
-        run(["quantize", "-c", workdir["config"]])
         run(["build", "-c", workdir["config"]])
         return workdir
 
-    def test_quantize_and_build(self, trained):
+    def test_quantize_and_build(self, trained, capsys):
         out = trained["tmp"] / "out"
-        quant = json.loads((out / "model_quant.json").read_text())
-        assert len(quant["classifiers"]) == 45
+        before = sorted(out.iterdir())
+        assert run(["quantize", "-c", trained["config"]]) == 0
+        assert sorted(out.iterdir()) == before  # quantize only reports
         sysdoc = json.loads((out / "system.json").read_text())
         netlist = (out / "netlist.txt").read_text()
         dev_lines = [l for l in netlist.splitlines() if l.startswith("D")]
         assert sysdoc["device_count"] == len(dev_lines)
+        assert f"quantized model: {len(dev_lines)} devices" in capsys.readouterr().out
 
     def test_simulate_digital_mode_no_traces(self, trained):
         assert run(["simulate", "-c", trained["config"], "--mode", "digital-float"]) == 0
@@ -172,6 +182,13 @@ class TestPipelineArtifacts:
         assert run(["build"] + args) == 0
         assert run(["evaluate"] + args) == 0
 
+    def test_unstable_full_resolution_analog_rejected_before_training(self, workdir, capsys):
+        # 1 - dt * i_on * 784 / (c_line * v_dsat) = -6.84 at the default line and device.
+        assert run(["run-all", "-c", workdir["config"], "--feature-space", 784,
+                    "--mode", "analog"]) == cli.EXIT_CONFIG
+        assert "unstable Euler step" in capsys.readouterr().err
+        assert not (workdir["tmp"] / "out" / "model.json").exists()
+
     def test_report_consolidates(self, trained, capsys):
         run(["evaluate", "-c", trained["config"]])
         assert run(["report", "-c", trained["config"]]) == 0
@@ -184,9 +201,10 @@ class TestRunAll:
     def test_run_all_with_sbs(self, workdir):
         assert run(["run-all", "-c", workdir["config"]]) == 0
         out = workdir["tmp"] / "out"
-        for name in ("prepare.json", "model.json", "model_sbs.json", "model_quant.json",
+        for name in ("prepare.json", "model.json", "model_sbs.json",
                      "netlist.txt", "system.json", "votes.csv", "report.json"):
             assert (out / name).exists(), name
+        assert not (out / "model_quant.json").exists()
 
     def test_run_all_writes_mode_metrics_once(self, workdir, monkeypatch):
         evaluated = []
@@ -208,7 +226,7 @@ class TestRunAll:
         doc = dict(workdir["doc"])
         doc.setdefault("sbs", {})["enabled"] = False
         h = config_hash(config_from_dict(doc))
-        for name in ("model.json", "system.json", "model_quant.json"):
+        for name in ("model.json", "system.json", "metrics_digital-quantized.json"):
             assert json.loads((out / name).read_text())["metadata"]["config_hash"] == h
         assert f"# config_hash={h}" in (out / "votes.csv").read_text()
 

@@ -46,6 +46,33 @@ class TestLoadIdx:
         with pytest.raises(IdxFormatError, match="truncated"):
             dataset.read_idx_images(path)
 
+    def test_gzip_flipped_byte_fails_crc(self, tmp_path):
+        images, _ = synth.make_corpus(20, seed=0)
+        path = tmp_path / "flip-images.gz"
+        synth.write_idx_images(path, images, compress=True)
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IdxFormatError, match="gzip"):
+            dataset.read_idx_images(path)
+
+    def test_gzip_truncated_to_half(self, tmp_path):
+        images, _ = synth.make_corpus(20, seed=0)
+        path = tmp_path / "half-images.gz"
+        synth.write_idx_images(path, images, compress=True)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) // 2])
+        with pytest.raises(IdxFormatError, match="gzip"):
+            dataset.read_idx_images(path)
+
+    def test_bytes_after_payload_rejected(self, tmp_path):
+        _, labels = synth.make_corpus(20, seed=0)
+        path = tmp_path / "long-labels"
+        synth.write_idx_labels(path, labels)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(IdxFormatError, match="1 bytes after"):
+            dataset.read_idx_labels(path)
+
     def test_count_mismatch(self, tmp_path):
         images, labels = synth.make_corpus(20, seed=0)
         img_path = tmp_path / "imgs"

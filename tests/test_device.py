@@ -6,12 +6,18 @@ from senseline.device import (
     DeviceParams,
     RegionMismatchError,
     channel_current,
-    current,
-    drive,
+    gate_drive_bg,
+    gate_drive_tg,
     make_instance,
     region_of,
 )
 from senseline.quantizer import DeviceConfig, QuantSpec
+from senseline.system import SystemConfig
+
+
+def drive(v_tg, v_bg, dtype):
+    """Combined gate drive g_tg * g_bg at the default parameters."""
+    return gate_drive_tg(v_tg, dtype) * gate_drive_bg(v_bg, dtype)
 
 
 class TestRegions:
@@ -53,10 +59,13 @@ class TestDrive:
         assert drive(0.62, 2.38, "N") == pytest.approx(0.25)
 
     def test_region_mismatch_rejected(self):
+        # Device windows narrower than the quantizer's: a level-5 device's
+        # bias (1.04 V for P, 1.96 V for N) falls outside its polarity's window.
+        p = DeviceParams(p_window=(0.0, 1.0), n_window=(2.0, 3.0))
         with pytest.raises(RegionMismatchError):
-            drive(1.0, 0.0, "N")
+            SystemConfig([(0, 1)], [[-5]], QuantSpec(), p)
         with pytest.raises(RegionMismatchError):
-            drive(1.0, 1.5, "P")
+            SystemConfig([(0, 1)], [[5]], QuantSpec(), p)
 
     def test_bounded_unit_interval(self):
         rng = np.random.default_rng(0)
@@ -118,12 +127,10 @@ class TestCurrent:
         i4 = channel_current(2.0, 0.0, 3.0, 2.95, p)
         assert i2 >= i4
 
-    def test_instance_current_and_terminal_validation(self):
+    def test_instance_off_top_gate_conducts_nothing(self):
         inst = make_instance(DeviceConfig(0, "P", 31), QuantSpec(), DeviceParams())
         # off top-gate: no current even at full channel bias
-        assert current(inst, 3.0, 0.0) == 0.0
-        with pytest.raises(ValueError, match="terminal"):
-            current(inst, 3.5, 0.0)
+        assert channel_current(inst.v_tg, inst.v_bg, 3.0, 0.0) == 0.0
 
     def test_sign_encoding(self):
         # A P device rail-to-line can only inject charge into a line below vdd;
@@ -154,9 +161,3 @@ class TestInstances:
         p = DeviceParams(p_window=(0.0, 1.0), n_window=(2.0, 3.0))
         with pytest.raises(RegionMismatchError):
             make_instance(DeviceConfig(0, "P", 0), q, p)
-
-    def test_matched_to_quant(self):
-        q = QuantSpec(bits=4, step_volts=0.08, vdd=3.0)
-        p = DeviceParams.matched_to(q)
-        assert p.p_window == (0.0, pytest.approx(1.2))
-        assert p.n_window == (pytest.approx(1.8), 3.0)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from senseline import line_sim
-from senseline.device import DeviceParams, channel_current, current, make_instance
+from senseline.device import DeviceParams, channel_current, make_instance
 from senseline.line_sim import (
     LineTiming,
-    buffer_decide,
     precharge_energy,
     simulate_batch,
     simulate_digit,
@@ -52,8 +51,8 @@ class TestPrecharge:
         # Full-level devices at their default (gating-off) top-gate bias.
         pdev = make_instance(DeviceConfig(0, "P", 31), Q, P)
         ndev = make_instance(DeviceConfig(1, "N", 31), Q, P)
-        assert current(pdev, P.vdd, 1.5, P) == 0.0
-        assert current(ndev, 1.5, 0.0, P) == 0.0
+        assert channel_current(pdev.v_tg, pdev.v_bg, P.vdd, 1.5, P) == 0.0
+        assert channel_current(ndev.v_tg, ndev.v_bg, 1.5, 0.0, P) == 0.0
 
 
 class TestStep:
@@ -80,18 +79,22 @@ class TestStep:
 
 
 class TestBuffer:
+    """The comparator at vdd/2 that turns a line's final voltage into its vote."""
+
     def test_above_threshold(self):
-        assert buffer_decide(1.6, 3.0) == (1, 3.0)
+        v_final, vote, _, _ = run_line(make_line([(0, "P", 1)]), levels_all(1))
+        assert 1.5 < v_final < 1.6
+        assert vote == 1
 
     def test_below_threshold(self):
-        assert buffer_decide(1.4, 3.0) == (-1, 0.0)
+        v_final, vote, _, _ = run_line(make_line([(0, "N", 1)]), levels_all(1))
+        assert 1.4 < v_final < 1.5
+        assert vote == -1
 
     def test_boundary_positive(self):
-        assert buffer_decide(1.5, 3.0) == (1, 3.0)
-
-    def test_out_of_rail_rejected(self):
-        with pytest.raises(ValueError):
-            buffer_decide(3.1, 3.0)
+        v_final, vote, _, _ = run_line(make_line([]), levels_all(31))
+        assert v_final == 1.5
+        assert vote == 1
 
 
 class TestClassifyLine:

@@ -8,7 +8,6 @@ from senseline.quantizer import (
     level_to_vbg,
     level_to_vtg,
     map_weights,
-    quantize_features,
     quantize_unit,
     weight_levels,
 )
@@ -40,7 +39,7 @@ class TestQuantizeUnit:
         with pytest.raises(ValueError, match="lie in"):
             quantize_unit(np.nan)
         with pytest.raises(ValueError, match="lie in"):
-            quantize_features(np.array([[0.5, np.nan]]))
+            quantize_unit(np.array([[0.5, np.nan]]))
 
     def test_monotone(self):
         v = np.linspace(0, 1, 1001)
@@ -159,14 +158,3 @@ class TestDeviceConfig:
         with pytest.raises(ValueError):
             DeviceConfig(0, "X", 5)
 
-
-class TestQuantizedModelIO:
-    def test_roundtrip(self, synth_model, tmp_path):
-        doc = quantizer.quantize_model(synth_model)
-        assert len(doc["classifiers"]) == 45
-        path = tmp_path / "q.json"
-        quantizer.save_quantized(doc, path)
-        loaded = quantizer.load_quantized(path)
-        assert loaded["classifiers"] == doc["classifiers"]
-        entry = doc["classifiers"][0]["entries"][0]
-        assert set(entry) == {"feature_index", "dtype", "w_level"}

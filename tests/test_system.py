@@ -48,8 +48,8 @@ class TestAssemble:
         assert len(synth_system.pairs) == 45
         assert synth_system.L.shape == (64, 45)
         assert synth_system.device_count <= 45 * 64
-        doc = quantizer.quantize_model(synth_model)
-        assert synth_system.device_count == sum(len(c["entries"]) for c in doc["classifiers"])
+        assert synth_system.device_count == sum(len(quantizer.map_weights(c))
+                                                for c in synth_model.classifiers)
 
     def test_levels_match_map_weights(self, synth_system, synth_model):
         # One quantization decides both the level matrix and the device list.

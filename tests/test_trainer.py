@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import requires_mnist
-from senseline import trainer
+from senseline import cli, trainer
 from senseline.trainer import (
     BinaryClassifier,
     OvOModel,
@@ -14,13 +14,21 @@ from senseline.trainer import (
     TrainingDivergedError,
     logistic_grad,
     logistic_loss,
+    pair_votes,
     predict_margin,
-    predict_sign,
+    tally_votes,
 )
 
 
 def toy_classifier(pair=(0, 1), weights=(1.0, 1.0), features=(0, 1)):
     return BinaryClassifier(pair, np.array(features), np.array(weights, dtype=float))
+
+
+def sign_of(z, z_th):
+    """The +/-1 vote of a one-weight classifier whose margin is z, at threshold z_th."""
+    c = BinaryClassifier((0, 1), np.array([0]), np.array([1.0]), threshold=z_th)
+    model = OvOModel([c] + [toy_classifier(p) for p in trainer.all_pairs()[1:]])
+    return pair_votes(model, np.array([[z, 0.0]]))[0, 0]
 
 
 class TestPredict:
@@ -45,11 +53,11 @@ class TestPredict:
             predict_margin(c, np.zeros(5))
 
     def test_sign_boundary_is_positive(self):
-        assert predict_sign(0.0, 0.0) == 1
+        assert sign_of(0.0, 0.0) == 1
 
     def test_sign_branches(self):
-        assert predict_sign(-0.001, 0.0) == -1
-        assert predict_sign(5.0, 0.0) == 1
+        assert sign_of(-0.001, 0.0) == -1
+        assert sign_of(5.0, 0.0) == 1
 
     def test_sign_scale_invariance(self):
         # Scaling weights and threshold together by alpha > 0 never flips the sign.
@@ -58,7 +66,7 @@ class TestPredict:
             z = rng.normal()
             th = rng.normal()
             alpha = rng.uniform(0.01, 100)
-            assert predict_sign(z, th) == predict_sign(alpha * z, alpha * th)
+            assert sign_of(z, th) == sign_of(alpha * z, alpha * th)
 
 
 class TestGradient:
@@ -103,7 +111,7 @@ class TestTrainLogistic:
         c = trainer.train_logistic(X, labels, (0, 1), [0],
                                    TrainHyper(include_intercept=True))
         assert c.weights[0] > 0
-        preds = predict_sign(predict_margin(c, X), c.threshold)
+        preds = np.where(predict_margin(c, X) >= c.threshold, 1, -1)
         assert np.array_equal(preds, np.where(labels == 0, 1, -1))
 
     def test_zero_learning_rate_warns_and_keeps_zeros(self):
@@ -341,10 +349,20 @@ def engineered_model(winner_of):
     return OvOModel(classifiers)
 
 
+def vote(model, x):
+    """(tally of 10, predicted digit) of one input, through pair_votes and tally_votes."""
+    tallies, preds = tally_votes(model.pairs, pair_votes(model, x))
+    return tallies[0], int(preds[0])
+
+
+def save_model(model, path):
+    cli._write_json(path, trainer.model_to_dict(model))
+
+
 class TestVote:
     def test_sweep_winner_gets_nine(self):
         model = engineered_model(lambda a, b: 3 if 3 in (a, b) else a)
-        tally, pred = trainer.vote(model, np.ones(1))
+        tally, pred = vote(model, np.ones(1))
         assert tally[3] == 9
         assert pred == 3
         assert tally.sum() == 45
@@ -352,7 +370,7 @@ class TestVote:
     def test_total_always_45(self, synth_model, synth_features):
         _, _, (sx, _) = synth_features
         for i in range(10):
-            tally, _ = trainer.vote(synth_model, sx[i])
+            tally, _ = vote(synth_model, sx[i])
             assert tally.sum() == 45
             assert tally.max() <= 9
 
@@ -369,16 +387,16 @@ class TestVote:
                 return 2
             return a
         model = engineered_model(winner_of)
-        tally, pred = trainer.vote(model, np.ones(1))
+        tally, pred = vote(model, np.ones(1))
         assert tally[1] == tally[2] == 8
         assert tally.max() == 8
         assert pred == 1
 
     def test_vote_batch_matches_single(self, synth_model, synth_features):
         _, _, (sx, _) = synth_features
-        tallies, preds = trainer.vote_batch(synth_model, sx[:20])
+        tallies, preds = tally_votes(synth_model.pairs, pair_votes(synth_model, sx[:20]))
         for i in range(20):
-            tally, pred = trainer.vote(synth_model, sx[i])
+            tally, pred = vote(synth_model, sx[i])
             assert np.array_equal(tally, tallies[i])
             assert pred == preds[i]
 
@@ -387,18 +405,18 @@ class TestModelIO:
     def test_roundtrip_lossless_and_stable(self, synth_model, tmp_path):
         p1 = tmp_path / "m1.json"
         p2 = tmp_path / "m2.json"
-        trainer.save_model(synth_model, p1)
+        save_model(synth_model, p1)
         loaded = trainer.load_model(p1)
         for a, b in zip(synth_model.classifiers, loaded.classifiers):
             assert a.class_pair == b.class_pair
             assert np.array_equal(a.feature_indices, b.feature_indices)
             assert np.array_equal(a.weights, b.weights)
-        trainer.save_model(loaded, p2)
+        save_model(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_record_fields(self, synth_model, tmp_path):
         path = tmp_path / "m.json"
-        trainer.save_model(synth_model, path)
+        save_model(synth_model, path)
         doc = json.loads(path.read_text())
         rec = doc["classifiers"][0]
         assert set(rec) == {"pair", "feature_indices", "weights", "intercept", "threshold"}
