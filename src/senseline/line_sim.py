@@ -54,10 +54,11 @@ class LineTiming:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"line {name} must be finite and positive, got {value!r}")
         steps = self.t_classify / self.dt
-        if steps < 10:
-            raise ValueError("t_classify must span at least 10 integration steps")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"line dt must divide t_classify, got {steps!r} steps")
+        # Compare the rounded count: 10 * dt / dt may come out a hair under 10.
+        if self.n_steps < 10:
+            raise ValueError("t_classify must span at least 10 integration steps")
 
     @property
     def n_steps(self) -> int:

@@ -266,6 +266,11 @@ class TestLineConfig:
         # 2e-9 / dt is 200.00000000000003, 400.00000000000006, 500.00000000000006.
         assert LineTiming(dt=dt).n_steps == steps
 
+    def test_ten_steps_a_hair_under_ten_accepted(self):
+        dt = 3.885938094000595e-13
+        assert dt * 10 / dt < 10
+        assert LineTiming(t_classify=dt * 10, dt=dt).n_steps == 10
+
     def test_requires_positive_capacitance(self):
         with pytest.raises(ValueError, match="c_line"):
             LineTiming(c_line=0.0)
