@@ -14,6 +14,7 @@ import dataclasses
 import datetime
 import json
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -79,8 +80,13 @@ def _load_test_features(cfg: RunConfig):
     return _features_of(cfg, dataset.select_test(test_pool, cfg.split))
 
 
-def _model_path(cfg: RunConfig, prefer_sbs: bool = True) -> str:
-    candidates = ["model_sbs.json", "model.json"] if prefer_sbs else ["model.json"]
+# What `select` writes from model.json; `train` deletes them as stale.
+SELECT_ARTIFACTS = ("model_sbs.json", "sbs_report.json", "feature_counts.csv")
+
+
+def _model_path(cfg: RunConfig) -> str:
+    """The model to compile: the selected one if selection is on and has run."""
+    candidates = ["model_sbs.json", "model.json"] if cfg.sbs.enabled else ["model.json"]
     for name in candidates:
         path = os.path.join(cfg.out_dir, name)
         if os.path.exists(path):
@@ -110,11 +116,16 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    """Train the 45 pairwise classifiers without feature selection."""
+    """Train the 45 pairwise classifiers without feature selection.
+
+    Deletes the outputs of an earlier `select`, which the new model makes stale.
+    """
     (train_x, train_y), (val_x, val_y) = _load_train_val_features(cfg)
     model = trainer.build_ovo(train_x, train_y, val_x, val_y, cfg.hyper, sbs=None)
     _write_json(_out(cfg, "model.json"),
                 dict(trainer.model_to_dict(model), metadata={"config_hash": config_hash(cfg)}))
+    for name in SELECT_ARTIFACTS:
+        pathlib.Path(cfg.out_dir, name).unlink(missing_ok=True)
     pair_acc = trainer.per_pair_val_accuracy(model, val_x, val_y)
     val_acc, _, _ = trainer.evaluate_model(model, val_x, val_y)
     _write_json(_out(cfg, "train_report.json"), {

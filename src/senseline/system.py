@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from . import line_sim
 from .device import DeviceParams, RegionMismatchError, gate_drive_bg
 from .line_sim import LineTiming
 from .quantizer import RAILS, QuantSpec, level_to_vbg, quantize_unit, weight_levels
-from .trainer import OvOModel, pair_votes, score_votes
+from .trainer import OvOModel, all_pairs, pair_votes, score_votes
 
 # Input features driving the array: the 8x8 downsampled grid.
 N_FEATURES = 64
@@ -203,10 +204,46 @@ def _parse_device(tokens: list[str], columns: dict, quant: QuantSpec):
     return columns[pair], feat, level if dtype == "P" else -level
 
 
+def _header_section(path, key: str, values, cls):
+    """The dataclass cls built from the netlist's `key` header, which must be
+    a JSON object with exactly cls's fields; a list value becomes a tuple.
+
+    Raises a ValueError naming the header if a key is missing or extra, or
+    if cls rejects a value.
+    """
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    if not isinstance(values, dict) or sorted(values) != names:
+        raise ValueError(f"netlist {path}: the '{key}' header must be an object with "
+                         f"exactly the keys {names}, got {values!r}")
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"netlist {path}: invalid '{key}' header: {e}") from None
+
+
+def _header_pairs(path, values) -> list[tuple[int, int]]:
+    """The lines' digit pairs from the 'pairs' header: distinct "a-b" with 0 <= a < b <= 9."""
+    if not isinstance(values, list):
+        raise ValueError(f"netlist {path}: the 'pairs' header must be a list, got {values!r}")
+    valid = all_pairs()
+    pairs = []
+    for value in values:
+        digits = re.fullmatch(r"([0-9])-([0-9])", value) if isinstance(value, str) else None
+        pair = (int(digits[1]), int(digits[2])) if digits else None
+        if pair not in valid:
+            raise ValueError(f"netlist {path}: 'pairs' header entry {value!r} is not a "
+                             "digit pair a-b with a < b")
+        if pair in pairs:
+            raise ValueError(f"netlist {path}: the 'pairs' header repeats {value}")
+        pairs.append(pair)
+    return pairs
+
+
 def parse_netlist(path) -> SystemConfig:
     """Rebuild a SystemConfig from a netlist file (structural round trip).
 
-    The parsed system carries no float model.
+    The parsed system carries no float model. A malformed file raises a
+    ValueError naming the header or device at fault.
     """
     header: dict = {}
     devices: list[list[str]] = []
@@ -217,19 +254,21 @@ def parse_netlist(path) -> SystemConfig:
                 continue
             if tokens[0] == "*":
                 if len(tokens) >= 3 and tokens[1] in ("quant", "device", "line", "pairs"):
-                    header[tokens[1]] = json.loads(raw.split(None, 2)[2])
+                    try:
+                        header[tokens[1]] = json.loads(raw.split(None, 2)[2])
+                    except json.JSONDecodeError as e:
+                        raise ValueError(f"netlist {path}: the '{tokens[1]}' header is not "
+                                         f"valid JSON: {e}") from None
                 continue
             devices.append(tokens)
     for key in ("quant", "device", "line", "pairs"):
         if key not in header:
             raise ValueError(f"netlist {path} is missing the '{key}' header")
 
-    quant = QuantSpec(**header["quant"])
-    d = header["device"]
-    params = DeviceParams(i_on=d["i_on"], v_dsat=d["v_dsat"], vdd=d["vdd"],
-                          p_window=tuple(d["p_window"]), n_window=tuple(d["n_window"]),
-                          tg_window_span=d["tg_window_span"])
-    pairs = [tuple(int(x) for x in p.split("-")) for p in header["pairs"]]
+    quant = _header_section(path, "quant", header["quant"], QuantSpec)
+    params = _header_section(path, "device", header["device"], DeviceParams)
+    timing = _header_section(path, "line", header["line"], LineTiming)
+    pairs = _header_pairs(path, header["pairs"])
     columns = {pair: k for k, pair in enumerate(pairs)}
     L = np.zeros((N_FEATURES, len(pairs)), dtype=np.int64)
     for tokens in devices:
@@ -239,7 +278,7 @@ def parse_netlist(path) -> SystemConfig:
             raise ValueError(f"netlist device {tokens[0]}: a second device on line {a}-{b} "
                              f"feature {feat}")
         L[feat, k] = level
-    return SystemConfig(pairs, L, quant, params, LineTiming(**header["line"]))
+    return SystemConfig(pairs, L, quant, params, timing)
 
 
 def quantized_margins(s: SystemConfig, X: np.ndarray) -> np.ndarray:

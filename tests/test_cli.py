@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from senseline import cli
+from senseline import cli, system, trainer
 from senseline.config import config_from_dict
 
 
@@ -205,6 +205,19 @@ class TestRunAll:
                      "netlist.txt", "system.json", "votes.csv", "report.json"):
             assert (out / name).exists(), name
         assert not (out / "model_quant.json").exists()
+
+    def test_run_all_without_selection_after_selection_builds_full_model(self, workdir):
+        assert run(["run-all", "-c", workdir["config"]]) == 0
+        assert run(["run-all", "-c", workdir["config"], "--no-sbs"]) == 0
+        out = workdir["tmp"] / "out"
+        for name in cli.SELECT_ARTIFACTS:
+            assert not (out / name).exists(), name
+        model = json.loads((out / "model.json").read_text())
+        full = system.assemble(trainer.model_from_dict(model))
+        sysdoc = json.loads((out / "system.json").read_text())
+        assert sysdoc["device_count"] == full.device_count
+        assert sysdoc["metadata"]["config_hash"] == model["metadata"]["config_hash"]
+        assert "sbs_report" not in json.loads((out / "report.json").read_text())
 
     def test_run_all_writes_mode_metrics_once(self, workdir, monkeypatch):
         evaluated = []

@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from senseline import line_sim
-from senseline.device import DeviceParams, channel_current, make_instance
+from senseline.device import DeviceParams, channel_current, gate_drive_tg, make_instance
 from senseline.line_sim import (
     LineTiming,
     precharge_energy,
     simulate_batch,
     simulate_digit,
 )
-from senseline.quantizer import DeviceConfig, QuantSpec, level_to_vbg, level_to_vtg
+from senseline.quantizer import (
+    DeviceConfig,
+    QuantSpec,
+    level_to_vbg,
+    level_to_vtg,
+    quantize_unit,
+)
 from senseline.system import SystemConfig
 
 Q = QuantSpec()
@@ -22,6 +28,46 @@ def make_line(specs, pair=(0, 1), params=P, **timing):
     for fi, dtype, level in specs:
         L[fi, 0] = level if dtype == "P" else -level
     return SystemConfig([pair], L, Q, params, LineTiming(**timing))
+
+
+def integrate_reference(s, X):
+    """(line_finals, energies) of a batch with every element taking every clamped step.
+
+    The integrator with no linear-regime shortcut: drives summed in
+    ascending feature order, then per step i_in = p * min((vdd - v) /
+    v_dsat, 1), i_out = n * min(v / v_dsat, 1), q += i_in * dt and v =
+    clip(v + (i_in - i_out) * dt / c_line, 0, vdd), in the same floating-point
+    operations as simulate_batch, so the two agree bit for bit.
+    """
+    params, timing = s.params, s.timing
+    levels = quantize_unit(np.atleast_2d(X), s.quant)
+    p_sum = np.zeros((len(levels), len(s.pairs)))
+    n_sum = np.zeros_like(p_sum)
+    for dtype, G, acc in (("P", s.G_p, p_sum), ("N", s.G_n, n_sum)):
+        T = gate_drive_tg(level_to_vtg(levels, dtype, s.quant), dtype, params)
+        for f in range(len(G)):
+            acc += T[:, f, None] * G[f]
+        acc *= params.i_on
+    v = np.full_like(p_sum, params.vdd / 2)
+    q = np.zeros_like(v)
+    scale = timing.dt / timing.c_line
+    for _ in range(timing.n_steps):
+        i_in = np.minimum((params.vdd - v) / params.v_dsat, 1.0) * p_sum
+        i_out = np.minimum(v / params.v_dsat, 1.0) * n_sum
+        q += i_in * timing.dt
+        v = np.clip(v + (i_in - i_out) * scale, 0.0, params.vdd)
+    e_pre = sum(precharge_energy(timing, params) for _ in s.pairs)
+    return v, params.vdd * q.sum(axis=1) + e_pre
+
+
+def assert_matches_reference(s, X):
+    """simulate_batch equals integrate_reference bit for bit; returns its result."""
+    res = simulate_batch(s, X)
+    finals, energies = integrate_reference(s, X)
+    assert np.array_equal(res.line_finals.view(np.int64), finals.view(np.int64))
+    assert np.array_equal(res.energies.view(np.int64), energies.view(np.int64))
+    assert np.array_equal(res.votes, np.where(finals >= s.params.vdd / 2, 1, -1))
+    return res
 
 
 def levels_all(value):
@@ -194,6 +240,97 @@ class TestClassifyLine:
         line.G_p[0, 0] = np.inf
         with pytest.raises(FloatingPointError, match="non-finite"), np.errstate(invalid="ignore"):
             run_line(line, levels_all(31))
+
+
+class TestLinearShortcut:
+    """simulate_batch against integrate_reference where the linear shortcut can fail.
+
+    A full-level device with a full-level feature has drive 1, so one step
+    moves its line by i_on * dt / c_line volts. At the default vdd 3 V and
+    v_dsat 0.2 V, both current clamps saturate while 0.2 <= v <= 2.8.
+    """
+
+    @staticmethod
+    def two_lines(step_volts, v_dsat=P.v_dsat, **timing):
+        """Line 0-1 with one full P device, line 0-2 with one full N device."""
+        t = LineTiming(**timing)
+        params = DeviceParams(i_on=step_volts * t.c_line / t.dt, v_dsat=v_dsat)
+        L = np.zeros((64, 2), dtype=np.int64)
+        L[0] = 31, -31
+        return SystemConfig([(0, 1), (0, 2)], L, Q, params, t)
+
+    def test_lines_leave_linear_regime_at_random_steps(self):
+        # The lines cross 2.8 V (and 0.2 V) between steps k - 1 and k: the
+        # first k - 1 steps are linear, the rest are not.
+        n_steps = LineTiming().n_steps
+        rng = np.random.default_rng(5)
+        for k in [n_steps - 1, n_steps - 2, 7, *rng.integers(8, n_steps, size=5)]:
+            line = self.two_lines(1.3 / (k - 0.5))
+            res = assert_matches_reference(line, levels_all(31)[None, :] / Q.max_level)
+            assert res.line_finals[0, 0] > P.vdd - P.v_dsat
+            assert res.line_finals[0, 1] < P.v_dsat
+
+    def test_mixed_batch_across_blocks(self, monkeypatch):
+        # Random lines and digits, some linear throughout and some not, in
+        # blocks of 4 rows so unfinished elements are gathered from many.
+        rng = np.random.default_rng(6)
+        L = rng.integers(-31, 32, size=(64, 10)) * (rng.random((64, 10)) < 0.1)
+        t = LineTiming()
+        params = DeviceParams(i_on=0.03 * t.c_line / t.dt)
+        line = SystemConfig([(0, k) for k in range(1, 10)] + [(1, 2)], L, Q, params, t)
+        X = rng.integers(0, 32, size=(23, 64)) / Q.max_level
+        monkeypatch.setattr(line_sim, "BLOCK_ROWS", 4)
+        res = assert_matches_reference(line, X)
+        left = (res.line_finals < P.v_dsat) | (res.line_finals > P.vdd - P.v_dsat)
+        assert 0 < left.sum() < left.size
+
+    @pytest.mark.parametrize("step_volts", [0.15, 0.3])
+    def test_lines_reach_a_rail(self, step_volts):
+        # Within 20 of the 200 steps, 0.15 V steps settle onto the rails;
+        # 0.3 V steps (Euler factor -0.5) overshoot them and are clipped.
+        res = assert_matches_reference(self.two_lines(step_volts),
+                                       levels_all(31)[None, :] / Q.max_level)
+        assert res.line_finals[0] == pytest.approx([P.vdd, 0.0], abs=1e-12)
+
+    def test_last_step_jumps_past_the_rail(self):
+        # Ten 0.16 V steps from 1.5 V at v_dsat 10 mV: after nine the lines
+        # sit at 2.94 V and 0.06 V, still linear, and the tenth step
+        # overshoots the rails, where the clip holds them.
+        line = self.two_lines(0.16, v_dsat=0.01, t_classify=1e-10)
+        res = assert_matches_reference(line, levels_all(31)[None, :] / Q.max_level)
+        assert tuple(res.line_finals[0]) == (P.vdd, 0.0)
+
+    @pytest.mark.parametrize("v_dsat", [1.5, 2.0, 3.0])
+    def test_v_dsat_at_least_half_vdd_takes_no_shortcut(self, v_dsat, monkeypatch):
+        # At v_dsat > vdd/2 no voltage saturates both clamps; at exactly
+        # vdd/2 only vdd/2 itself does.
+        calls = []
+        linear_euler = line_sim._linear_euler
+        monkeypatch.setattr(line_sim, "_linear_euler",
+                            lambda *a: calls.append(1) or linear_euler(*a))
+        line = self.two_lines(0.01, v_dsat=v_dsat)
+        levels = np.array([levels_all(31), levels_all(7), levels_all(0)])
+        assert_matches_reference(line, levels / Q.max_level)
+        assert bool(calls) == (v_dsat == P.vdd / 2)
+
+    def test_exact_ties_stay_at_half_vdd(self):
+        # The pairs of test_exact_zero_margin_votes_positive, batched, so
+        # the shortcut integrates them.
+        L = np.zeros((64, 3), dtype=np.int64)
+        L[0], L[1] = (20, 12, 1), (-20, -18, -2)
+        line = SystemConfig([(0, 1), (0, 2), (0, 3)], L, Q)
+        rows = np.zeros((3, 64))
+        rows[:, :2] = (15, 15), (3, 2), (8, 4)
+        res = assert_matches_reference(line, rows / Q.max_level)
+        assert np.all(np.diag(res.line_finals) == P.vdd / 2)
+        assert np.all(np.diag(res.votes) == 1)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_drive_raises_in_batch(self, bad):
+        line = make_line([(0, "P", 31)])
+        line.G_p[0, 0] = bad
+        with pytest.raises(FloatingPointError, match="non-finite"), np.errstate(invalid="ignore"):
+            simulate_batch(line, np.tile(levels_all(31) / Q.max_level, (3, 1)))
 
 
 class TestSimulateDigit:

@@ -1,8 +1,11 @@
-"""Property tests: the analog lines agree with the integer digital oracle, the
-netlist round-trips, and corrupt IDX files fail with the dataset's errors.
+"""Property tests: the analog lines agree with the integer digital oracle and
+with the reference integrator, the netlist round-trips, and corrupt IDX
+files fail with the dataset's errors.
 
 Needs hypothesis (the `test` extra); skipped cleanly without it.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from senseline.line_sim import LineTiming, simulate_batch  # noqa: E402
 from senseline.quantizer import QuantSpec  # noqa: E402
 from senseline.system import N_FEATURES, SystemConfig, emit_netlist, parse_netlist  # noqa: E402
 from senseline.trainer import all_pairs  # noqa: E402
+from test_line_sim import assert_matches_reference  # noqa: E402
 
 Q = QuantSpec()
 MAX = Q.max_level
@@ -94,6 +98,26 @@ def finite(lo, hi):
 
 
 @st.composite
+def integrator_cases(draw):
+    """A small array and inputs whose lines may stay linear, leave the linear
+    regime, settle onto or overshoot a rail, or (v_dsat >= vdd/2) never be
+    linear at all. A full device's step, i_on * dt / c_line, is drawn directly."""
+    L, levels = draw(arrays_and_inputs())
+    dt = draw(finite(1e-12, 1e-10))
+    timing = LineTiming(c_line=draw(finite(1e-15, 1e-13)),
+                        t_classify=dt * draw(st.integers(10, 300)), dt=dt)
+    step_volts = draw(st.floats(1e-6, 0.5))
+    params = DeviceParams(i_on=step_volts * timing.c_line / dt, v_dsat=draw(finite(0.01, 2.0)))
+    return SystemConfig(all_pairs()[:L.shape[1]], L, Q, params, timing), levels / MAX
+
+
+@settings(max_examples=150, deadline=None)
+@given(integrator_cases())
+def test_batch_equals_reference_integrator(case):
+    assert_matches_reference(*case)
+
+
+@st.composite
 def compiled_systems(draw):
     """A random signed level matrix on a random subset of the pairs, at valid
     line and device parameters whose bias windows hold every quantizer level."""
@@ -123,6 +147,45 @@ def test_netlist_round_trip(scratch_dir, s):
     assert parsed == s
     emit_netlist(parsed, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+# Stand-ins for a netlist token or a number in it: odd values, JSON values,
+# header and device syntax, and "" (the token deleted).
+ODD_NUMBERS = ["0", "-1", "0.5", "31", "32", "64", "2000", "1e400", "-0.0", "NaN", "null"]
+ODD_TOKENS = ["", *ODD_NUMBERS, "true", "[]", "{}", '"x"', "*", "D0", "quant", "line",
+              "line=0-1", "line=9-0", "feat=64", "type=P", "type=X", "wlevel=0", "rail=GND",
+              "x=1"]
+NUMBER = r"-?[0-9]+(\.[0-9]+)?(e-?[0-9]+)?"
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_netlist_token_mutation_raises_only_value_error(scratch_dir, data):
+    # One whitespace-separated token of an emitted netlist is deleted, swapped
+    # for another of its tokens or an odd one, or has its first number replaced.
+    L = np.zeros((N_FEATURES, 3), dtype=np.int64)
+    L[[0, 5, 63], [0, 1, 2]] = 31, -7, 12
+    path = scratch_dir / "fuzzed_netlist.txt"
+    emit_netlist(SystemConfig([(0, 1), (3, 8), (4, 9)], L, Q), path)
+    lines = [line.split(" ") for line in path.read_text().splitlines()]
+    tokens = [t for line in lines for t in line]
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    j = data.draw(st.integers(0, len(lines[i]) - 1), label="token")
+    how = data.draw(st.sampled_from(["swap", "odd", "number"]), label="how")
+    if how == "swap":
+        lines[i][j] = data.draw(st.sampled_from(tokens), label="other token")
+    elif how == "odd":
+        lines[i][j] = data.draw(st.sampled_from(ODD_TOKENS), label="odd token")
+    else:
+        value = data.draw(st.sampled_from(ODD_NUMBERS), label="number")
+        lines[i][j] = re.sub(NUMBER, value, lines[i][j], count=1)
+    path.write_text("\n".join(" ".join(line) for line in lines) + "\n")
+    try:
+        parsed = parse_netlist(path)
+    except ValueError:
+        return
+    emit_netlist(parsed, path)
+    assert parse_netlist(path) == parsed
 
 
 @pytest.fixture(scope="module")

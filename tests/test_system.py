@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,39 @@ class TestNetlist:
             synth_system, tmp_path, lambda l: [l, l.replace("D0 ", "D0b ", 1)])
         with pytest.raises(ValueError, match="D0b: a second device"):
             system.parse_netlist(bad)
+
+    @pytest.mark.parametrize("key,edit,match", [
+        ("device", lambda d: {k: v for k, v in d.items() if k != "i_on"}, "'device' header"),
+        ("device", lambda d: dict(d, p_window=0.5), "'device' header"),
+        ("device", lambda d: list(d.values()), "'device' header"),
+        ("quant", lambda d: dict(d, extra=1), "'quant' header"),
+        ("quant", lambda d: dict(d, bits="5"), "'quant' header"),
+        ("line", lambda d: dict(d, extra=1), "'line' header"),
+        ("line", lambda d: dict(d, dt=None), "'line' header"),
+        ("pairs", lambda d: 7, "'pairs' header"),
+        ("pairs", lambda d: d + [d[0]], "repeats 0-1"),
+        ("pairs", lambda d: d[:-1] + ["3-3"], "'3-3' is not a digit pair"),
+    ], ids=["device-no-i_on", "p_window-number", "device-list", "quant-extra-key",
+            "bits-string", "line-extra-key", "dt-null", "pairs-number", "pair-repeated",
+            "pair-invalid"])
+    def test_malformed_header_rejected(self, tmp_path, key, edit, match):
+        L = np.zeros((64, 2), dtype=np.int64)
+        L[3, 0] = 5
+        path = tmp_path / "netlist.txt"
+        system.emit_netlist(system.SystemConfig([(0, 1), (2, 9)], L), path)
+        prefix = f"* {key} "
+        lines = [prefix + json.dumps(edit(json.loads(l[len(prefix):])))
+                 if l.startswith(prefix) else l for l in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=match):
+            system.parse_netlist(path)
+
+    def test_header_not_json_rejected(self, synth_system, tmp_path):
+        path = tmp_path / "netlist.txt"
+        system.emit_netlist(synth_system, path)
+        path.write_text(path.read_text().replace('* line {', '* line {{', 1))
+        with pytest.raises(ValueError, match="'line' header is not valid JSON"):
+            system.parse_netlist(path)
 
     def test_missing_header_rejected(self, synth_system, tmp_path):
         path = tmp_path / "netlist.txt"
