@@ -60,9 +60,16 @@ def _load_splits(cfg: RunConfig) -> dataset.DataSplits:
 
 
 def _features_of(cfg: RunConfig, s: dataset.LabeledImageSet):
-    X = dataset.normalize(s)
+    """(n, feature_space) float64 pixels scaled to [0, 1], and the labels as ints.
+
+    At 64 features the grid pixels are selected from the uint8 images before
+    scaling. Selection and p/255 are both elementwise, so this equals
+    downsample(normalize(s)) bit for bit without the (n, 784) float matrix.
+    """
     if cfg.feature_space == 64:
-        X = dataset.downsample(X, cfg.grid)
+        X = dataset.downsample(s.images.reshape(len(s), -1), cfg.grid) / 255.0
+    else:
+        X = dataset.normalize(s)
     return X, s.labels.astype(int)
 
 

@@ -3,7 +3,8 @@
 Reads the IDX binary container format, normalizes pixels to [0, 1],
 downsamples 28x28 images to an 8x8 pixel-selection grid, and produces
 deterministic train/validation/test splits. All arrays are numpy; image
-sets are immutable after loading.
+sets are immutable after loading, so load_idx can hand its last decoded
+pair to every caller that reads the same bytes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ import numpy as np
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
+# (magic, n_dims, what) of each IDX kind, as _decode_idx takes them.
+_IMAGE_FORMAT = (IMAGE_MAGIC, 3, "pixel payload")
+_LABEL_FORMAT = (LABEL_MAGIC, 1, "label payload")
 
 # Centered uniform sampling of 28 pixels into 8: each selected pixel sits in
 # the middle of its 3.5-pixel cell.
@@ -98,26 +102,24 @@ class DataSplits:
     test: LabeledImageSet
 
 
-def _open_maybe_gzip(path):
-    # Sniff the two-byte gzip magic so both raw and .gz IDX files load.
+def _read_bytes(path) -> bytes:
     with open(path, "rb") as f:
-        head = f.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+        return f.read()
 
 
-def _read_idx(path, magic: int, n_dims: int, what: str) -> np.ndarray:
-    """Parse an IDX file: big-endian uint32 magic and n_dims sizes, then uint8 data.
+def _decode_idx(path, data: bytes, magic: int, n_dims: int, what: str) -> np.ndarray:
+    """Parse an IDX file's bytes: big-endian uint32 magic and n_dims sizes, then uint8 data.
 
-    The whole stream is read, so a gzip file's CRC and length are checked;
-    a corrupt or cut-off gzip stream is an IdxFormatError.
+    Data that starts with the two-byte gzip magic is decompressed whole, so
+    its CRC and length are checked; a corrupt or cut-off gzip stream is an
+    IdxFormatError. `path` only names the file in error messages. The
+    returned array is a read-only view of the (decompressed) bytes.
     """
-    try:
-        with _open_maybe_gzip(path) as f:
-            data = f.read()
-    except (EOFError, zlib.error, gzip.BadGzipFile) as e:
-        raise IdxFormatError(f"{path}: corrupt gzip stream ({e})") from None
+    if data[:2] == b"\x1f\x8b":
+        try:
+            data = gzip.decompress(data)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as e:
+            raise IdxFormatError(f"{path}: corrupt gzip stream ({e})") from None
     header = 4 * (1 + n_dims)
     if len(data) < header:
         raise IdxFormatError(f"{path}: truncated header (wanted {header} bytes, got {len(data)})")
@@ -134,23 +136,41 @@ def _read_idx(path, magic: int, n_dims: int, what: str) -> np.ndarray:
 
 def read_idx_images(path) -> np.ndarray:
     """Parse an IDX image file into a (n, rows, cols) uint8 array."""
-    return _read_idx(path, IMAGE_MAGIC, 3, "pixel payload")
+    return _decode_idx(path, _read_bytes(path), *_IMAGE_FORMAT)
 
 
 def read_idx_labels(path) -> np.ndarray:
     """Parse an IDX label file into a (n,) uint8 array."""
-    return _read_idx(path, LABEL_MAGIC, 1, "label payload")
+    return _decode_idx(path, _read_bytes(path), *_LABEL_FORMAT)
+
+
+# The last pair load_idx decoded: (image bytes, label bytes, set). A sweep
+# loads the same test pair at every point, so a hit skips the decompression
+# and parsing. The key is the files' content, never path, mtime or size: a
+# same-size rewrite within one timestamp tick keeps all three.
+_last_pair: tuple[bytes, bytes, LabeledImageSet] | None = None
 
 
 def load_idx(images_path, labels_path) -> LabeledImageSet:
-    """Load a matched image/label IDX file pair, cross-checking counts."""
-    images = read_idx_images(images_path)
-    labels = read_idx_labels(labels_path)
+    """Load a matched image/label IDX file pair, cross-checking counts.
+
+    Both files are read on every call. When their bytes equal those of the
+    last pair decoded, that pair's (read-only) set is returned again.
+    """
+    global _last_pair
+    image_bytes, label_bytes = _read_bytes(images_path), _read_bytes(labels_path)
+    if _last_pair is not None and (image_bytes, label_bytes) == _last_pair[:2]:
+        return _last_pair[2]
+    _last_pair = None
+    images = _decode_idx(images_path, image_bytes, *_IMAGE_FORMAT)
+    labels = _decode_idx(labels_path, label_bytes, *_LABEL_FORMAT)
     if len(images) != len(labels):
         raise CountMismatchError(
             f"{images_path} has {len(images)} images but {labels_path} has {len(labels)} labels"
         )
-    return LabeledImageSet(images, labels)
+    pair = LabeledImageSet(images, labels)
+    _last_pair = (image_bytes, label_bytes, pair)
+    return pair
 
 
 def normalize(s: LabeledImageSet) -> np.ndarray:

@@ -16,6 +16,7 @@ Gate-window placement (matching the device model's bias windows):
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ class QuantSpec:
             raise ValueError("bits must be >= 1")
         if self.step_volts <= 0 or self.vdd <= 0:
             raise ValueError("step_volts and vdd must be positive")
+        if self.bits >= sys.float_info.max_exp:
+            # 2**bits - 1 would not fit in a float, so window_span could not be formed.
+            raise ValueError(f"bits must be < {sys.float_info.max_exp}, got {self.bits}")
         if self.window_span > self.vdd / 2:
             raise ValueError(
                 f"gate window {self.window_span:.3f} V exceeds vdd/2 = {self.vdd / 2:.3f} V; "

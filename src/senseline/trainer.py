@@ -375,10 +375,9 @@ def tally_votes(pairs: list[tuple[int, int]], votes: np.ndarray):
     """votes (..., 45) of +/-1 -> (tallies (..., 10), predictions)."""
     votes = np.atleast_2d(votes)
     n = votes.shape[0]
-    tallies = np.zeros((n, 10), dtype=int)
-    for k, (a, b) in enumerate(pairs):
-        winner = np.where(votes[:, k] > 0, a, b)
-        tallies[np.arange(n), winner] += 1
+    a, b = np.asarray(pairs).T
+    winners = np.where(votes > 0, a, b) + 10 * np.arange(n)[:, None]
+    tallies = np.bincount(winners.ravel(), minlength=10 * n).reshape(n, 10)
     preds = np.argmax(tallies, axis=1)  # argmax takes the smallest digit on ties
     return tallies, preds
 

@@ -3,7 +3,8 @@ import os
 import pytest
 
 import synth
-from senseline import dataset, system, trainer
+from senseline import cli, dataset, system, trainer
+from senseline.config import RunConfig
 
 # Real MNIST IDX files, if the user has placed them locally. Tests that
 # assert MNIST-specific accuracy targets skip without them.
@@ -72,7 +73,7 @@ def synth_splits():
 
 
 def _features64(s: dataset.LabeledImageSet):
-    return dataset.downsample(dataset.normalize(s)), s.labels.astype(int)
+    return cli._features_of(RunConfig(), s)
 
 
 @pytest.fixture(scope="session")

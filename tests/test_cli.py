@@ -277,5 +277,12 @@ class TestConfigErrors:
         assert run(["prepare", "-c", bad]) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    def test_oversized_quant_bits_exits_4(self, workdir, capsys):
+        bad = workdir["tmp"] / "big_bits.json"
+        bad.write_text(json.dumps({"quant": {"bits": 2000}}))
+        assert run(["prepare", "-c", bad]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "bits" in err
+
     def test_missing_config_file(self, capsys):
         assert run(["prepare", "-c", "/nonexistent/config.json"]) == cli.EXIT_CONFIG

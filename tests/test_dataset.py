@@ -1,9 +1,14 @@
+import os
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import synth
 from conftest import mnist_paths, requires_mnist
-from senseline import dataset
+from senseline import cli, dataset
+from senseline.config import RunConfig
 from senseline.dataset import (
     CountMismatchError,
     GridSpec,
@@ -81,6 +86,104 @@ class TestLoadIdx:
         synth.write_idx_labels(lab_path, labels[:19])
         with pytest.raises(CountMismatchError):
             dataset.load_idx(img_path, lab_path)
+
+
+class TestLoadCache:
+    """load_idx reuses its last decoded pair only while both files' bytes match."""
+
+    @pytest.fixture(autouse=True)
+    def decodes(self, monkeypatch):
+        monkeypatch.setattr(dataset, "_last_pair", None)
+        paths = []
+        decode = dataset._decode_idx
+
+        def counting(path, *args):
+            paths.append(path)
+            return decode(path, *args)
+
+        monkeypatch.setattr(dataset, "_decode_idx", counting)
+        return paths
+
+    def test_unchanged_files_decode_once(self, idx_dir, tmp_path, decodes):
+        first = dataset.load_idx(*idx_dir["test"])
+        assert dataset.load_idx(*idx_dir["test"]) is first
+        # Equal bytes under other paths (and mtimes) are the same pair.
+        copies = [shutil.copy(p, tmp_path / f"copy-{os.path.basename(p)}")
+                  for p in idx_dir["test"]]
+        assert dataset.load_idx(*copies) is first
+        assert len(decodes) == 2
+
+    def test_other_pair_replaces_the_entry(self, idx_dir, decodes):
+        test = dataset.load_idx(*idx_dir["test"])
+        train = dataset.load_idx(*idx_dir["train"])
+        assert dataset.load_idx(*idx_dir["test"]) is not test
+        assert len(train) == 500 and len(decodes) == 6
+
+    def _rewrite_keeping_stat(self, path, data: bytes):
+        st = os.stat(path)
+        assert len(data) == st.st_size
+        Path(path).write_bytes(data)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+    def test_same_size_same_mtime_rewrite_is_read(self, idx_dir):
+        img_path, lab_path = idx_dir["train"]
+        before = dataset.load_idx(img_path, lab_path)
+        images, _ = synth.make_corpus(500, seed=4)
+        raw = bytearray(Path(img_path).read_bytes())
+        raw[16:] = images.tobytes()
+        self._rewrite_keeping_stat(img_path, bytes(raw))
+        after = dataset.load_idx(img_path, lab_path)
+        assert np.array_equal(after.images, images)
+        assert not np.array_equal(after.images, before.images)
+
+    def test_flipped_byte_in_cached_gz_raises(self, idx_dir):
+        img_path, lab_path = idx_dir["test"]
+        dataset.load_idx(img_path, lab_path)
+        raw = bytearray(Path(img_path).read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        self._rewrite_keeping_stat(img_path, bytes(raw))
+        with pytest.raises(IdxFormatError, match="gzip"):
+            dataset.load_idx(img_path, lab_path)
+
+    def test_deleted_cached_file_raises(self, idx_dir):
+        img_path, lab_path = idx_dir["test"]
+        dataset.load_idx(img_path, lab_path)
+        os.remove(lab_path)
+        with pytest.raises(FileNotFoundError):
+            dataset.load_idx(img_path, lab_path)
+
+    def test_count_mismatch_raises_every_call(self, tmp_path):
+        images, labels = synth.make_corpus(20, seed=0)
+        synth.write_idx_images(tmp_path / "imgs", images)
+        synth.write_idx_labels(tmp_path / "labs", labels[:19])
+        for _ in range(2):
+            with pytest.raises(CountMismatchError):
+                dataset.load_idx(tmp_path / "imgs", tmp_path / "labs")
+
+    @pytest.mark.parametrize("pair", ["train", "test"])  # raw and gzip
+    def test_returned_arrays_read_only(self, idx_dir, pair):
+        s = dataset.load_idx(*idx_dir[pair])
+        for arr in (s.images, s.labels):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
+class TestFeatures:
+    @pytest.mark.parametrize("grid", [
+        GridSpec(),
+        GridSpec(row_indices=(0, 3, 4, 10, 11, 20, 26, 27),
+                 col_indices=(1, 2, 7, 8, 13, 14, 22, 25)),
+    ])
+    def test_64_path_is_downsampled_normalize_bit_for_bit(self, grid):
+        rng = np.random.default_rng(21)
+        images = rng.integers(0, 256, size=(300, 28, 28), dtype=np.uint8)
+        s = LabeledImageSet(images, rng.integers(0, 10, size=300).astype(np.uint8))
+        X, y = cli._features_of(RunConfig(grid=grid), s)
+        want = dataset.downsample(dataset.normalize(s), grid)
+        assert X.dtype == want.dtype == np.float64 and X.shape == (300, 64)
+        assert np.array_equal(X.view(np.int64), want.view(np.int64))
+        assert np.array_equal(y, s.labels.astype(int))
 
 
 class TestNormalize:

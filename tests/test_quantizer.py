@@ -70,6 +70,15 @@ class TestQuantSpec:
         with pytest.raises(ValueError, match="off band"):
             QuantSpec(bits=6, step_volts=0.040, vdd=3.0)  # 63 * 40 mV = 2.52 V
 
+    @pytest.mark.parametrize("bits", [1024, 2000, 10**12])
+    def test_bits_beyond_float_range_rejected(self, bits):
+        # 2**bits - 1 has no float value, so window_span cannot be formed.
+        with pytest.raises(ValueError, match="bits"):
+            QuantSpec(bits=bits)
+
+    def test_largest_float_bits_still_accepted(self):
+        assert QuantSpec(bits=1023, step_volts=1e-310).window_span < 1.5
+
 
 class TestMapWeights:
     def test_mixed_signs_scaled(self):

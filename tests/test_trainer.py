@@ -392,6 +392,20 @@ class TestVote:
         assert tally.max() == 8
         assert pred == 1
 
+    def test_tally_matches_loop_reference(self):
+        # The per-pair loop tally_votes replaced, restated as the reference;
+        # zero votes count for b, ties go to the smallest digit.
+        pairs = trainer.all_pairs()
+        votes = np.random.default_rng(8).integers(-1, 2, size=(500, 45)).astype(float)
+        want = np.zeros((500, 10), dtype=int)
+        for k, (a, b) in enumerate(pairs):
+            want[np.arange(500), np.where(votes[:, k] > 0, a, b)] += 1
+        tallies, preds = tally_votes(pairs, votes)
+        assert tallies.dtype == want.dtype
+        assert np.array_equal(tallies, want)
+        assert np.array_equal(preds, [np.flatnonzero(t == t.max())[0] for t in want])
+        assert (tallies.max(axis=1)[:, None] == tallies).sum(axis=1).max() > 1  # ties occur
+
     def test_vote_batch_matches_single(self, synth_model, synth_features):
         _, _, (sx, _) = synth_features
         tallies, preds = tally_votes(synth_model.pairs, pair_votes(synth_model, sx[:20]))
