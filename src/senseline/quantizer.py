@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trainer import BinaryClassifier
+from .trainer import BinaryClassifier, _check_count
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,7 @@ class QuantSpec:
     vdd: float = 3.0
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
+        _check_count("bits", self.bits)
         if self.step_volts <= 0 or self.vdd <= 0:
             raise ValueError("step_volts and vdd must be positive")
         if self.bits >= sys.float_info.max_exp:

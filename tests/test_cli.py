@@ -284,5 +284,24 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "config error" in err and "bits" in err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("hyper", "max_epochs", 1.5),        # was a TypeError traceback from range()
+        ("hyper", "max_epochs", True),       # was one epoch
+        ("hyper", "learning_rate", float("nan")),
+        ("sbs", "max_features", 0),          # was "max() arg is an empty sequence" in select
+        ("sbs", "candidate_epochs", -3),
+        ("sbs", "candidate_rows", 0),
+        ("sbs", "tolerance", -1),
+    ])
+    def test_invalid_training_config_exits_4(self, workdir, section, key, value, capsys):
+        doc = dict(workdir["doc"])
+        doc[section] = dict(doc.get(section, {}), **{key: value})
+        bad = workdir["tmp"] / "bad_training.json"
+        bad.write_text(json.dumps(doc))  # NaN as JSON NaN
+        assert run(["train", "-c", bad]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not (workdir["tmp"] / "out" / "model.json").exists()
+
     def test_missing_config_file(self, capsys):
         assert run(["prepare", "-c", "/nonexistent/config.json"]) == cli.EXIT_CONFIG

@@ -79,6 +79,16 @@ class TestQuantSpec:
     def test_largest_float_bits_still_accepted(self):
         assert QuantSpec(bits=1023, step_volts=1e-310).window_span < 1.5
 
+    @pytest.mark.parametrize("bits", [4.5, 5.0, True, "5", None])
+    def test_bits_must_be_an_integer(self, bits):
+        # bits = 4.5 gave max_level 21.63, so a unit value quantized to level 22;
+        # bits = True loaded as 1 bit.
+        with pytest.raises(ValueError, match="bits must be an integer"):
+            QuantSpec(bits=bits)
+
+    def test_numpy_integer_bits_accepted(self):
+        assert QuantSpec(bits=np.int64(4)).max_level == 15
+
 
 class TestMapWeights:
     def test_mixed_signs_scaled(self):

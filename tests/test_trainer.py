@@ -171,6 +171,29 @@ class TestTrainLogistic:
             np.testing.assert_allclose(np.delete(W[c], c), ref.weights, rtol=1e-10, atol=1e-12)
 
 
+def train_logistic_reference(X, labels, pair, feature_indices, hyper):
+    """The per-pair loop the lockstep trainer replaced: (weights, bias, epochs stepped).
+
+    X and labels hold the pair's rows only.
+    """
+    Xs = X[:, feature_indices]
+    y = np.where(labels == pair[0], 1.0, -1.0)
+    w = np.zeros(len(feature_indices))
+    bias = 0.0
+    with np.errstate(over="ignore"):
+        for epoch in range(hyper.max_epochs):
+            grad_w, grad_b = logistic_grad(w, Xs, y, hyper.l2_lambda, bias)
+            gmax = np.max(np.abs(grad_w))
+            if hyper.include_intercept:
+                gmax = max(gmax, abs(grad_b))
+            if gmax < hyper.grad_tol:
+                return w, bias, epoch
+            w = w - hyper.learning_rate * grad_w
+            if hyper.include_intercept:
+                bias -= hyper.learning_rate * grad_b
+    return w, bias, hyper.max_epochs
+
+
 def sigmoid_neg_two_branch(u):
     # Reference: sigma(-u) by sign, one exp per element.
     out = np.empty(u.shape)
@@ -282,6 +305,60 @@ class TestKernelMatchesReference:
         for (sub, acc), (ref_sub, ref_acc) in zip(record, ref):
             assert np.array_equal(sub, ref_sub)
             assert acc == ref_acc
+
+
+class TestLockstepTrainer:
+    """Every pair trained in lockstep equals the same pair trained alone, bit for bit."""
+
+    @pytest.mark.parametrize("grad_tol", [0.0, 2e-2])
+    @pytest.mark.parametrize("with_b", [False, True])
+    @pytest.mark.parametrize("features", ["full", "subsets"])
+    def test_all_pairs_equal_reference(self, synth_features, features, with_b, grad_tol):
+        (tx, ty), (vx, vy), _ = synth_features
+        hyper = TrainHyper(max_epochs=60, grad_tol=grad_tol, include_intercept=with_b)
+        rng = np.random.default_rng(9)
+        tasks = []
+        for pair in trainer.all_pairs():
+            rows = (ty == pair[0]) | (ty == pair[1])
+            k = 64 if features == "full" else int(rng.integers(1, 65))
+            tasks.append((pair, rows, np.sort(rng.permutation(64)[:k])))
+        if features == "full":
+            got = trainer.build_ovo(tx, ty, vx, vy, hyper, sbs=None).classifiers
+        else:
+            assert len({len(f) for _, _, f in tasks}) > 20  # uneven subsets
+            got = trainer._train_pairs(tx, ty, tasks, hyper)
+        stopped = []
+        for c, (pair, rows, feats) in zip(got, tasks):
+            w, bias, epochs = train_logistic_reference(tx[rows], ty[rows], pair, feats, hyper)
+            assert c.class_pair == pair
+            assert np.array_equal(c.feature_indices, feats)
+            assert_bits_equal(c.weights, w)
+            assert_bits_equal(c.intercept, bias)
+            stopped.append(epochs)
+        if grad_tol:  # pairs freeze at different epochs, and some run to the end
+            assert len(set(stopped) - {hyper.max_epochs}) >= 2
+            assert hyper.max_epochs in stopped
+
+    def test_one_diverging_pair_is_named_without_warnings(self, synth_features):
+        # Pair 3-8 alone trains on a column of 1e307, whose gradient overflows;
+        # its weights stay non-finite through the remaining epochs.
+        (tx, ty), _, _ = synth_features
+        X = np.hstack([tx, np.full((len(tx), 1), 1e307)])
+        tasks = [(pair, (ty == pair[0]) | (ty == pair[1]),
+                  [64] if pair == (3, 8) else np.arange(64)) for pair in trainer.all_pairs()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError, match=r"pair \(3, 8\): weights"):
+                trainer._train_pairs(X, ty, tasks, TrainHyper(max_epochs=30))
+
+    def test_zero_learning_rate_warns_once(self, synth_features):
+        (tx, ty), (vx, vy), _ = synth_features
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = trainer.build_ovo(tx, ty, vx, vy, TrainHyper(learning_rate=0.0), sbs=None)
+        assert [str(w.message) for w in caught] == [
+            "learning_rate is 0; returning zero-initialized weights"]
+        assert all(not c.weights.any() and c.intercept == 0.0 for c in model.classifiers)
 
 
 class TestSBS:
