@@ -17,7 +17,7 @@ from .device import DeviceParams
 from .line_sim import LineTiming, euler_factor
 from .quantizer import QuantSpec
 from .system import EVAL_MODES
-from .trainer import SBSSpec, TrainHyper
+from .trainer import SBSSpec, TrainHyper, _check_count
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,8 @@ class EvalSpec:
     def __post_init__(self):
         if self.mode not in EVAL_MODES:
             raise ValueError(f"evaluate.mode must be one of {EVAL_MODES}, got {self.mode!r}")
-        if self.subset is not None and not (isinstance(self.subset, int) and self.subset >= 1):
-            raise ValueError(f"evaluate.subset must be null or an integer >= 1, got {self.subset!r}")
-        if not (isinstance(self.trace_digits, int) and self.trace_digits >= 0):
-            raise ValueError(f"evaluate.trace_digits must be an integer >= 0, "
-                             f"got {self.trace_digits!r}")
+        _check_count("evaluate.subset", self.subset, optional=True)
+        _check_count("evaluate.trace_digits", self.trace_digits, minimum=0)
 
 
 @dataclass(frozen=True)
@@ -60,6 +57,8 @@ class RunConfig:
     seed: int = 42
 
     def __post_init__(self):
+        _check_count("seed", self.seed, minimum=0)
+        _check_count("feature_space", self.feature_space)
         if self.feature_space not in (64, 784):
             raise ValueError("feature_space must be 64 or 784")
         if self.evaluate.mode == "analog":

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .trainer import _check_count
+
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 # (magic, n_dims, what) of each IDX kind, as _decode_idx takes them.
@@ -73,6 +75,8 @@ class GridSpec:
 
     def __post_init__(self):
         for name, idx in (("row_indices", self.row_indices), ("col_indices", self.col_indices)):
+            for k, v in enumerate(idx):
+                _check_count(f"{name}[{k}]", v, minimum=0)
             if len(idx) != 8:
                 raise ValueError(f"{name} must have exactly 8 entries, got {len(idx)}")
             if list(idx) != sorted(set(idx)):
@@ -91,8 +95,8 @@ class SplitSpec:
     shuffle_seed: int = 42
 
     def __post_init__(self):
-        if min(self.train_count, self.val_count, self.test_count) < 0:
-            raise ValueError("split counts must be non-negative")
+        for name in ("train_count", "val_count", "test_count", "shuffle_seed"):
+            _check_count(name, getattr(self, name), minimum=0)
 
 
 @dataclass(frozen=True)

@@ -99,11 +99,6 @@ def weight_levels(c: BinaryClassifier, q: QuantSpec = QuantSpec()) -> np.ndarray
     p-type device, -level an n-type one, and 0 (a zero weight or one that
     quantizes to level 0) is no device.
     """
-    if c.intercept != 0.0:
-        raise ValueError(
-            f"classifier {c.class_pair} has a nonzero intercept; "
-            "the array has no device to realize it"
-        )
     w = np.asarray(c.weights, dtype=np.float64)
     scale = np.max(np.abs(w))
     if scale == 0.0:

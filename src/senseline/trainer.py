@@ -1,10 +1,12 @@
 """One-vs-one logistic classifier training and inference.
 
 A binary classifier for digit pair (a, b) scores an input x by the linear
-margin Z = sum_i w_i * x_i and predicts +1 (class a) when Z >= Z_th, else -1
-(class b). Training is full-batch gradient descent on the logistic loss.
-The multiclass ensemble holds one classifier per unordered digit pair
-(45 for ten digits) and predicts by majority vote.
+margin Z = sum_i w_i * x_i and predicts +1 (class a) when Z >= 0, else -1
+(class b). That is all the array realizes: one device per weight, no bias
+device, and a line that decides at a fixed vdd/2. Training is full-batch
+gradient descent on the logistic loss. The multiclass ensemble holds one
+classifier per unordered digit pair (45 for ten digits) and predicts by
+majority vote.
 
 Per-pair feature subsets come from greedy backward elimination: repeatedly
 retrain without each remaining feature, drop the one whose removal helps
@@ -34,28 +36,26 @@ def _check_number(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
-def _check_count(name: str, value, optional: bool = False) -> None:
+def _check_count(name: str, value, optional: bool = False, minimum: int = 1) -> None:
     if optional and value is None:
         return
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be {'null or ' if optional else ''}an integer >= 1, "
-                         f"got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be {'null or ' if optional else ''}an integer "
+                         f">= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class TrainHyper:
     """Gradient-descent hyperparameters.
 
-    No intercept by default: every trained weight must map onto one device
-    of the array, and the array has no constant-input column. The intercept
-    option exists for digital-only studies.
+    Models have no intercept: every trained weight maps onto one device of
+    the array, and the array has no constant-input column.
     """
 
     learning_rate: float = 0.5
     max_epochs: int = 500
     grad_tol: float = 1e-5
     l2_lambda: float = 1e-4
-    include_intercept: bool = False
 
     def __post_init__(self):
         for name in ("learning_rate", "grad_tol", "l2_lambda"):
@@ -103,8 +103,6 @@ class BinaryClassifier:
     class_pair: tuple[int, int]
     feature_indices: np.ndarray
     weights: np.ndarray
-    intercept: float = 0.0
-    threshold: float = 0.0
 
     def __post_init__(self):
         a, b = self.class_pair
@@ -180,7 +178,7 @@ def logistic_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray,
 
 
 def predict_margin(c: BinaryClassifier, x: np.ndarray) -> np.ndarray | float:
-    """Margin Z = sum_i w_i * x[feature_indices[i]] (+ intercept).
+    """Margin Z = sum_i w_i * x[feature_indices[i]].
 
     Accepts a single feature vector or a (n, d) matrix.
     """
@@ -188,7 +186,7 @@ def predict_margin(c: BinaryClassifier, x: np.ndarray) -> np.ndarray | float:
     max_idx = int(np.max(c.feature_indices))
     if x.shape[-1] <= max_idx:
         raise IndexError(f"input dimension {x.shape[-1]} does not cover feature index {max_idx}")
-    z = x[..., c.feature_indices] @ c.weights + c.intercept
+    z = x[..., c.feature_indices] @ c.weights
     return float(z) if z.ndim == 0 else z
 
 
@@ -204,14 +202,13 @@ def filter_pair(X: np.ndarray, labels: np.ndarray, pair: tuple[int, int]):
 
 
 def _gd_masked(X: np.ndarray, y: np.ndarray, W: np.ndarray, mask: np.ndarray,
-               hyper: TrainHyper, epochs: int, with_intercept: bool) -> np.ndarray:
+               hyper: TrainHyper, epochs: int) -> np.ndarray:
     """Train a batch of linear-logistic models simultaneously, in place.
 
     Row c of W (float64, C-contiguous) is one model and is updated in place;
     entries where mask is False must be zero on entry and stay zero, which
-    makes row c equivalent to a model trained without those features. When
-    with_intercept, the last column of X is the constant 1 and is never
-    masked or regularized. Returns W.
+    makes row c equivalent to a model trained without those features.
+    Returns W.
 
     Each epoch is the plain full-batch step W <- (W - lr*(l2*W - M/n)) * mask
     with M = (y * sigma(-y * (X @ W.T))).T @ X, computed with y folded into
@@ -223,9 +220,6 @@ def _gd_masked(X: np.ndarray, y: np.ndarray, W: np.ndarray, mask: np.ndarray,
     n = len(y)
     lr = hyper.learning_rate
     l2 = hyper.l2_lambda
-    if with_intercept:  # the constant column is not regularized
-        l2 = np.full(X.shape[1], l2)
-        l2[-1] = 0.0
     keep = mask.astype(np.float64)
     Xy = X * y[:, None]              # a contiguous X keeps its memory order
     V = np.empty((n, len(W)))        # y * margins, then sigma(-y * margins)
@@ -255,7 +249,7 @@ _BLOCK_BYTES = 1 << 20
 
 
 def _pair_problem(X: np.ndarray, labels: np.ndarray, pair: tuple[int, int], feature_indices):
-    """Check one pair's rows; return (feature_indices, y * X[:, features], y).
+    """Check one pair's rows; return (feature_indices, y * X[:, features]).
 
     y holds the +/-1 labels (+1 = pair[0]). Folding y into the rows is exact:
     it only flips signs. The column gather is Fortran-ordered and the fold
@@ -271,28 +265,25 @@ def _pair_problem(X: np.ndarray, labels: np.ndarray, pair: tuple[int, int], feat
     if a not in present or b not in present:
         raise ValueError(f"one class of pair {pair} is empty after filtering")
     y = np.where(labels == a, 1.0, -1.0)
-    return feature_indices, X[:, feature_indices] * y[:, None], y
+    return feature_indices, X[:, feature_indices] * y[:, None]
 
 
 def _descend(problems: list, hyper: TrainHyper):
     """Full-batch gradient descent from zero for a block of pairs, in lockstep.
 
-    problems are _pair_problem results. Returns each pair's weights (views
-    into one array) and its intercepts. Each pair takes exactly the steps it
-    would take alone: w <- w - lr * (l2*w - (Xy.T @ s) / n) with
-    s = sigma(-(Xy @ w + y*b)), and b <- b + lr * mean(y*s) with an
-    intercept. A pair freezes at the first epoch whose gradient
-    infinity-norm is below grad_tol, before that epoch's step. The pairs
-    share one margin buffer and one weight and gradient vector, so each
-    epoch makes one elementwise call where a pair alone would make one each.
+    problems are _pair_problem results. Returns each pair's weights, as
+    views into one array. Each pair takes exactly the steps it would take
+    alone: w <- w - lr * (l2*w - (Xy.T @ s) / n) with s = sigma(-(Xy @ w)).
+    A pair freezes at the first epoch whose gradient infinity-norm is below
+    grad_tol, before that epoch's step. The pairs share one margin buffer
+    and one weight and gradient vector, so each epoch makes one elementwise
+    call where a pair alone would make one each.
     """
     lr, l2, tol = hyper.learning_rate, hyper.l2_lambda, hyper.grad_tol
-    with_b = hyper.include_intercept
-    Xys = [Xy for _, Xy, _ in problems]
-    ys = [y for _, _, y in problems]
-    sizes = [len(f) for f, _, _ in problems]
+    Xys = [Xy for _, Xy in problems]
+    sizes = [len(f) for f, _ in problems]
     w_start = np.cumsum([0] + sizes)
-    n_start = np.cumsum([0] + [len(y) for y in ys])
+    n_start = np.cumsum([0] + [len(Xy) for Xy in Xys])
     W = np.zeros(w_start[-1])
     G = np.empty_like(W)
     R = np.empty_like(W)
@@ -300,9 +291,7 @@ def _descend(problems: list, hyper: TrainHyper):
     Ws = [W[s:e] for s, e in zip(w_start, w_start[1:])]
     Gs = [G[s:e] for s, e in zip(w_start, w_start[1:])]
     Vs = [V[s:e] for s, e in zip(n_start, n_start[1:])]
-    n_of_w = np.repeat([float(len(y)) for y in ys], sizes)
-    bias = np.zeros(len(problems))
-    grad_b = np.zeros(len(problems))
+    n_of_w = np.repeat([float(len(Xy)) for Xy in Xys], sizes)
     live = np.ones(len(problems), dtype=bool)
     steps, live_w = range(len(problems)), True
     # A diverged pair's weights stay non-finite; the caller checks them once.
@@ -310,20 +299,13 @@ def _descend(problems: list, hyper: TrainHyper):
         for _ in range(hyper.max_epochs):
             for p in steps:
                 np.matmul(Xys[p], Ws[p], out=Vs[p])
-                if with_b:
-                    Vs[p] += ys[p] * bias[p]
             _sigmoid_neg(V, out=V)
             for p in steps:
                 np.matmul(Xys[p].T, Vs[p], out=Gs[p])
-                if with_b:
-                    grad_b[p] = -np.mean(ys[p] * Vs[p])
             G /= n_of_w
             np.multiply(W, l2, out=R)
             np.subtract(R, G, out=G)
-            gmax = np.maximum.reduceat(np.abs(G), w_start[:-1])
-            if with_b:
-                np.maximum(gmax, np.abs(grad_b), out=gmax)
-            frozen = live & (gmax < tol)
+            frozen = live & (np.maximum.reduceat(np.abs(G), w_start[:-1]) < tol)
             if frozen.any():
                 live &= ~frozen
                 if not live.any():
@@ -332,9 +314,7 @@ def _descend(problems: list, hyper: TrainHyper):
                 live_w = np.repeat(live, sizes)
             G *= lr
             np.subtract(W, G, out=W, where=live_w)
-            if with_b:
-                bias[live] -= lr * grad_b[live]
-    return Ws, bias
+    return Ws
 
 
 def _train_pairs(X: np.ndarray, labels: np.ndarray, tasks: list,
@@ -361,19 +341,17 @@ def _train_pairs(X: np.ndarray, labels: np.ndarray, tasks: list,
                     for pair, rows, features in block]
         if hyper.learning_rate == 0.0:
             classifiers += [BinaryClassifier(pair, f, np.zeros(len(f)))
-                            for (pair, _, _), (f, _, _) in zip(block, problems)]
+                            for (pair, _, _), (f, _) in zip(block, problems)]
             continue
-        Ws, bias = _descend(problems, hyper)
-        for (pair, _, _), (features, Xy, y), w, b in zip(block, problems, Ws, bias):
+        for (pair, _, _), (features, Xy), w in zip(block, problems, _descend(problems, hyper)):
             if not np.all(np.isfinite(w)):
                 raise TrainingDivergedError(
                     f"pair {pair}: weights became non-finite; lower the learning rate")
-            # Xy = y * X, so with labels 1 and the intercept y * b the
-            # margins are the label-signed ones and the loss is the same.
-            loss = logistic_loss(w, Xy, 1.0, hyper.l2_lambda, y * b)
-            if not np.isfinite(loss):
+            # Xy = y * X, so with labels 1 the margins are the label-signed
+            # ones and the loss is the same.
+            if not np.isfinite(logistic_loss(w, Xy, 1.0, hyper.l2_lambda)):
                 raise TrainingDivergedError(f"pair {pair}: final loss is non-finite")
-            classifiers.append(BinaryClassifier(pair, features, w.copy(), float(b)))
+            classifiers.append(BinaryClassifier(pair, features, w.copy()))
     return classifiers
 
 
@@ -411,26 +389,24 @@ def sbs_select(pair: tuple[int, int], train_x: np.ndarray, train_y: np.ndarray,
         Xtr, ytr = Xtr[: spec.candidate_rows], ytr[: spec.candidate_rows]
 
     d = train_x.shape[1]
-    with_b = hyper.include_intercept
-    # Columns of the active features (then the constant column, if any),
-    # Fortran-ordered like a column gather; np.delete keeps that order.
-    Xa = np.asfortranarray(np.hstack([Xtr, np.ones((len(ytr), 1))]) if with_b else Xtr)
-    Xva = np.asfortranarray(np.hstack([Xv, np.ones((len(yv), 1))]) if with_b else Xv)
+    # Columns of the active features, Fortran-ordered like a column gather
+    # (BLAS may sum in another order for another layout); np.delete keeps
+    # that order.
+    Xa = np.asfortranarray(Xtr)
+    Xva = np.asfortranarray(Xv)
     val_pos = yv[:, None] > 0
 
     def val_acc(W):
         return np.mean((Xva @ W.T >= 0) == val_pos, axis=0)
 
     active = np.arange(d)
-    parent = _gd_masked(Xa, ytr, np.zeros((1, d + with_b)), np.ones((1, d + with_b), dtype=bool),
-                        hyper, spec.full_epochs, with_b)[0]
+    parent = _gd_masked(Xa, ytr, np.zeros((1, d)), np.ones((1, d), dtype=bool),
+                        hyper, spec.full_epochs)[0]
     record = [(active.copy(), float(val_acc(parent[None, :])[0]))]
 
     while len(active) > 1:
-        k = len(active)
-        mask = np.ones((k, k + with_b), dtype=bool)
-        mask[np.arange(k), np.arange(k)] = False
-        W = _gd_masked(Xa, ytr, parent * mask, mask, hyper, spec.candidate_epochs, with_b)
+        mask = ~np.eye(len(active), dtype=bool)
+        W = _gd_masked(Xa, ytr, parent * mask, mask, hyper, spec.candidate_epochs)
         accs = val_acc(W)
         j = int(np.argmax(accs))
         parent = np.delete(W[j], j)
@@ -475,11 +451,10 @@ def build_ovo(train_x: np.ndarray, train_y: np.ndarray,
 def pair_votes(model: OvOModel, X: np.ndarray) -> np.ndarray:
     """+/-1 vote of every classifier on each row of X: (n, 45), classifier order.
 
-    +1 (class_pair[0]) where the margin reaches the threshold; the boundary
-    belongs to +1.
+    +1 (class_pair[0]) where the margin is >= 0; the boundary belongs to +1.
     """
     X = np.atleast_2d(X)
-    return np.stack([np.where(predict_margin(c, X) >= c.threshold, 1, -1)
+    return np.stack([np.where(predict_margin(c, X) >= 0, 1, -1)
                      for c in model.classifiers], axis=1)
 
 
@@ -517,7 +492,7 @@ def per_pair_val_accuracy(model: OvOModel, val_x: np.ndarray, val_y: np.ndarray)
     for c in model.classifiers:
         Xv, yv = filter_pair(val_x, val_y, c.class_pair)
         z = predict_margin(c, Xv)
-        out[c.class_pair] = float(np.mean((z >= c.threshold) == (yv > 0)))
+        out[c.class_pair] = float(np.mean((z >= 0) == (yv > 0)))
     return out
 
 
@@ -528,25 +503,43 @@ def model_to_dict(model: OvOModel) -> dict:
                 "pair": list(c.class_pair),
                 "feature_indices": c.feature_indices.tolist(),
                 "weights": c.weights.tolist(),
-                "intercept": c.intercept,
-                "threshold": c.threshold,
             }
             for c in model.classifiers
         ]
     }
 
 
+_RECORD_KEYS = ("pair", "feature_indices", "weights")
+
+
+def _classifier_from_record(i: int, rec) -> BinaryClassifier:
+    """Classifier i of a model file; a ValueError names i and the key at fault."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"classifier {i}: expected an object with keys {list(_RECORD_KEYS)}")
+    unknown = [k for k in rec if k not in _RECORD_KEYS]
+    missing = [k for k in _RECORD_KEYS if k not in rec]
+    if unknown or missing:
+        raise ValueError(f"classifier {i}: {'unknown' if unknown else 'missing'} key "
+                         f"{(unknown or missing)[0]!r}; a record holds exactly "
+                         f"{', '.join(_RECORD_KEYS)}; rerun `train`")
+    for key in ("pair", "feature_indices"):
+        if not isinstance(rec[key], list):
+            raise ValueError(f"classifier {i}: {key} must be a list, got {rec[key]!r}")
+        for j, v in enumerate(rec[key]):
+            if type(v) is not int or v < 0:  # a call per entry would cost ~2.5 ms a model
+                _check_count(f"classifier {i}: {key}[{j}]", v, minimum=0)
+    try:
+        return BinaryClassifier(tuple(rec["pair"]), rec["feature_indices"], rec["weights"])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"classifier {i}: {e}") from None
+
+
 def model_from_dict(d: dict) -> OvOModel:
-    return OvOModel([
-        BinaryClassifier(
-            class_pair=tuple(rec["pair"]),
-            feature_indices=np.asarray(rec["feature_indices"], dtype=np.intp),
-            weights=np.asarray(rec["weights"]),
-            intercept=float(rec.get("intercept", 0.0)),
-            threshold=float(rec.get("threshold", 0.0)),
-        )
-        for rec in d["classifiers"]
-    ])
+    """The model of a model_to_dict document; malformed records raise ValueError."""
+    records = d.get("classifiers") if isinstance(d, dict) else None
+    if not isinstance(records, list):
+        raise ValueError("model file has no 'classifiers' list; rerun `train`")
+    return OvOModel([_classifier_from_record(i, rec) for i, rec in enumerate(records)])
 
 
 def load_model(path) -> OvOModel:

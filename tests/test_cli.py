@@ -303,5 +303,36 @@ class TestConfigErrors:
         assert "config error" in err and key in err
         assert not (workdir["tmp"] / "out" / "model.json").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("split.train_count", 1.5),          # was a TypeError traceback in prepare
+        ("seed", 1.5),                       # was a TypeError traceback in prepare
+        ("grid.row_indices", [2.0, 5, 9, 12, 16, 19, 23, 26]),
+        ("evaluate.subset", True),           # was one digit
+        ("evaluate.trace_digits", False),    # was zero records
+        ("feature_space", 64.0),
+    ])
+    def test_non_integer_count_exits_4(self, workdir, key, value, capsys):
+        doc = json.loads(json.dumps(workdir["doc"]))
+        *section, name = key.split(".")
+        target = doc.setdefault(section[0], {}) if section else doc
+        target[name] = value
+        bad = workdir["tmp"] / "bad_count.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["prepare", "-c", bad]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and name in err
+        assert not (workdir["tmp"] / "out" / "prepare.json").exists()
+
+    def test_model_with_intercept_and_threshold_keys_exits_4(self, workdir, capsys):
+        assert run(["train", "-c", workdir["config"]]) == 0
+        path = workdir["tmp"] / "out" / "model.json"
+        doc = json.loads(path.read_text())
+        for rec in doc["classifiers"]:
+            rec.update(intercept=0.0, threshold=0.0)
+        path.write_text(json.dumps(doc))
+        assert run(["build", "-c", workdir["config"]]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "classifier 0: unknown key 'intercept'" in err and "rerun `train`" in err
+
     def test_missing_config_file(self, capsys):
         assert run(["prepare", "-c", "/nonexistent/config.json"]) == cli.EXIT_CONFIG

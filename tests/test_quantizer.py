@@ -129,12 +129,6 @@ class TestMapWeights:
         with pytest.raises(ValueError, match="all-zero"):
             map_weights(clf([0.0, 0.0]))
 
-    def test_intercept_model_rejected(self):
-        c = clf([1.0, -1.0])
-        c.intercept = 0.3
-        with pytest.raises(ValueError, match="intercept"):
-            map_weights(c)
-
 
 class TestGateBiases:
     def test_vbg_full_drive(self):

@@ -24,9 +24,9 @@ def toy_classifier(pair=(0, 1), weights=(1.0, 1.0), features=(0, 1)):
     return BinaryClassifier(pair, np.array(features), np.array(weights, dtype=float))
 
 
-def sign_of(z, z_th):
-    """The +/-1 vote of a one-weight classifier whose margin is z, at threshold z_th."""
-    c = BinaryClassifier((0, 1), np.array([0]), np.array([1.0]), threshold=z_th)
+def sign_of(z):
+    """The +/-1 vote of a one-weight classifier whose margin is z."""
+    c = BinaryClassifier((0, 1), np.array([0]), np.array([1.0]))
     model = OvOModel([c] + [toy_classifier(p) for p in trainer.all_pairs()[1:]])
     return pair_votes(model, np.array([[z, 0.0]]))[0, 0]
 
@@ -53,20 +53,20 @@ class TestPredict:
             predict_margin(c, np.zeros(5))
 
     def test_sign_boundary_is_positive(self):
-        assert sign_of(0.0, 0.0) == 1
+        assert sign_of(0.0) == 1
+        assert sign_of(-0.0) == 1
 
     def test_sign_branches(self):
-        assert sign_of(-0.001, 0.0) == -1
-        assert sign_of(5.0, 0.0) == 1
+        assert sign_of(-0.001) == -1
+        assert sign_of(5.0) == 1
 
     def test_sign_scale_invariance(self):
-        # Scaling weights and threshold together by alpha > 0 never flips the sign.
+        # Scaling the margin by alpha > 0 never flips the sign.
         rng = np.random.default_rng(2)
         for _ in range(200):
             z = rng.normal()
-            th = rng.normal()
             alpha = rng.uniform(0.01, 100)
-            assert sign_of(z, th) == sign_of(alpha * z, alpha * th)
+            assert sign_of(z) == sign_of(alpha * z)
 
 
 class TestGradient:
@@ -106,12 +106,12 @@ class TestGradient:
 
 class TestTrainLogistic:
     def test_separable_toy(self):
-        X = np.array([[0.9], [0.1], [0.85], [0.15]])
+        # Zero-centred inputs: the boundary passes through the origin.
+        X = np.array([[0.4], [-0.4], [0.35], [-0.35]])
         labels = np.array([0, 1, 0, 1])
-        c = trainer.train_logistic(X, labels, (0, 1), [0],
-                                   TrainHyper(include_intercept=True))
+        c = trainer.train_logistic(X, labels, (0, 1), [0])
         assert c.weights[0] > 0
-        preds = np.where(predict_margin(c, X) >= c.threshold, 1, -1)
+        preds = np.where(predict_margin(c, X) >= 0, 1, -1)
         assert np.array_equal(preds, np.where(labels == 0, 1, -1))
 
     def test_zero_learning_rate_warns_and_keeps_zeros(self):
@@ -148,7 +148,7 @@ class TestTrainLogistic:
         mask = (ty == 0) | (ty == 1)
         c = trainer.train_logistic(tx[mask], ty[mask], (0, 1), np.arange(64))
         Xv, yv = trainer.filter_pair(vx, vy, (0, 1))
-        acc = np.mean((predict_margin(c, Xv) >= c.threshold) == (yv > 0))
+        acc = np.mean((predict_margin(c, Xv) >= 0) == (yv > 0))
         assert acc > 0.99
 
     def test_masked_batch_matches_individual_training(self, synth_features):
@@ -162,7 +162,7 @@ class TestTrainLogistic:
         k = 10
         mask = ~np.eye(k, dtype=bool)
         W = np.zeros((k, k))
-        assert trainer._gd_masked(Xp, yp, W, mask, hyper, 40, False) is W  # in place
+        assert trainer._gd_masked(Xp, yp, W, mask, hyper, 40) is W  # in place
         mask_rows = (ty == pair[0]) | (ty == pair[1])
         labels = ty[mask_rows][:300]
         for c in (0, 4, 9):
@@ -172,26 +172,20 @@ class TestTrainLogistic:
 
 
 def train_logistic_reference(X, labels, pair, feature_indices, hyper):
-    """The per-pair loop the lockstep trainer replaced: (weights, bias, epochs stepped).
+    """The per-pair loop the lockstep trainer replaced: (weights, epochs stepped).
 
     X and labels hold the pair's rows only.
     """
     Xs = X[:, feature_indices]
     y = np.where(labels == pair[0], 1.0, -1.0)
     w = np.zeros(len(feature_indices))
-    bias = 0.0
     with np.errstate(over="ignore"):
         for epoch in range(hyper.max_epochs):
-            grad_w, grad_b = logistic_grad(w, Xs, y, hyper.l2_lambda, bias)
-            gmax = np.max(np.abs(grad_w))
-            if hyper.include_intercept:
-                gmax = max(gmax, abs(grad_b))
-            if gmax < hyper.grad_tol:
-                return w, bias, epoch
+            grad_w, _ = logistic_grad(w, Xs, y, hyper.l2_lambda)
+            if np.max(np.abs(grad_w)) < hyper.grad_tol:
+                return w, epoch
             w = w - hyper.learning_rate * grad_w
-            if hyper.include_intercept:
-                bias -= hyper.learning_rate * grad_b
-    return w, bias, hyper.max_epochs
+    return w, hyper.max_epochs
 
 
 def sigmoid_neg_two_branch(u):
@@ -205,17 +199,14 @@ def sigmoid_neg_two_branch(u):
     return out
 
 
-def gd_masked_reference(X, y, W0, mask, hyper, epochs, with_intercept):
+def gd_masked_reference(X, y, W0, mask, hyper, epochs):
     # Reference: masked full-batch gradient descent written out directly.
-    l2 = np.full(X.shape[1], hyper.l2_lambda)
-    if with_intercept:
-        l2[-1] = 0.0
     W = W0 * mask
     yc = y[:, None]
     for _ in range(epochs):
         Z = X @ W.T
         S = yc * sigmoid_neg_two_branch(yc * Z)
-        G = -(S.T @ X) / len(y) + l2 * W
+        G = -(S.T @ X) / len(y) + hyper.l2_lambda * W
         W = (W - hyper.learning_rate * G) * mask
     return W
 
@@ -225,26 +216,20 @@ def sbs_record_reference(pair, tx, ty, vx, vy, hyper, spec):
     Xtr, ytr = trainer.filter_pair(tx, ty, pair)
     Xv, yv = trainer.filter_pair(vx, vy, pair)
     Xtr, ytr = Xtr[: spec.candidate_rows], ytr[: spec.candidate_rows]
-    d, b = tx.shape[1], int(hyper.include_intercept)
-    Xtr = np.hstack([Xtr, np.ones((len(ytr), b))])
-    Xv = np.hstack([Xv, np.ones((len(yv), b))])
-
-    def cols(act):
-        return np.concatenate([act, np.arange(d, d + b)])
+    d = tx.shape[1]
 
     def acc(W, act):
-        return np.mean((Xv[:, cols(act)] @ W.T >= 0) == (yv[:, None] > 0), axis=0)
+        return np.mean((Xv[:, act] @ W.T >= 0) == (yv[:, None] > 0), axis=0)
 
     active = np.arange(d)
-    parent = gd_masked_reference(Xtr, ytr, np.zeros((1, d + b)), np.ones((1, d + b), dtype=bool),
-                                 hyper, spec.full_epochs, b)[0]
+    parent = gd_masked_reference(Xtr, ytr, np.zeros((1, d)), np.ones((1, d), dtype=bool),
+                                 hyper, spec.full_epochs)[0]
     record = [(active, acc(parent[None, :], active)[0])]
     while len(active) > 1:
         k = len(active)
-        mask = np.ones((k, k + b), dtype=bool)
-        mask[np.arange(k), np.arange(k)] = False
-        W = gd_masked_reference(Xtr[:, cols(active)], ytr, np.tile(parent, (k, 1)), mask,
-                                hyper, spec.candidate_epochs, b)
+        mask = ~np.eye(k, dtype=bool)
+        W = gd_masked_reference(Xtr[:, active], ytr, np.tile(parent, (k, 1)), mask,
+                                hyper, spec.candidate_epochs)
         accs = acc(W, active)
         j = int(np.argmax(accs))
         parent = np.delete(W[j], j)
@@ -273,31 +258,26 @@ class TestKernelMatchesReference:
         assert_bits_equal(got, ref)
         assert_bits_equal(in_place, ref)
 
-    @pytest.mark.parametrize("with_b", [False, True])
     @pytest.mark.parametrize("k,n", [(1, 7), (5, 173), (30, 200), (64, 200), (65, 1000)])
     @pytest.mark.parametrize("layout", ["C", "gathered", "sliced"])
-    def test_gd_masked_equals_reference(self, k, n, with_b, layout):
+    def test_gd_masked_equals_reference(self, k, n, layout):
         rng = np.random.default_rng(k * 1000 + n)
-        X = rng.random((n, 2 * k + with_b))
-        X[:, k:] = 1.0                               # the last column: intercept
-        cols = np.r_[np.arange(k), np.arange(2 * k, 2 * k + with_b)]
+        X = rng.random((n, 2 * k))
+        cols = np.arange(k)
         X = {"C": np.ascontiguousarray(X[:, cols]),  # row-major copy
              "gathered": X[:, cols],                 # column gather: Fortran order
-             "sliced": X[:, : k + with_b]}[layout]   # view with a wider row stride
+             "sliced": X[:, :k]}[layout]             # view with a wider row stride
         y = np.where(rng.random(n) > 0.5, 1.0, -1.0)
-        hyper = TrainHyper(learning_rate=0.5, l2_lambda=1e-3, include_intercept=with_b)
-        parent = rng.normal(scale=0.3, size=k + with_b)
-        candidates = np.ones((k, k + with_b), dtype=bool)
-        candidates[np.arange(k), np.arange(k)] = False
-        for mask in (np.ones((1, k + with_b), dtype=bool), candidates):
-            W = trainer._gd_masked(X, y, parent * mask, mask, hyper, 12, with_b)
-            ref = gd_masked_reference(X, y, np.tile(parent, (len(mask), 1)), mask, hyper, 12, with_b)
+        hyper = TrainHyper(learning_rate=0.5, l2_lambda=1e-3)
+        parent = rng.normal(scale=0.3, size=k)
+        for mask in (np.ones((1, k), dtype=bool), ~np.eye(k, dtype=bool)):
+            W = trainer._gd_masked(X, y, parent * mask, mask, hyper, 12)
+            ref = gd_masked_reference(X, y, np.tile(parent, (len(mask), 1)), mask, hyper, 12)
             assert_bits_equal(W, ref)
 
-    @pytest.mark.parametrize("with_b", [False, True])
-    def test_sbs_record_equals_reference_elimination(self, synth_features, with_b):
+    def test_sbs_record_equals_reference_elimination(self, synth_features):
         (tx, ty), (vx, vy), _ = synth_features
-        hyper = TrainHyper(max_epochs=150, include_intercept=with_b)
+        hyper = TrainHyper(max_epochs=150)
         spec = SBSSpec(candidate_epochs=8, full_epochs=60, candidate_rows=200)
         _, record = trainer.sbs_select((3, 8), tx, ty, vx, vy, hyper, spec, return_record=True)
         ref = sbs_record_reference((3, 8), tx, ty, vx, vy, hyper, spec)
@@ -311,11 +291,10 @@ class TestLockstepTrainer:
     """Every pair trained in lockstep equals the same pair trained alone, bit for bit."""
 
     @pytest.mark.parametrize("grad_tol", [0.0, 2e-2])
-    @pytest.mark.parametrize("with_b", [False, True])
     @pytest.mark.parametrize("features", ["full", "subsets"])
-    def test_all_pairs_equal_reference(self, synth_features, features, with_b, grad_tol):
+    def test_all_pairs_equal_reference(self, synth_features, features, grad_tol):
         (tx, ty), (vx, vy), _ = synth_features
-        hyper = TrainHyper(max_epochs=60, grad_tol=grad_tol, include_intercept=with_b)
+        hyper = TrainHyper(max_epochs=60, grad_tol=grad_tol)
         rng = np.random.default_rng(9)
         tasks = []
         for pair in trainer.all_pairs():
@@ -329,11 +308,10 @@ class TestLockstepTrainer:
             got = trainer._train_pairs(tx, ty, tasks, hyper)
         stopped = []
         for c, (pair, rows, feats) in zip(got, tasks):
-            w, bias, epochs = train_logistic_reference(tx[rows], ty[rows], pair, feats, hyper)
+            w, epochs = train_logistic_reference(tx[rows], ty[rows], pair, feats, hyper)
             assert c.class_pair == pair
             assert np.array_equal(c.feature_indices, feats)
             assert_bits_equal(c.weights, w)
-            assert_bits_equal(c.intercept, bias)
             stopped.append(epochs)
         if grad_tol:  # pairs freeze at different epochs, and some run to the end
             assert len(set(stopped) - {hyper.max_epochs}) >= 2
@@ -358,7 +336,7 @@ class TestLockstepTrainer:
             model = trainer.build_ovo(tx, ty, vx, vy, TrainHyper(learning_rate=0.0), sbs=None)
         assert [str(w.message) for w in caught] == [
             "learning_rate is 0; returning zero-initialized weights"]
-        assert all(not c.weights.any() and c.intercept == 0.0 for c in model.classifiers)
+        assert not any(c.weights.any() for c in model.classifiers)
 
 
 class TestSBS:
@@ -373,8 +351,7 @@ class TestSBS:
         tx, ty, vx, vy = self._problem()
         spec = SBSSpec(candidate_epochs=40, full_epochs=150)
         subset, record = trainer.sbs_select((3, 4), tx, ty, vx, vy,
-                                            TrainHyper(include_intercept=False),
-                                            spec, return_record=True)
+                                            TrainHyper(), spec, return_record=True)
         assert {0, 1} <= set(subset.tolist())
         assert len(subset) < 12
         sizes = [len(sub) for sub, _ in record]
@@ -510,4 +487,22 @@ class TestModelIO:
         save_model(synth_model, path)
         doc = json.loads(path.read_text())
         rec = doc["classifiers"][0]
-        assert set(rec) == {"pair", "feature_indices", "weights", "intercept", "threshold"}
+        assert list(rec) == ["pair", "feature_indices", "weights"]
+
+    @pytest.mark.parametrize("edit,match", [
+        ({"weights": None}, r"classifier 3: missing key 'weights'"),
+        ({"threshold": 0.0}, r"classifier 3: unknown key 'threshold'.*rerun `train`"),
+        ({"intercept": 0.0}, r"classifier 3: unknown key 'intercept'.*rerun `train`"),
+        ({"feature_indices": [0.5, 1.7], "weights": [1.0, -1.0]},
+         r"classifier 3: feature_indices\[0\] must be an integer >= 0, got 0.5"),
+    ], ids=["missing-key", "threshold-key", "intercept-key", "float-index"])
+    def test_malformed_record_rejected(self, synth_model, tmp_path, edit, match):
+        doc = trainer.model_to_dict(synth_model)
+        rec = doc["classifiers"][3]
+        rec.update(edit)
+        if rec["weights"] is None:
+            del rec["weights"]
+        path = tmp_path / "m.json"
+        cli._write_json(path, doc)
+        with pytest.raises(ValueError, match=match):
+            trainer.load_model(path)
