@@ -199,6 +199,9 @@ def sigmoid_neg_two_branch(u):
     return out
 
 
+SHAPES = [(1, 7), (5, 173), (30, 200), (64, 200), (65, 1000)]  # (k columns, n rows)
+
+
 def gd_masked_reference(X, y, W0, mask, hyper, epochs):
     # Reference: masked full-batch gradient descent written out directly.
     W = W0 * mask
@@ -258,7 +261,9 @@ class TestKernelMatchesReference:
         assert_bits_equal(got, ref)
         assert_bits_equal(in_place, ref)
 
-    @pytest.mark.parametrize("k,n", [(1, 7), (5, 173), (30, 200), (64, 200), (65, 1000)])
+    # Ids end in "-False", the no-intercept value of an axis these cases had while the
+    # kernel could also train an intercept; each surviving case keeps its id.
+    @pytest.mark.parametrize("k,n", SHAPES, ids=[f"{k}-{n}-False" for k, n in SHAPES])
     @pytest.mark.parametrize("layout", ["C", "gathered", "sliced"])
     def test_gd_masked_equals_reference(self, k, n, layout):
         rng = np.random.default_rng(k * 1000 + n)
@@ -291,7 +296,8 @@ class TestLockstepTrainer:
     """Every pair trained in lockstep equals the same pair trained alone, bit for bit."""
 
     @pytest.mark.parametrize("grad_tol", [0.0, 2e-2])
-    @pytest.mark.parametrize("features", ["full", "subsets"])
+    # "-False" in the ids: see test_gd_masked_equals_reference.
+    @pytest.mark.parametrize("features", ["full", "subsets"], ids=["full-False", "subsets-False"])
     def test_all_pairs_equal_reference(self, synth_features, features, grad_tol):
         (tx, ty), (vx, vy), _ = synth_features
         hyper = TrainHyper(max_epochs=60, grad_tol=grad_tol)
