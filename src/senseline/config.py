@@ -68,9 +68,14 @@ class RunConfig:
                 raise ValueError(f"unstable Euler step: line.dt = {self.line.dt!r} s gives a "
                                  f"worst-case factor {factor:.3g} at {self.feature_space} "
                                  "features, outside (0, 1]; lower line.dt or raise line.c_line")
-        # The global seed pins the split shuffle.
+        # The global seed pins the split shuffle, and the quantizer the supply
+        # and the bias windows.
         object.__setattr__(self, "split",
                            dataclasses.replace(self.split, shuffle_seed=self.seed))
+        q = self.quant
+        object.__setattr__(self, "device", dataclasses.replace(
+            self.device, vdd=q.vdd, p_window=(0.0, q.window_span),
+            n_window=(q.vdd - q.window_span, q.vdd), tg_window_span=q.window_span))
 
 
 _SECTIONS = {
@@ -85,14 +90,20 @@ _SECTIONS = {
     "evaluate": EvalSpec,
 }
 
-_TUPLE_FIELDS = {"row_indices", "col_indices", "p_window", "n_window"}
+_TUPLE_FIELDS = {"row_indices", "col_indices"}
+
+# The device section sets only the calibration knobs: RunConfig derives the
+# supply and the bias windows from quant.
+_DEVICE_KEYS = {"i_on", "v_dsat"}
 
 
 def _build_section(cls, values: dict):
-    names = {f.name for f in dataclasses.fields(cls)}
+    names = _DEVICE_KEYS if cls is DeviceParams else {f.name for f in dataclasses.fields(cls)}
     unknown = set(values) - names
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        hint = ("; the supply is quant.vdd and the bias windows follow from quant"
+                if cls is DeviceParams else "")
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}{hint}")
     coerced = {k: tuple(v) if k in _TUPLE_FIELDS and isinstance(v, list) else v
                for k, v in values.items()}
     return cls(**coerced)

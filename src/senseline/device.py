@@ -36,10 +36,11 @@ class RegionMismatchError(ValueError):
 class DeviceParams:
     """Calibration of the behavioral transistor.
 
-    Only vdd is fixed by the target system; the windows, on-current, and
-    saturation knee are calibration knobs. The default bias windows each
-    span exactly the 31-step quantizer window (1.24 V), anchored at the
-    rails, leaving a 0.52 V off band in between.
+    The on-current and saturation knee are calibration knobs. A run takes
+    the supply and the bias windows from its quantizer (config.RunConfig):
+    each window spans the quantizer window, anchored at a rail, so a
+    device's drive is its level over max_level. The defaults are those of
+    the default quantizer, leaving a 0.52 V off band at vdd 3 V.
     """
 
     i_on: float = 2e-6
@@ -50,13 +51,14 @@ class DeviceParams:
     tg_window_span: float = 1.24
 
     def __post_init__(self):
+        for name in ("i_on", "v_dsat", "vdd", "tg_window_span"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"device {name} must be finite and positive, got {value!r}")
         p_lo, p_hi = self.p_window
         n_lo, n_hi = self.n_window
-        values = (self.i_on, self.v_dsat, self.vdd, self.tg_window_span, p_lo, p_hi, n_lo, n_hi)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("device parameters and bias window bounds must be finite")
-        if self.i_on <= 0 or self.v_dsat <= 0 or self.tg_window_span <= 0:
-            raise ValueError("i_on, v_dsat, and tg_window_span must be positive")
+        if not all(math.isfinite(v) for v in (p_lo, p_hi, n_lo, n_hi)):
+            raise ValueError("bias window bounds must be finite")
         if not (p_lo < p_hi and n_lo < n_hi):
             raise ValueError("bias windows must have low < high")
         if p_hi >= n_lo:

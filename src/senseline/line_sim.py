@@ -10,11 +10,16 @@ is the classifier's vote.
 
 Integration is explicit Euler on dv/dt = I_net(v) / c_line with the voltage
 clamped to [0, vdd]. Every device on a line sees the same channel voltage,
-so a line reduces to one p-side and one n-side drive current per digit,
-read off the compiled array's drive matrices. One integrator evaluates
-every line for a batch of digits, a block of rows at a time.
-simulate_batch runs it for evaluation; simulate_digit runs it on one digit
-and can keep every step as the line traces.
+so a line reduces to one p-side and one n-side drive current per digit.
+In saturation a device of weight level w at feature level x drives
+i_on * x * w / max_level**2, so each side's sum is that unit times an
+integer level product, which one float64 gemm per polarity computes
+exactly in any summation order (every partial sum is an integer below
+2**53). So p - n is exactly 0 at a zero integer margin and has the
+margin's sign elsewhere. One integrator evaluates every line for a batch
+of digits, a block of rows at a time. simulate_batch runs it for
+evaluation; simulate_digit runs it on one digit and can keep every step
+as the line traces.
 
 Most steps are linear: while v_dsat <= v <= vdd - v_dsat both current
 clamps saturate, and a step is exactly v += (p_sum - n_sum) * dt / c_line,
@@ -39,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import device as dev
-from .quantizer import level_to_vtg, quantize_unit
+from .quantizer import quantize_unit
 from .trainer import tally_votes
 
 if TYPE_CHECKING:
@@ -71,7 +76,7 @@ class LineTiming:
             raise ValueError(f"line dt must divide t_classify, got {steps!r} steps")
         # Compare the rounded count: 10 * dt / dt may come out a hair under 10.
         if self.n_steps < 10:
-            raise ValueError("t_classify must span at least 10 integration steps")
+            raise ValueError("line t_classify / dt must be at least 10 integration steps")
 
     @property
     def n_steps(self) -> int:
@@ -83,8 +88,9 @@ def euler_factor(timing: LineTiming, params: dev.DeviceParams, drive_sum):
 
     In the triode region, with every feature at full level, a step scales it
     by 1 - dt * i_on * drive_sum / (c_line * v_dsat), where drive_sum is the
-    sum of the line's bottom-gate drives (each in [0, 1]). Outside (0, 1]
-    the line oscillates, and the [0, vdd] clamp hides it.
+    sum of the line's device weight levels over max_level (each device's
+    full-feature drive, in [0, 1]). Outside (0, 1] the line oscillates, and
+    the [0, vdd] clamp hides it.
     """
     return 1.0 - timing.dt * params.i_on * drive_sum / (timing.c_line * params.v_dsat)
 
@@ -115,21 +121,17 @@ class BatchResult:
     line_finals: np.ndarray  # (n, 45)
 
 
-def _line_drives(TT: np.ndarray, G: np.ndarray, i_on: float) -> np.ndarray:
-    """i_on * sum over features f of G[f] * TT[f]: (lines, rows) drive currents.
+def _drive_sums(s: SystemConfig, X: np.ndarray):
+    """(p_sum, n_sum), each (n, lines): every line's p- and n-side drive currents.
 
-    TT holds the rows' top-gate drives feature-major (features, rows), G one
-    polarity's bottom-gate drives (features, lines). Terms are added in
-    ascending feature order, one feature at a time, so a row's sum never
-    depends on the other rows of the batch.
+    i_on / max_level**2 times levels @ max(+-L, 0) for the (n, features)
+    normalized inputs X. The gemms are exact (see the module docstring), so
+    a row's sums never depend on the other rows of the batch.
     """
-    acc = np.zeros((G.shape[1], TT.shape[1]))
-    term = np.empty_like(acc)
-    for f in range(len(G)):
-        np.multiply(G[f][:, None], TT[f], out=term)
-        acc += term
-    acc *= i_on
-    return acc
+    levels = quantize_unit(X, s.quant).astype(np.float64)
+    unit = s.params.i_on / s.quant.max_level ** 2
+    return tuple(levels @ np.maximum(sign * s.L, 0).astype(np.float64) * unit
+                 for sign in (1, -1))
 
 
 def _linear(v, params: dev.DeviceParams):
@@ -195,8 +197,8 @@ def _linear_euler(p_sum, n_sum, params: dev.DeviceParams, timing: LineTiming, v,
 def _integrate(s: SystemConfig, X: np.ndarray, record: bool):
     """Classify phase of every line for a batch of (n, features) normalized inputs.
 
-    Returns (BatchResult, voltages) where voltages is the (n_steps + 1,
-    lines, n) record of every Euler step starting at vdd/2, or None unless
+    Returns (BatchResult, voltages) where voltages is the (n_steps + 1, n,
+    lines) record of every Euler step starting at vdd/2, or None unless
     `record`. Raises FloatingPointError if a voltage or charge ends
     non-finite (the [0, vdd] clamp would otherwise hide an overflow).
 
@@ -205,42 +207,28 @@ def _integrate(s: SystemConfig, X: np.ndarray, record: bool):
     from every block and integrated once more by _euler from the start.
     """
     params, vdd = s.params, s.params.vdd
-    # Feature-major (features, n), so _line_drives reads contiguous rows.
-    levels = np.ascontiguousarray(quantize_unit(X, s.quant).T)
-    TT_p = dev.gate_drive_tg(level_to_vtg(levels, "P", s.quant), "P", params)
-    TT_n = dev.gate_drive_tg(level_to_vtg(levels, "N", s.quant), "N", params)
-
-    n, n_lines = len(X), len(s.pairs)
-    v = np.empty((n, n_lines))
-    q = np.empty_like(v)
-    voltages = np.empty((s.timing.n_steps + 1, n_lines, n)) if record else None
+    p_sum, n_sum = _drive_sums(s, X)
+    # C-ordered (rows, lines), so q.sum(axis=1) below adds a row's lines
+    # pairwise, and a block of rows is a contiguous view.
+    v = np.full_like(p_sum, vdd / 2)
+    q = np.zeros_like(p_sum)
+    voltages = np.empty((s.timing.n_steps + 1, *v.shape)) if record else None
     if record:
         voltages[0] = vdd / 2
     shortcut = not record and _linear(vdd / 2, params)
-    todo = np.zeros((n, n_lines), dtype=bool)
-    p_todo, n_todo = [], []
-    for lo in range(0, n, BLOCK_ROWS):
+    todo = np.zeros(v.shape, dtype=bool)
+    for lo in range(0, len(v), BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
-        p_sum = _line_drives(TT_p[:, rows], s.G_p, params.i_on)
-        n_sum = _line_drives(TT_n[:, rows], s.G_n, params.i_on)
-        v_blk = np.full_like(p_sum, vdd / 2)
-        q_blk = np.zeros_like(p_sum)
         if shortcut:
-            left = ~_linear_euler(p_sum, n_sum, params, s.timing, v_blk, q_blk).T
-            todo[rows] = left
-            p_todo.append(p_sum.T[left])
-            n_todo.append(n_sum.T[left])
+            todo[rows] = ~_linear_euler(p_sum[rows], n_sum[rows], params, s.timing,
+                                        v[rows], q[rows])
         else:
-            _euler(p_sum, n_sum, params, s.timing, v_blk, q_blk,
-                   None if voltages is None else voltages[:, :, rows])
-        # Stored C-ordered (rows, lines), q.sum(axis=1) below adds a row's
-        # lines pairwise; on a transposed view numpy adds them in another order.
-        v[rows] = v_blk.T
-        q[rows] = q_blk.T
+            _euler(p_sum[rows], n_sum[rows], params, s.timing, v[rows], q[rows],
+                   None if voltages is None else voltages[:, rows])
     if todo.any():
-        p_sum, n_sum = np.concatenate(p_todo), np.concatenate(n_todo)
-        v_left, q_left = np.full_like(p_sum, vdd / 2), np.zeros_like(p_sum)
-        _euler(p_sum, n_sum, params, s.timing, v_left, q_left, None)
+        v_left = np.full(np.count_nonzero(todo), vdd / 2)
+        q_left = np.zeros_like(v_left)
+        _euler(p_sum[todo], n_sum[todo], params, s.timing, v_left, q_left, None)
         v[todo] = v_left
         q[todo] = q_left
     if not (np.isfinite(v).all() and np.isfinite(q).all()):
@@ -279,7 +267,7 @@ def simulate_digit(s: SystemConfig, x: np.ndarray,
     traces = None
     if record_traces:
         t = np.arange(s.timing.n_steps + 1) * s.timing.dt
-        traces = [np.column_stack([t, voltages[:, k, 0]]) for k in range(len(s.pairs))]
+        traces = [np.column_stack([t, voltages[:, 0, k]]) for k in range(len(s.pairs))]
     return ClassificationTrace(votes=res.votes[0], tally=res.tallies[0],
                                predicted=int(res.predictions[0]),
                                energy=float(res.energies[0]),

@@ -16,6 +16,7 @@ Gate-window placement (matching the device model's bias windows):
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -32,14 +33,16 @@ class QuantSpec:
 
     def __post_init__(self):
         _check_count("bits", self.bits)
-        if self.step_volts <= 0 or self.vdd <= 0:
-            raise ValueError("step_volts and vdd must be positive")
+        for name in ("step_volts", "vdd"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"quant {name} must be finite and positive, got {value!r}")
         if self.bits >= sys.float_info.max_exp:
             # 2**bits - 1 would not fit in a float, so window_span could not be formed.
             raise ValueError(f"bits must be < {sys.float_info.max_exp}, got {self.bits}")
-        if self.window_span > self.vdd / 2:
+        if self.window_span >= self.vdd / 2:
             raise ValueError(
-                f"gate window {self.window_span:.3f} V exceeds vdd/2 = {self.vdd / 2:.3f} V; "
+                f"gate window {self.window_span:.3f} V is not below vdd/2 = {self.vdd / 2:.3f} V; "
                 "no off band would remain between the p and n bias windows"
             )
 

@@ -4,9 +4,9 @@ assemble() compiles a trained ensemble into the device array, held as one
 signed weight-level matrix L (input features x lines): L[f, k] = +w for a
 p-type device of weight level w on line k's feature f, -w for an n-type
 device, and 0 where there is none (a feature eliminated by selection or a
-weight that quantizes to level 0). The bottom-gate drive matrices of the
-line simulator and the integer decision margins both derive from L. The
-netlist is a line-oriented text format that round-trips to an equal
+weight that quantizes to level 0). The line simulator's drive sums and the
+integer decision margins are both products of the feature levels with L.
+The netlist is a line-oriented text format that round-trips to an equal
 system. Metrics follow the transistor-count accounting: area is a pure
 per-device footprint, and the reported charge-based energy covers the MAC
 array and line precharge only.
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import line_sim
-from .device import DeviceParams, RegionMismatchError, gate_drive_bg
+from .device import DeviceParams
 from .line_sim import LineTiming
-from .quantizer import RAILS, QuantSpec, level_to_vbg, quantize_unit, weight_levels
+from .quantizer import RAILS, QuantSpec, quantize_unit, weight_levels
 from .trainer import OvOModel, all_pairs, pair_votes, score_votes
 
 # Input features driving the array: the 8x8 downsampled grid.
@@ -40,33 +40,12 @@ ENERGY_SCOPE = ("MAC array charge + line precharge only; buffers, voltage divide
 EVAL_MODES = ("digital-float", "digital-quantized", "analog")
 
 
-def _bottom_gate_drives(L: np.ndarray, quant: QuantSpec, params: DeviceParams):
-    """Bottom-gate drive matrices (G_p, G_n) of the p- and n-type devices in L.
-
-    Raises RegionMismatchError if a device's bias falls outside the window
-    of its polarity.
-    """
-    drives = []
-    for dtype, levels, window in (("P", np.maximum(L, 0), params.p_window),
-                                  ("N", np.maximum(-L, 0), params.n_window)):
-        v_bg = level_to_vbg(levels, dtype, quant)
-        outside = (levels > 0) & ((v_bg < window[0]) | (v_bg > window[1]))
-        if np.any(outside):
-            raise RegionMismatchError(
-                f"v_bg = {v_bg[outside][0]:.3f} V is outside the {dtype} window; "
-                "quantizer step/window and device windows are inconsistent")
-        drives.append(np.where(levels > 0, gate_drive_bg(v_bg, dtype, params), 0.0))
-    return drives
-
-
 @dataclass(eq=False)
 class SystemConfig:
     """The compiled 45-line array (L, see the module docstring) and its parameters.
 
-    G_p and G_n, derived from L, hold each device's bottom-gate drive in
-    [0, 1] at its polarity's position and 0 elsewhere. The source model
-    rides along (excluded from equality) so the float pipeline can be
-    evaluated against the same system.
+    The source model rides along (excluded from equality) so the float
+    pipeline can be evaluated against the same system.
     """
 
     pairs: list[tuple[int, int]]
@@ -80,7 +59,6 @@ class SystemConfig:
         self.L = np.asarray(self.L, dtype=np.int64)
         if self.L.ndim != 2 or self.L.shape[1] != len(self.pairs):
             raise ValueError(f"L must be (features, {len(self.pairs)}), got {self.L.shape}")
-        self.G_p, self.G_n = _bottom_gate_drives(self.L, self.quant, self.params)
 
     def __eq__(self, other):
         if not isinstance(other, SystemConfig):
@@ -97,11 +75,12 @@ class SystemConfig:
 def check_euler_stability(s: SystemConfig):
     """Reject an analog simulation whose explicit-Euler step can overshoot.
 
-    Every line's line_sim.euler_factor, taken at its summed bottom-gate
-    drives (sum G_p + sum G_n), must lie in (0, 1]. Digital evaluation does
-    not step the lines, so only the analog paths check this.
+    Every line's line_sim.euler_factor, taken at its summed device drives
+    sum |L| / max_level, must lie in (0, 1]. Digital evaluation does not
+    step the lines, so only the analog paths check this.
     """
-    factor = line_sim.euler_factor(s.timing, s.params, (s.G_p + s.G_n).sum(axis=0))
+    drive_sum = np.abs(s.L).sum(axis=0) / s.quant.max_level
+    factor = line_sim.euler_factor(s.timing, s.params, drive_sum)
     bad = np.flatnonzero(factor <= 0)
     if bad.size:
         a, b = s.pairs[bad[0]]
@@ -286,9 +265,11 @@ def quantized_margins(s: SystemConfig, X: np.ndarray) -> np.ndarray:
 
     margin[:, k] = sum over line k's devices of +/- w_level * x_level, with
     + for p-type and - for n-type: levels @ L. This is the digital oracle
-    the analog lines are checked against.
+    the analog lines are checked against. The float64 gemm is exact, as in
+    the line simulator's drive sums.
     """
-    return quantize_unit(np.atleast_2d(X), s.quant) @ s.L
+    levels = quantize_unit(np.atleast_2d(X), s.quant).astype(np.float64)
+    return (levels @ s.L.astype(np.float64)).astype(np.int64)
 
 
 def digital_votes(s: SystemConfig, X: np.ndarray, mode: str) -> np.ndarray:

@@ -86,6 +86,8 @@ class SBSSpec:
     candidate_rows: int | None = 4000
 
     def __post_init__(self):
+        if not isinstance(self.enabled, bool):
+            raise ValueError(f"enabled must be true or false, got {self.enabled!r}")
         _check_number("tolerance", self.tolerance)
         _check_count("candidate_epochs", self.candidate_epochs)
         _check_count("full_epochs", self.full_epochs)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from outdiff import out_dir_diff
 from senseline import cli, system, trainer
 from senseline.config import config_from_dict
 
@@ -206,6 +207,23 @@ class TestRunAll:
             assert (out / name).exists(), name
         assert not (out / "model_quant.json").exists()
 
+    def test_analog_rerun_gives_identical_artifacts(self, workdir):
+        out, again = workdir["tmp"] / "out", workdir["tmp"] / "again"
+        for out_dir in (out, again):
+            assert run(["run-all", "-c", workdir["config"], "--mode", "analog",
+                        "--out-dir", out_dir]) == 0
+        assert (out / "traces.csv").exists() and (out / "metrics_analog.json").exists()
+        assert out_dir_diff(out, again) == []
+
+    def test_out_dir_diff_masks_only_created(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for root, created, count in ((a, "2026-01-01", 3), (b, "2027-12-31", 4)):
+            root.mkdir()
+            (root / "x.json").write_text(f'{{"created": "{created}", "hash": "h"}}')
+            (root / "y.csv").write_text(f"count,{count}\n")
+        (a / "z.txt").write_text("")
+        assert out_dir_diff(a, b) == ["y.csv", "z.txt"]
+
     def test_run_all_without_selection_after_selection_builds_full_model(self, workdir):
         assert run(["run-all", "-c", workdir["config"]]) == 0
         assert run(["run-all", "-c", workdir["config"], "--no-sbs"]) == 0
@@ -270,12 +288,19 @@ class TestConfigErrors:
         {"line": {"dt": -1e-12}},
         {"line": {"dt": 1e-9}},          # t_classify / dt = 2 < 10
         {"line": {"dt": 3e-12}},         # t_classify / dt = 666.67 steps
+        {"device": {"vdd": 3.5}},        # the supply is quant.vdd
+        {"device": {"p_window": [-0.5, 1.24]}},
+        {"device": {"n_window": [1.76, 3.0]}},
+        {"device": {"tg_window_span": 1.24}},
     ])
     def test_invalid_device_or_line_section_exits_4(self, workdir, doc, capsys):
         bad = workdir["tmp"] / "bad_section.json"
         bad.write_text(json.dumps(doc))  # non-finite floats as JSON Infinity / NaN
         assert run(["prepare", "-c", bad]) == cli.EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        [values] = doc.values()
+        [key] = values
+        assert "config error" in err and key in err
 
     def test_oversized_quant_bits_exits_4(self, workdir, capsys):
         bad = workdir["tmp"] / "big_bits.json"
@@ -292,6 +317,7 @@ class TestConfigErrors:
         ("sbs", "candidate_epochs", -3),
         ("sbs", "candidate_rows", 0),
         ("sbs", "tolerance", -1),
+        ("sbs", "enabled", "no"),            # was truthy: selection ran
     ])
     def test_invalid_training_config_exits_4(self, workdir, section, key, value, capsys):
         doc = dict(workdir["doc"])

@@ -12,7 +12,6 @@ from senseline.device import (
     region_of,
 )
 from senseline.quantizer import DeviceConfig, QuantSpec
-from senseline.system import SystemConfig
 
 
 def drive(v_tg, v_bg, dtype):
@@ -57,15 +56,6 @@ class TestDrive:
 
     def test_n_quarter_drive(self):
         assert drive(0.62, 2.38, "N") == pytest.approx(0.25)
-
-    def test_region_mismatch_rejected(self):
-        # Device windows narrower than the quantizer's: a level-5 device's
-        # bias (1.04 V for P, 1.96 V for N) falls outside its polarity's window.
-        p = DeviceParams(p_window=(0.0, 1.0), n_window=(2.0, 3.0))
-        with pytest.raises(RegionMismatchError):
-            SystemConfig([(0, 1)], [[-5]], QuantSpec(), p)
-        with pytest.raises(RegionMismatchError):
-            SystemConfig([(0, 1)], [[5]], QuantSpec(), p)
 
     def test_bounded_unit_interval(self):
         rng = np.random.default_rng(0)

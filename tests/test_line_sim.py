@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from senseline import line_sim
-from senseline.device import DeviceParams, channel_current, gate_drive_tg, make_instance
+from senseline.device import DeviceParams, channel_current, make_instance
 from senseline.line_sim import (
     LineTiming,
     precharge_energy,
@@ -33,21 +33,18 @@ def make_line(specs, pair=(0, 1), params=P, **timing):
 def integrate_reference(s, X):
     """(line_finals, energies) of a batch with every element taking every clamped step.
 
-    The integrator with no linear-regime shortcut: drives summed in
-    ascending feature order, then per step i_in = p * min((vdd - v) /
-    v_dsat, 1), i_out = n * min(v / v_dsat, 1), q += i_in * dt and v =
-    clip(v + (i_in - i_out) * dt / c_line, 0, vdd), in the same floating-point
-    operations as simulate_batch, so the two agree bit for bit.
+    The integrator with no linear-regime shortcut: drive sums from the
+    int64 level products, i_on / max_level**2 * (levels @ max(+-L, 0)),
+    then per step i_in = p * min((vdd - v) / v_dsat, 1), i_out = n *
+    min(v / v_dsat, 1), q += i_in * dt and v = clip(v + (i_in - i_out) *
+    dt / c_line, 0, vdd), in the same floating-point operations as
+    simulate_batch, so the two agree bit for bit.
     """
     params, timing = s.params, s.timing
     levels = quantize_unit(np.atleast_2d(X), s.quant)
-    p_sum = np.zeros((len(levels), len(s.pairs)))
-    n_sum = np.zeros_like(p_sum)
-    for dtype, G, acc in (("P", s.G_p, p_sum), ("N", s.G_n, n_sum)):
-        T = gate_drive_tg(level_to_vtg(levels, dtype, s.quant), dtype, params)
-        for f in range(len(G)):
-            acc += T[:, f, None] * G[f]
-        acc *= params.i_on
+    unit = params.i_on / s.quant.max_level ** 2
+    p_sum = (levels @ np.maximum(s.L, 0)).astype(np.float64) * unit
+    n_sum = (levels @ np.maximum(-s.L, 0)).astype(np.float64) * unit
     v = np.full_like(p_sum, params.vdd / 2)
     q = np.zeros_like(v)
     scale = timing.dt / timing.c_line
@@ -68,6 +65,15 @@ def assert_matches_reference(s, X):
     assert np.array_equal(res.energies.view(np.int64), energies.view(np.int64))
     assert np.array_equal(res.votes, np.where(finals >= s.params.vdd / 2, 1, -1))
     return res
+
+
+def planted_params(i_on):
+    """Default DeviceParams with an i_on that validation rejects, planted to
+    reach the integrator's final check: no validated array has a non-finite
+    drive."""
+    params = DeviceParams()
+    object.__setattr__(params, "i_on", i_on)
+    return params
 
 
 def levels_all(value):
@@ -122,6 +128,30 @@ class TestStep:
         _, _, energy, _ = run_line(line, levels_all(31))
         q = (energy - precharge_energy(line.timing, P)) / P.vdd
         assert q == pytest.approx(2e-6 * line.timing.t_classify)
+
+
+class TestDriveSums:
+    """The simulator's drive sums against the device model they stand for."""
+
+    @pytest.mark.parametrize("dtype,v_a,v_b", [("P", P.vdd, P.vdd / 2), ("N", P.vdd / 2, 0.0)])
+    def test_device_current_is_the_level_product(self, dtype, v_a, v_b):
+        # In saturation a level-w device at feature level x conducts
+        # i_on * (x/31) * (w/31), which is the drive sum of a one-device line.
+        # The device model's biases, vdd - (vdd - x * step) for a p-type top
+        # gate, round at vdd's ulp: up to 1.8e-15 relative at low levels.
+        x = np.arange(Q.levels)[:, None]
+        w = np.arange(1, Q.levels)[None, :]
+        current = np.array([[channel_current(level_to_vtg(xi, dtype, Q),
+                                             level_to_vbg(wi, dtype, Q), v_a, v_b, P)
+                             for wi in range(1, Q.levels)] for xi in range(Q.levels)])
+        L = np.arange(1, Q.levels)[None, :] * (1 if dtype == "P" else -1)
+        line = SystemConfig([(0, 1)] * L.shape[1], L, Q, P)
+        p_sum, n_sum = line_sim._drive_sums(line, x / Q.max_level)
+        drive = p_sum if dtype == "P" else n_sum
+        assert not np.any(p_sum if dtype == "N" else n_sum)
+        expected = P.i_on * (x / Q.max_level) * (w / Q.max_level)
+        np.testing.assert_allclose(current, expected, rtol=2e-15, atol=0)
+        np.testing.assert_allclose(drive, expected, rtol=1e-15, atol=0)
 
 
 class TestBuffer:
@@ -223,9 +253,8 @@ class TestClassifyLine:
 
     def test_exact_zero_margin_votes_positive(self):
         # Integer margins 20*15 - 20*15, 12*3 - 18*2 and 1*8 - 2*4 are exactly
-        # zero: the p and n drives cancel, the line stays at vdd/2 and the
-        # buffer resolves the tie to +1. The drive factors of P(1, 8) and
-        # N(2, 4) differ in the last bit, far below the voltage resolution.
+        # zero: the p and n drive sums are equal, the line stays at vdd/2 and
+        # the buffer resolves the tie to +1.
         for (wp, lp), (wn, ln) in (((20, 15), (20, 15)), ((12, 3), (18, 2)), ((1, 8), (2, 4))):
             levels = levels_all(0)
             levels[0], levels[1] = lp, ln
@@ -234,10 +263,7 @@ class TestClassifyLine:
             assert (v_final, vote) == (1.5, 1)
 
     def test_non_finite_voltage_raises(self):
-        # No validated array has an infinite drive; plant one to reach the
-        # integrator's final check.
-        line = make_line([(0, "P", 31)])
-        line.G_p[0, 0] = np.inf
+        line = make_line([(0, "P", 31)], params=planted_params(np.inf))
         with pytest.raises(FloatingPointError, match="non-finite"), np.errstate(invalid="ignore"):
             run_line(line, levels_all(31))
 
@@ -327,8 +353,7 @@ class TestLinearShortcut:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_drive_raises_in_batch(self, bad):
-        line = make_line([(0, "P", 31)])
-        line.G_p[0, 0] = bad
+        line = make_line([(0, "P", 31)], params=planted_params(bad))
         with pytest.raises(FloatingPointError, match="non-finite"), np.errstate(invalid="ignore"):
             simulate_batch(line, np.tile(levels_all(31) / Q.max_level, (3, 1)))
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 import synth  # noqa: E402
+from senseline import line_sim  # noqa: E402
 from senseline.dataset import (  # noqa: E402
     CountMismatchError,
     IdxFormatError,
@@ -63,6 +64,35 @@ def arrays_and_inputs(draw):
 def test_votes_equal_integer_margin_signs(case):
     L, levels = case
     assert np.array_equal(analog_votes(L, levels), np.where(levels @ L >= 0, 1, -1))
+
+
+@st.composite
+def arrays_with_a_zero_margin(draw):
+    """arrays_and_inputs with features appended that cancel line 0's margin m
+    on row 0 exactly: |m| = 961 a + 31 b + c is a devices of level 31 at
+    feature level 31, one of level 31 at level b and one of level c at
+    level 1, all of the opposite sign to m."""
+    L, levels = draw(arrays_and_inputs())
+    m = int(levels[0] @ L[:, 0])
+    a, rest = divmod(abs(m), MAX * MAX)
+    b, c = divmod(rest, MAX)
+    L_extra = draw(arrays(np.int64, (a + 2, L.shape[1]), elements=st.integers(-MAX, MAX)))
+    L_extra[:, 0] = -np.sign(m) * np.array([MAX] * (a + 1) + [c])
+    x_extra = draw(arrays(np.int64, (len(levels), a + 2), elements=st.integers(0, MAX)))
+    x_extra[0] = [MAX] * a + [b, 1]
+    return np.vstack([L, L_extra]), np.hstack([levels, x_extra])
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays_with_a_zero_margin())
+def test_drive_sums_carry_the_exact_margin_sign(case):
+    # p - n is exactly 0 at every zero margin, and has the margin's sign
+    # everywhere else.
+    L, levels = case
+    margins = levels @ L
+    assert margins[0, 0] == 0
+    p_sum, n_sum = line_sim._drive_sums(system_of(L), levels / MAX)
+    assert np.array_equal(np.sign(p_sum - n_sum), np.sign(margins))
 
 
 @settings(max_examples=150, deadline=None)

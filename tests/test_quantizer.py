@@ -69,6 +69,19 @@ class TestQuantSpec:
     def test_window_must_fit_half_rail(self):
         with pytest.raises(ValueError, match="off band"):
             QuantSpec(bits=6, step_volts=0.040, vdd=3.0)  # 63 * 40 mV = 2.52 V
+        with pytest.raises(ValueError, match="off band"):
+            QuantSpec(vdd=2.48)  # 31 * 40 mV = vdd/2: the windows would touch
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_step_volts_rejected(self, value):
+        # A NaN step passed both comparisons and assembled a 135-device array.
+        with pytest.raises(ValueError, match="step_volts"):
+            QuantSpec(step_volts=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_vdd_rejected(self, value):
+        with pytest.raises(ValueError, match="vdd"):
+            QuantSpec(vdd=value)
 
     @pytest.mark.parametrize("bits", [1024, 2000, 10**12])
     def test_bits_beyond_float_range_rejected(self, bits):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -88,6 +89,38 @@ class TestGradient:
                 assert abs(num - gw[k]) <= 1e-5 * max(1.0, abs(num))
             num_b = (logistic_loss(w, X, y, l2, b + h) - logistic_loss(w, X, y, l2, b - h)) / (2 * h)
             assert abs(num_b - gb) <= 1e-5 * max(1.0, abs(num_b))
+
+    def test_descend_epochs_are_gradient_steps(self):
+        # Ties acceptance C8's checked gradient to training: each lockstep
+        # epoch of a pair is w <- w - lr * logistic_grad(w), to rounding.
+        rng = np.random.default_rng(11)
+        hyper = TrainHyper(learning_rate=0.3, max_epochs=1, grad_tol=0.0, l2_lambda=0.05)
+        rows, problems = [], []
+        for pair, n, d in (((0, 1), 30, 4), ((2, 7), 17, 6)):
+            X = rng.normal(size=(n, d))
+            labels = np.array(pair)[np.arange(n) % 2]
+            rows.append((X, np.where(labels == pair[0], 1.0, -1.0)))
+            problems.append(trainer._pair_problem(X, labels, pair, np.arange(d)))
+        first = trainer._descend(problems, hyper)
+        second = trainer._descend(problems, dataclasses.replace(hyper, max_epochs=2))
+        for (X, y), w1, w2 in zip(rows, first, second):
+            for w_old, w_new in ((np.zeros_like(w1), w1), (w1, w2)):
+                step = w_old - hyper.learning_rate * logistic_grad(w_old, X, y, hyper.l2_lambda)[0]
+                np.testing.assert_allclose(w_new, step, rtol=1e-12, atol=1e-15)
+        assert not np.array_equal(first[0], second[0])
+
+    def test_gd_masked_epoch_is_a_gradient_step(self):
+        # The same for one epoch of the masked candidate trainer that selection runs.
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(40, 5))
+        y = np.where(rng.random(40) > 0.5, 1.0, -1.0)
+        mask = rng.random((3, 5)) > 0.3
+        W0 = rng.normal(size=(3, 5)) * mask
+        hyper = TrainHyper(learning_rate=0.3, l2_lambda=0.05)
+        W1 = trainer._gd_masked(X, y, W0.copy(), mask, hyper, epochs=1)
+        for w0, w1, keep in zip(W0, W1, mask):
+            step = w0 - hyper.learning_rate * logistic_grad(w0, X, y, hyper.l2_lambda)[0]
+            np.testing.assert_allclose(w1, step * keep, rtol=1e-12, atol=1e-15)
 
     def test_loss_monotone_under_small_steps(self):
         # Fixed toy problem: full-batch descent with a small rate never increases the loss.
