@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .dataset import GridSpec, SplitSpec
-from .device import DeviceParams
+from .device import DeviceParams, supplied_by
 from .line_sim import LineTiming, euler_factor
 from .quantizer import QuantSpec
 from .system import EVAL_MODES
@@ -72,10 +72,7 @@ class RunConfig:
         # and the bias windows.
         object.__setattr__(self, "split",
                            dataclasses.replace(self.split, shuffle_seed=self.seed))
-        q = self.quant
-        object.__setattr__(self, "device", dataclasses.replace(
-            self.device, vdd=q.vdd, p_window=(0.0, q.window_span),
-            n_window=(q.vdd - q.window_span, q.vdd), tg_window_span=q.window_span))
+        object.__setattr__(self, "device", supplied_by(self.device, self.quant))
 
 
 _SECTIONS = {

@@ -16,6 +16,7 @@ on the sensing line.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -63,6 +64,17 @@ class DeviceParams:
             raise ValueError("bias windows must have low < high")
         if p_hi >= n_lo:
             raise ValueError("p and n bias windows overlap; no OFF band remains")
+
+
+def supplied_by(params: DeviceParams, q: QuantSpec) -> DeviceParams:
+    """params with the supply and bias windows that the quantizer q implies.
+
+    The supply is q.vdd and each window spans q.window_span from its rail:
+    p-type (0, span), n-type (vdd - span, vdd).
+    """
+    span = q.window_span
+    return dataclasses.replace(params, vdd=q.vdd, p_window=(0.0, span),
+                               n_window=(q.vdd - span, q.vdd), tg_window_span=span)
 
 
 @dataclass(frozen=True)

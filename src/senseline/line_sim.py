@@ -8,31 +8,47 @@ it to ground. The line voltage integrates the signed feature-weight
 products; a non-inverting buffer snaps the final voltage to a rail and that
 is the classifier's vote.
 
-Integration is explicit Euler on dv/dt = I_net(v) / c_line with the voltage
-clamped to [0, vdd]. Every device on a line sees the same channel voltage,
-so a line reduces to one p-side and one n-side drive current per digit.
-In saturation a device of weight level w at feature level x drives
-i_on * x * w / max_level**2, so each side's sum is that unit times an
-integer level product, which one float64 gemm per polarity computes
-exactly in any summation order (every partial sum is an integer below
-2**53). So p - n is exactly 0 at a zero integer margin and has the
-margin's sign elsewhere. One integrator evaluates every line for a batch
-of digits, a block of rows at a time. simulate_batch runs it for
-evaluation; simulate_digit runs it on one digit and can keep every step
-as the line traces.
+Every device on a line sees the same channel voltage, so a line reduces to
+one p-side and one n-side drive current per digit, p and n. In saturation
+a device of weight level w at feature level x drives i_on * x * w /
+max_level**2, so each side is that unit times an integer level product,
+which one float64 gemm per polarity computes exactly in any summation
+order (every partial sum is an integer below 2**53): p - n is exactly 0 at
+a zero integer margin and has the margin's sign elsewhere.
 
-Most steps are linear: while v_dsat <= v <= vdd - v_dsat both current
-clamps saturate, and a step is exactly v += (p_sum - n_sum) * dt / c_line,
-q += p_sum * dt, with no clip. So unless it records traces, the integrator
-first takes only that two-operation step for every line, when vdd/2 is
-itself linear. For a line whose state before the last step is still
-linear and whose final voltage lies in [0, vdd], that is bit for bit the
-full step's result: the step has a fixed sign, so the voltages move
-monotonically from vdd/2 to that last state, and the linear set is an
-interval, so every state in between is linear too. The other lines are
-gathered from every block and integrated again from vdd/2 with the full
-clamped step. It works element by element, so gathering them changes no
-bits.
+The line follows explicit Euler over the N = t_classify / dt steps of the
+classify phase: a step adds i_in * dt to the charge q drawn from VDD, with
+i_in = p * min((vdd - v) / v_dsat, 1), and moves v by (i_in - n * min(v /
+v_dsat, 1)) * dt / c_line. It is evaluated in closed form, with no step
+loop. Under check_euler_stability the factors a and b below lie in (0, 1],
+so each regime is affine in v and a line moves monotonically from vdd/2
+toward a fixed point it never passes, crossing at most one regime
+boundary and needing no clip. Write V = vdd, D = v_dsat, r = dt / c_line.
+As v -> V - v swaps p and n, let u = max(p, n) >= d = min(p, n) and follow
+x, which rises from V/2: v = x for p >= n and V - x otherwise. x takes m
+steps in its start regime (m = N if it never leaves it):
+
+- D <= V/2: linear, both clamps saturated while D <= x <= V - D, so
+  x_k = V/2 + k s with s = r (u - d), and m = floor((V/2 - D) / s) + 1.
+- D > V/2: both clamps in triode while x < D, a step is
+  x + r (u (V - x) - d x) / D, so x_k = V/2 + g (1 - b^k) with
+  b = 1 - r (u + d) / D and g = V (u - d) / (2 (u + d)). x reaches D only
+  if V/2 + g > D, first at m = ceil(ln(1 - (D - V/2) / g) / ln b).
+- From m on, the upper triode regime (x >= max(D, V - D)): a step is
+  x + r (u (V - x) / D - d), so x_k = x* + (x_m - x*) a^(k - m) with
+  a = 1 - r u / D and x* = V - d D / u. x_m < x*: a linear x_m is below
+  V - D + s, and s < D (u - d) / u as r u < D; a both-triode x_m is below
+  V/2 + g, which is at most x* if it is at least D.
+
+Powers are exp(k log1p(-rho)), precise when rho is tiny. For the charge,
+c (x_N - V/2) is the up charge less the down charge in x's frame, and the
+down current d min(x / D, 1) sums to N d dt for D <= V/2, and to
+d dt (N - m + (m V/2 + g (m - sum_{k<m} b^k)) / D) for D > V/2. A rising
+line draws the up charge from VDD, a falling or tied one the down charge
+(N p dt for D <= V/2: its inflow never leaves its clamp). simulate_batch
+evaluates the last step for blocks of rows; simulate_digit evaluates the
+same expressions at every step, so a trace ends on the batch final bit
+for bit.
 """
 
 from __future__ import annotations
@@ -50,10 +66,8 @@ from .trainer import tally_votes
 if TYPE_CHECKING:
     from .system import SystemConfig
 
-# Digits integrated together. A block's working arrays of 45 x rows float64
-# (~1.1 MB for six at 512 rows) stay in a 2 MB L2 cache across all Euler
-# steps, while each numpy call still covers enough rows for its fixed
-# overhead to stay small.
+# Digits evaluated together. Each of a block's elementwise temporaries is
+# 45 x rows float64, so the working set stays small whatever the batch size.
 BLOCK_ROWS = 512
 
 
@@ -89,10 +103,28 @@ def euler_factor(timing: LineTiming, params: dev.DeviceParams, drive_sum):
     In the triode region, with every feature at full level, a step scales it
     by 1 - dt * i_on * drive_sum / (c_line * v_dsat), where drive_sum is the
     sum of the line's device weight levels over max_level (each device's
-    full-feature drive, in [0, 1]). Outside (0, 1] the line oscillates, and
-    the [0, vdd] clamp hides it.
+    full-feature drive, in [0, 1]). Outside (0, 1] the Euler line would
+    overshoot its fixed point and oscillate, and the closed form in the
+    module docstring would not hold.
     """
     return 1.0 - timing.dt * params.i_on * drive_sum / (timing.c_line * params.v_dsat)
+
+
+def check_euler_stability(s: SystemConfig):
+    """Reject an analog simulation whose explicit-Euler step can overshoot.
+
+    Every line's euler_factor, taken at its summed device drives
+    sum |L| / max_level, must lie in (0, 1] (NaN does not). Both simulators
+    call this; digital evaluation does not step the lines.
+    """
+    drive_sum = np.abs(s.L).sum(axis=0) / s.quant.max_level
+    factor = euler_factor(s.timing, s.params, drive_sum)
+    bad = np.flatnonzero(~(factor > 0))
+    if bad.size:
+        a, b = s.pairs[bad[0]]
+        raise ValueError(f"unstable Euler step on line {a}-{b}: worst-case factor "
+                         f"{factor[bad[0]]:.3g} is outside (0, 1]; "
+                         "lower line.dt or raise line.c_line")
 
 
 @dataclass
@@ -134,121 +166,79 @@ def _drive_sums(s: SystemConfig, X: np.ndarray):
                  for sign in (1, -1))
 
 
-def _linear(v, params: dev.DeviceParams):
-    """Where both current clamps of _euler saturate: i_in = p_sum, i_out = n_sum.
+def _lines(s: SystemConfig, X: np.ndarray, record: bool):
+    """(finals, q, voltages) of every line for (rows, features) normalized inputs.
 
-    Evaluates the clamp arguments exactly as _euler does. The set of such v
-    is an interval inside (0, vdd).
+    finals and q are (rows, lines): the voltage after the last step and the
+    charge drawn from VDD, by the closed form of the module docstring.
+    voltages is the (n_steps + 1, rows, lines) record of every step from
+    vdd/2, or None unless `record`. Every expression is elementwise, so a
+    row's results do not depend on the other rows.
     """
-    return ((params.vdd - v) / params.v_dsat >= 1.0) & (v / params.v_dsat >= 1.0)
+    p, n = _drive_sums(s, X)
+    vdd, v_dsat, c_line, dt = s.params.vdd, s.params.v_dsat, s.timing.c_line, s.timing.dt
+    half, r, n_steps = vdd / 2, dt / c_line, s.timing.n_steps
+    u, d = np.maximum(p, n), np.minimum(p, n)
+    # m is NaN for a line that never leaves its start regime (fmin drops it),
+    # and a driveless line divides by zero in branches np.where discards.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if v_dsat <= half:
+            step = r * (u - d)
+            m = np.fmin(np.floor((half - v_dsat) / step) + 1, n_steps)
+            down = n_steps * dt * d
 
-
-def _euler(p_sum, n_sum, params: dev.DeviceParams, timing: LineTiming, v, q, record):
-    """Integrate line voltages v and charge q from VDD in place, element by element.
-
-    Per step, i_in = p_sum * min((vdd - v) / v_dsat, 1) and i_out = n_sum *
-    min(v / v_dsat, 1); both min arguments are >= 0 because v stays in
-    [0, vdd]. q gains i_in * dt and v gains (i_in - i_out) * dt / c_line,
-    clamped to [0, vdd]. Every operation is elementwise, so an element's
-    bits do not depend on the array it sits in.
-    """
-    vdd, v_dsat, dt = params.vdd, params.v_dsat, timing.dt
-    scale = dt / timing.c_line
-    i_in, i_out, dq = (np.empty_like(v) for _ in range(3))
-    for k in range(timing.n_steps):
-        np.subtract(vdd, v, out=i_in)
-        i_in /= v_dsat
-        np.minimum(i_in, 1.0, out=i_in)
-        i_in *= p_sum
-        np.divide(v, v_dsat, out=i_out)
-        np.minimum(i_out, 1.0, out=i_out)
-        i_out *= n_sum
-        np.multiply(i_in, dt, out=dq)
-        q += dq
-        i_in -= i_out
-        i_in *= scale
-        v += i_in
-        np.clip(v, 0.0, vdd, out=v)
-        if record is not None:
-            record[k + 1] = v
-
-
-def _linear_euler(p_sum, n_sum, params: dev.DeviceParams, timing: LineTiming, v, q):
-    """Take only _euler's linear-regime step, in place, from v = vdd/2 (linear) and q = 0.
-
-    Returns where v and q equal _euler's result bit for bit (see the module
-    docstring): the state before the last step is linear and the final
-    voltage lies in [0, vdd]. Elsewhere they hold meaningless values; NaN
-    is never done.
-    """
-    step = p_sum - n_sum
-    step *= timing.dt / timing.c_line
-    dq = p_sum * timing.dt
-    for _ in range(timing.n_steps - 1):
-        v += step
-        q += dq
-    done = _linear(v, params)
-    v += step
-    q += dq
-    done &= (v >= 0.0) & (v <= params.vdd)
-    return done
-
-
-def _integrate(s: SystemConfig, X: np.ndarray, record: bool):
-    """Classify phase of every line for a batch of (n, features) normalized inputs.
-
-    Returns (BatchResult, voltages) where voltages is the (n_steps + 1, n,
-    lines) record of every Euler step starting at vdd/2, or None unless
-    `record`. Raises FloatingPointError if a voltage or charge ends
-    non-finite (the [0, vdd] clamp would otherwise hide an overflow).
-
-    Without `record`, when vdd/2 is in the linear regime, each block takes
-    the linear shortcut; the elements it cannot vouch for are gathered
-    from every block and integrated once more by _euler from the start.
-    """
-    params, vdd = s.params, s.params.vdd
-    p_sum, n_sum = _drive_sums(s, X)
-    # C-ordered (rows, lines), so q.sum(axis=1) below adds a row's lines
-    # pairwise, and a block of rows is a contiguous view.
-    v = np.full_like(p_sum, vdd / 2)
-    q = np.zeros_like(p_sum)
-    voltages = np.empty((s.timing.n_steps + 1, *v.shape)) if record else None
-    if record:
-        voltages[0] = vdd / 2
-    shortcut = not record and _linear(vdd / 2, params)
-    todo = np.zeros(v.shape, dtype=bool)
-    for lo in range(0, len(v), BLOCK_ROWS):
-        rows = slice(lo, lo + BLOCK_ROWS)
-        if shortcut:
-            todo[rows] = ~_linear_euler(p_sum[rows], n_sum[rows], params, s.timing,
-                                        v[rows], q[rows])
+            def start(k):
+                return half + k * step
         else:
-            _euler(p_sum[rows], n_sum[rows], params, s.timing, v[rows], q[rows],
-                   None if voltages is None else voltages[:, rows])
-    if todo.any():
-        v_left = np.full(np.count_nonzero(todo), vdd / 2)
-        q_left = np.zeros_like(v_left)
-        _euler(p_sum[todo], n_sum[todo], params, s.timing, v_left, q_left, None)
-        v[todo] = v_left
-        q[todo] = q_left
-    if not (np.isfinite(v).all() and np.isfinite(q).all()):
-        raise FloatingPointError("line voltage or charge became non-finite")
+            log_b = np.log1p(-r * (u + d) / v_dsat)
+            g = np.where(u + d > 0, vdd * (u - d) / (2 * (u + d)), 0.0)
+            m = np.fmin(np.ceil(np.log1p((half - v_dsat) / g) / log_b), n_steps)
+            geo = np.where(log_b < 0, np.expm1(m * log_b) / np.expm1(log_b), m)
+            down = dt * d * (n_steps - m + (m * half + g * (m - geo)) / v_dsat)
 
-    votes = np.where(v >= vdd / 2, 1, -1)
+            def start(k):
+                return half - g * np.expm1(k * log_b)
+        x_m = start(m)
+        log_a = np.log1p(-r * u / v_dsat)
+        x_fix = vdd - v_dsat * d / u
+
+        def voltage(k):
+            x = np.where(k <= m, start(k),
+                         x_fix + (x_m - x_fix) * np.exp(np.maximum(k - m, 0) * log_a))
+            return np.where(p >= n, x, vdd - x)
+
+    finals = voltage(n_steps)
+    q = down + c_line * np.maximum(finals - half, 0.0)
+    voltages = voltage(np.arange(n_steps + 1)[:, None, None]) if record else None
+    return finals, q, voltages
+
+
+def _result(s: SystemConfig, finals: np.ndarray, charge: np.ndarray) -> BatchResult:
+    """Votes, tallies and energies of (n, lines) final voltages and (n,) total charges."""
+    vdd = s.params.vdd
+    votes = np.where(finals >= vdd / 2, 1, -1)
     tallies, preds = tally_votes(s.pairs, votes)
-    e_pre = sum(precharge_energy(s.timing, params) for _ in s.pairs)
-    energies = vdd * q.sum(axis=1) + e_pre
+    e_pre = sum(precharge_energy(s.timing, s.params) for _ in s.pairs)
     return BatchResult(votes=votes, tallies=tallies, predictions=preds,
-                       energies=energies, line_finals=v), voltages
+                       energies=vdd * charge + e_pre, line_finals=finals)
 
 
 def simulate_batch(s: SystemConfig, X: np.ndarray) -> BatchResult:
     """Transient-evaluate a batch of normalized inputs over all lines.
 
-    Row i equals simulate_digit on X[i] bit for bit.
+    Row i equals simulate_digit on X[i] bit for bit. Raises the ValueError
+    of check_euler_stability for an unstable array.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return _integrate(s, X, record=False)[0]
+    check_euler_stability(s)
+    finals = np.empty((len(X), len(s.pairs)))
+    charge = np.empty(len(X))
+    for lo in range(0, len(X), BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        finals[rows], q, _ = _lines(s, X[rows], record=False)
+        # C-ordered, so a row's lines add in the same pairwise order as one digit's.
+        charge[rows] = q.sum(axis=1)
+    return _result(s, finals, charge)
 
 
 def simulate_digit(s: SystemConfig, x: np.ndarray,
@@ -263,7 +253,9 @@ def simulate_digit(s: SystemConfig, x: np.ndarray,
     n_features = s.L.shape[0]
     if x.shape != (n_features,):
         raise ValueError(f"expected a ({n_features},) feature vector, got shape {x.shape}")
-    res, voltages = _integrate(s, x[None, :], record=record_traces)
+    check_euler_stability(s)
+    finals, q, voltages = _lines(s, x[None, :], record_traces)
+    res = _result(s, finals, q.sum(axis=1))
     traces = None
     if record_traces:
         t = np.arange(s.timing.n_steps + 1) * s.timing.dt

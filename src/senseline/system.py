@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import line_sim
-from .device import DeviceParams
-from .line_sim import LineTiming
+from .device import DeviceParams, supplied_by
+from .line_sim import LineTiming, check_euler_stability  # noqa: F401 (part of this module's API)
 from .quantizer import RAILS, QuantSpec, quantize_unit, weight_levels
 from .trainer import OvOModel, all_pairs, pair_votes, score_votes
 
@@ -70,23 +70,6 @@ class SystemConfig:
     @property
     def device_count(self) -> int:
         return int(np.count_nonzero(self.L))
-
-
-def check_euler_stability(s: SystemConfig):
-    """Reject an analog simulation whose explicit-Euler step can overshoot.
-
-    Every line's line_sim.euler_factor, taken at its summed device drives
-    sum |L| / max_level, must lie in (0, 1]. Digital evaluation does not
-    step the lines, so only the analog paths check this.
-    """
-    drive_sum = np.abs(s.L).sum(axis=0) / s.quant.max_level
-    factor = line_sim.euler_factor(s.timing, s.params, drive_sum)
-    bad = np.flatnonzero(factor <= 0)
-    if bad.size:
-        a, b = s.pairs[bad[0]]
-        raise ValueError(f"unstable Euler step on line {a}-{b}: worst-case factor "
-                         f"{factor[bad[0]]:.3g} is outside (0, 1]; "
-                         "lower line.dt or raise line.c_line")
 
 
 def assemble(model: OvOModel, quant: QuantSpec = QuantSpec(),
@@ -246,6 +229,14 @@ def parse_netlist(path) -> SystemConfig:
 
     quant = _header_section(path, "quant", header["quant"], QuantSpec)
     params = _header_section(path, "device", header["device"], DeviceParams)
+    # The supply and windows are written for readers of the file, but a run
+    # derives them from the quantizer; a second supply would move every line.
+    derived = supplied_by(params, quant)
+    for key in (f.name for f in dataclasses.fields(DeviceParams)):
+        if getattr(params, key) != getattr(derived, key):
+            raise ValueError(f"netlist {path}: the 'device' header's {key} "
+                             f"{getattr(params, key)!r} differs from "
+                             f"{getattr(derived, key)!r}, derived from the 'quant' header")
     timing = _header_section(path, "line", header["line"], LineTiming)
     pairs = _header_pairs(path, header["pairs"])
     columns = {pair: k for k, pair in enumerate(pairs)}
@@ -327,7 +318,6 @@ def evaluate(s: SystemConfig, X: np.ndarray, labels: np.ndarray,
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
     if mode == "analog":
-        check_euler_stability(s)
         result = line_sim.simulate_batch(s, X)
         votes, energy = result.votes, float(np.mean(result.energies))
     else:

@@ -31,14 +31,13 @@ def make_line(specs, pair=(0, 1), params=P, **timing):
 
 
 def integrate_reference(s, X):
-    """(line_finals, energies) of a batch with every element taking every clamped step.
+    """(line_finals, energies) of a batch, integrated step by step.
 
-    The integrator with no linear-regime shortcut: drive sums from the
-    int64 level products, i_on / max_level**2 * (levels @ max(+-L, 0)),
-    then per step i_in = p * min((vdd - v) / v_dsat, 1), i_out = n *
-    min(v / v_dsat, 1), q += i_in * dt and v = clip(v + (i_in - i_out) *
-    dt / c_line, 0, vdd), in the same floating-point operations as
-    simulate_batch, so the two agree bit for bit.
+    The explicit-Euler recurrence that simulate_batch evaluates in closed
+    form: drive sums from the int64 level products, i_on / max_level**2 *
+    (levels @ max(+-L, 0)), then per step i_in = p * min((vdd - v) / v_dsat,
+    1), i_out = n * min(v / v_dsat, 1), q += i_in * dt and v = clip(v +
+    (i_in - i_out) * dt / c_line, 0, vdd).
     """
     params, timing = s.params, s.timing
     levels = quantize_unit(np.atleast_2d(X), s.quant)
@@ -58,19 +57,20 @@ def integrate_reference(s, X):
 
 
 def assert_matches_reference(s, X):
-    """simulate_batch equals integrate_reference bit for bit; returns its result."""
+    """simulate_batch matches integrate_reference: equal votes, finals within
+    1e-12 V and energies within 1e-13 relative. Returns its result."""
     res = simulate_batch(s, X)
     finals, energies = integrate_reference(s, X)
-    assert np.array_equal(res.line_finals.view(np.int64), finals.view(np.int64))
-    assert np.array_equal(res.energies.view(np.int64), energies.view(np.int64))
     assert np.array_equal(res.votes, np.where(finals >= s.params.vdd / 2, 1, -1))
+    np.testing.assert_allclose(res.line_finals, finals, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.energies, energies, rtol=1e-13, atol=0)
     return res
 
 
 def planted_params(i_on):
     """Default DeviceParams with an i_on that validation rejects, planted to
-    reach the integrator's final check: no validated array has a non-finite
-    drive."""
+    reach the simulators' stability guard: no validated array has a
+    non-finite drive."""
     params = DeviceParams()
     object.__setattr__(params, "i_on", i_on)
     return params
@@ -220,8 +220,11 @@ class TestClassifyLine:
 
     def test_bounded_voltage_random_lines(self):
         rng = np.random.default_rng(8)
-        # Strong drives and a long phase force railing; clamps must hold.
+        # Strong drives and a long phase force railing; the line must stay in
+        # [0, vdd]. A line whose worst-case Euler factor leaves (0, 1] would
+        # overshoot, and the guard rejects it.
         hot = DeviceParams(i_on=50e-6)
+        stable = 0
         for _ in range(20):
             n_dev = rng.integers(1, 8)
             specs = [(int(rng.integers(0, 64)), rng.choice(["P", "N"]), int(rng.integers(1, 32)))
@@ -229,9 +232,17 @@ class TestClassifyLine:
             specs = [(fi, dt, lv) for k, (fi, dt, lv) in enumerate(specs)
                      if fi not in [s[0] for s in specs[:k]]]
             line = make_line(specs, params=hot, t_classify=4e-9)
-            _, _, _, trace = run_line(line, rng.integers(0, 32, size=64))
+            levels = rng.integers(0, 32, size=64)
+            drive = sum(lv for _, _, lv in specs) / Q.max_level
+            if line_sim.euler_factor(line.timing, hot, drive) <= 0:
+                with pytest.raises(ValueError, match="unstable Euler step"):
+                    run_line(line, levels)
+                continue
+            stable += 1
+            _, _, _, trace = run_line(line, levels)
             assert np.all(trace[:, 1] >= 0.0)
             assert np.all(trace[:, 1] <= hot.vdd)
+        assert 10 <= stable < 20
 
     def test_monotone_in_single_device_level(self):
         # Raising one P device's feature level never lowers the final voltage;
@@ -263,17 +274,20 @@ class TestClassifyLine:
             assert (v_final, vote) == (1.5, 1)
 
     def test_non_finite_voltage_raises(self):
+        # An infinite drive has Euler factor -inf, so the guard stops it
+        # before any voltage is formed.
         line = make_line([(0, "P", 31)], params=planted_params(np.inf))
-        with pytest.raises(FloatingPointError, match="non-finite"), np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="unstable Euler step"):
             run_line(line, levels_all(31))
 
 
 class TestLinearShortcut:
-    """simulate_batch against integrate_reference where the linear shortcut can fail.
+    """The closed form's linear run, regime crossings and rails against integrate_reference.
 
     A full-level device with a full-level feature has drive 1, so one step
     moves its line by i_on * dt / c_line volts. At the default vdd 3 V and
-    v_dsat 0.2 V, both current clamps saturate while 0.2 <= v <= 2.8.
+    v_dsat 0.2 V, both current clamps saturate while 0.2 <= v <= 2.8, and
+    the guard admits a one-device line while its step is below v_dsat.
     """
 
     @staticmethod
@@ -287,10 +301,11 @@ class TestLinearShortcut:
 
     def test_lines_leave_linear_regime_at_random_steps(self):
         # The lines cross 2.8 V (and 0.2 V) between steps k - 1 and k: the
-        # first k - 1 steps are linear, the rest are not.
+        # first k - 1 steps are linear, the rest are not. k = 8 is the
+        # earliest crossing with a step below v_dsat.
         n_steps = LineTiming().n_steps
         rng = np.random.default_rng(5)
-        for k in [n_steps - 1, n_steps - 2, 7, *rng.integers(8, n_steps, size=5)]:
+        for k in [n_steps - 1, n_steps - 2, 8, *rng.integers(8, n_steps, size=5)]:
             line = self.two_lines(1.3 / (k - 0.5))
             res = assert_matches_reference(line, levels_all(31)[None, :] / Q.max_level)
             assert res.line_finals[0, 0] > P.vdd - P.v_dsat
@@ -298,50 +313,72 @@ class TestLinearShortcut:
 
     def test_mixed_batch_across_blocks(self, monkeypatch):
         # Random lines and digits, some linear throughout and some not, in
-        # blocks of 4 rows so unfinished elements are gathered from many.
+        # blocks of 4 rows, which change no bits.
         rng = np.random.default_rng(6)
         L = rng.integers(-31, 32, size=(64, 10)) * (rng.random((64, 10)) < 0.1)
         t = LineTiming()
         params = DeviceParams(i_on=0.03 * t.c_line / t.dt)
         line = SystemConfig([(0, k) for k in range(1, 10)] + [(1, 2)], L, Q, params, t)
         X = rng.integers(0, 32, size=(23, 64)) / Q.max_level
+        whole = simulate_batch(line, X)
         monkeypatch.setattr(line_sim, "BLOCK_ROWS", 4)
         res = assert_matches_reference(line, X)
+        assert np.array_equal(res.line_finals, whole.line_finals)
+        assert np.array_equal(res.energies, whole.energies)
         left = (res.line_finals < P.v_dsat) | (res.line_finals > P.vdd - P.v_dsat)
         assert 0 < left.sum() < left.size
 
     @pytest.mark.parametrize("step_volts", [0.15, 0.3])
     def test_lines_reach_a_rail(self, step_volts):
-        # Within 20 of the 200 steps, 0.15 V steps settle onto the rails;
-        # 0.3 V steps (Euler factor -0.5) overshoot them and are clipped.
-        res = assert_matches_reference(self.two_lines(step_volts),
-                                       levels_all(31)[None, :] / Q.max_level)
+        # Within 20 of the 200 steps, 0.15 V steps settle onto the rails.
+        # 0.3 V steps (Euler factor -0.5) would overshoot them, and the
+        # guard rejects the array.
+        line = self.two_lines(step_volts)
+        X = levels_all(31)[None, :] / Q.max_level
+        if step_volts > P.v_dsat:
+            with pytest.raises(ValueError, match="factor -0.5 is outside"):
+                simulate_batch(line, X)
+            return
+        res = assert_matches_reference(line, X)
         assert res.line_finals[0] == pytest.approx([P.vdd, 0.0], abs=1e-12)
 
     def test_last_step_jumps_past_the_rail(self):
-        # Ten 0.16 V steps from 1.5 V at v_dsat 10 mV: after nine the lines
-        # sit at 2.94 V and 0.06 V, still linear, and the tenth step
-        # overshoots the rails, where the clip holds them.
+        # Ten 0.16 V steps from 1.5 V at v_dsat 10 mV would leave the lines
+        # at 2.94 V and 0.06 V after nine, still linear, and overshoot the
+        # rails on the tenth. The guard rejects such a step in both
+        # simulators.
         line = self.two_lines(0.16, v_dsat=0.01, t_classify=1e-10)
-        res = assert_matches_reference(line, levels_all(31)[None, :] / Q.max_level)
-        assert tuple(res.line_finals[0]) == (P.vdd, 0.0)
+        with pytest.raises(ValueError, match="unstable Euler step on line 0-1"):
+            simulate_batch(line, levels_all(31)[None, :] / Q.max_level)
+        with pytest.raises(ValueError, match="unstable Euler step on line 0-1"):
+            simulate_digit(line, levels_all(31) / Q.max_level, record_traces=True)
 
     @pytest.mark.parametrize("v_dsat", [1.5, 2.0, 3.0])
-    def test_v_dsat_at_least_half_vdd_takes_no_shortcut(self, v_dsat, monkeypatch):
-        # At v_dsat > vdd/2 no voltage saturates both clamps; at exactly
-        # vdd/2 only vdd/2 itself does.
-        calls = []
-        linear_euler = line_sim._linear_euler
-        monkeypatch.setattr(line_sim, "_linear_euler",
-                            lambda *a: calls.append(1) or linear_euler(*a))
-        line = self.two_lines(0.01, v_dsat=v_dsat)
-        levels = np.array([levels_all(31), levels_all(7), levels_all(0)])
-        assert_matches_reference(line, levels / Q.max_level)
-        assert bool(calls) == (v_dsat == P.vdd / 2)
+    def test_v_dsat_at_least_half_vdd_takes_no_shortcut(self, v_dsat):
+        # At v_dsat > vdd/2 no voltage saturates both clamps: every line
+        # starts in both triode regions, and at 2.0 V a strongly driven one
+        # crosses into the upper triode regime. At exactly vdd/2 only vdd/2
+        # itself is linear. Line 0-3 has both a p- and an n-type device.
+        t = LineTiming()
+        params = DeviceParams(i_on=0.02 * t.c_line / t.dt, v_dsat=v_dsat)
+        L = np.zeros((64, 3), dtype=np.int64)
+        L[0] = 31, -31, 31
+        L[1, 2] = -20
+        line = SystemConfig([(0, 1), (0, 2), (0, 3)], L, Q, params, t)
+        levels = np.array([levels_all(31), levels_all(7), levels_all(0), levels_all(31)])
+        levels[3, 1] = 4
+        res = assert_matches_reference(line, levels / Q.max_level)
+        if v_dsat > P.vdd / 2:
+            # Which lines get further than v_dsat from the rail they leave.
+            crossed = np.maximum(res.line_finals, P.vdd - res.line_finals) > v_dsat
+            assert crossed.tolist() == ([[True, True, False], [True, True, False],
+                                         [False] * 3, [True] * 3] if v_dsat == 2.0
+                                        else [[False] * 3] * 4)
+        assert res.votes[:, 0].tolist() == [1, 1, 1, 1]
+        assert res.votes[:, 1].tolist() == [-1, -1, 1, -1]
 
     def test_exact_ties_stay_at_half_vdd(self):
-        # The pairs of test_exact_zero_margin_votes_positive, batched, so
-        # the shortcut integrates them.
+        # The pairs of test_exact_zero_margin_votes_positive, batched.
         L = np.zeros((64, 3), dtype=np.int64)
         L[0], L[1] = (20, 12, 1), (-20, -18, -2)
         line = SystemConfig([(0, 1), (0, 2), (0, 3)], L, Q)
@@ -353,8 +390,9 @@ class TestLinearShortcut:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_drive_raises_in_batch(self, bad):
+        # Euler factor -inf or NaN: neither lies in (0, 1].
         line = make_line([(0, "P", 31)], params=planted_params(bad))
-        with pytest.raises(FloatingPointError, match="non-finite"), np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="unstable Euler step"):
             simulate_batch(line, np.tile(levels_all(31) / Q.max_level, (3, 1)))
 
 

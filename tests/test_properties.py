@@ -23,10 +23,16 @@ from senseline.dataset import (  # noqa: E402
     read_idx_images,
     read_idx_labels,
 )
-from senseline.device import DeviceParams  # noqa: E402
-from senseline.line_sim import LineTiming, simulate_batch  # noqa: E402
+from senseline.device import DeviceParams, supplied_by  # noqa: E402
+from senseline.line_sim import LineTiming, simulate_batch, simulate_digit  # noqa: E402
 from senseline.quantizer import QuantSpec  # noqa: E402
-from senseline.system import N_FEATURES, SystemConfig, emit_netlist, parse_netlist  # noqa: E402
+from senseline.system import (  # noqa: E402
+    N_FEATURES,
+    SystemConfig,
+    emit_netlist,
+    parse_netlist,
+    quantized_margins,
+)
 from senseline.trainer import all_pairs  # noqa: E402
 from test_line_sim import assert_matches_reference  # noqa: E402
 
@@ -129,15 +135,24 @@ def finite(lo, hi):
 
 @st.composite
 def integrator_cases(draw):
-    """A small array and inputs whose lines may stay linear, leave the linear
-    regime, settle onto or overshoot a rail, or (v_dsat >= vdd/2) never be
-    linear at all. A full device's step, i_on * dt / c_line, is drawn directly."""
+    """A small array and inputs at a line/device point the stability guard
+    admits. Its lines may stay linear, leave the linear regime, settle at
+    their fixed point near or on a rail, or (v_dsat >= vdd/2) start in both
+    triode regions. A floor under the worst-case Euler factor is drawn, and
+    i_on follows from it and the array's strongest line. The floor stays
+    below 0.999, so a one-level drive difference moves a line by more than
+    1e-9 V per step: the step-by-step reference loses steps below an ulp of
+    vdd."""
     L, levels = draw(arrays_and_inputs())
     dt = draw(finite(1e-12, 1e-10))
     timing = LineTiming(c_line=draw(finite(1e-15, 1e-13)),
                         t_classify=dt * draw(st.integers(10, 300)), dt=dt)
-    step_volts = draw(st.floats(1e-6, 0.5))
-    params = DeviceParams(i_on=step_volts * timing.c_line / dt, v_dsat=draw(finite(0.01, 2.0)))
+    v_dsat = draw(st.one_of(finite(0.01, Q.vdd / 2), finite(Q.vdd / 2, 2 * Q.vdd),
+                            st.sampled_from([Q.vdd / 2, Q.vdd])))
+    factor = draw(st.floats(1e-3, 0.999))
+    drive = max(np.abs(L).sum(axis=0).max() / MAX, 1.0)
+    params = DeviceParams(i_on=(1 - factor) * timing.c_line * v_dsat / (dt * drive),
+                          v_dsat=v_dsat)
     return SystemConfig(all_pairs()[:L.shape[1]], L, Q, params, timing), levels / MAX
 
 
@@ -147,20 +162,40 @@ def test_batch_equals_reference_integrator(case):
     assert_matches_reference(*case)
 
 
+@settings(max_examples=150, deadline=None)
+@given(integrator_cases())
+def test_closed_form_votes_and_traces(case):
+    # Every vote is the integer margin's sign, and every trace starts at
+    # vdd/2, stays in [0, vdd], is monotone and ends on the batch final.
+    s, X = case
+    res = simulate_batch(s, X)
+    assert np.array_equal(res.votes, np.where(quantized_margins(s, X) >= 0, 1, -1))
+    for i, x in enumerate(X):
+        rec = simulate_digit(s, x, record_traces=True)
+        v = np.array([trace[:, 1] for trace in rec.line_traces])
+        assert np.all(v[:, 0] == Q.vdd / 2)
+        assert np.all((v >= 0) & (v <= Q.vdd))
+        dv = np.diff(v, axis=1)
+        assert np.all(np.all(dv >= 0, axis=1) | np.all(dv <= 0, axis=1))
+        assert np.array_equal(v[:, -1], res.line_finals[i])
+        assert rec.energy == res.energies[i]
+
+
 @st.composite
 def compiled_systems(draw):
     """A random signed level matrix on a random subset of the pairs, at valid
-    line and device parameters whose bias windows hold every quantizer level."""
+    line and device parameters whose supply and bias windows are those of a
+    random quantizer."""
     pairs = draw(st.lists(st.sampled_from(all_pairs()), min_size=1, max_size=45, unique=True))
     L = draw(arrays(np.int64, (N_FEATURES, len(pairs)), elements=st.integers(-MAX, MAX)))
-    params = DeviceParams(i_on=draw(finite(1e-9, 1e-4)), v_dsat=draw(finite(0.01, 1.0)),
-                          p_window=(draw(finite(-1.0, 0.0)), draw(finite(1.2, 1.49))),
-                          n_window=(draw(finite(1.51, 1.8)), draw(finite(3.0, 4.0))),
-                          tg_window_span=draw(finite(0.5, 3.0)))
+    vdd = draw(finite(0.5, 10.0))
+    quant = QuantSpec(step_volts=vdd / 2 / MAX * draw(finite(0.1, 0.99)), vdd=vdd)
+    params = supplied_by(DeviceParams(i_on=draw(finite(1e-9, 1e-4)),
+                                      v_dsat=draw(finite(0.01, 1.0))), quant)
     dt = draw(finite(1e-13, 1e-10))
     timing = LineTiming(c_line=draw(finite(1e-16, 1e-12)), t_precharge=draw(finite(1e-10, 1e-8)),
                         t_classify=dt * draw(st.integers(10, 1000)), dt=dt)
-    return SystemConfig(pairs, L, Q, params, timing)
+    return SystemConfig(pairs, L, quant, params, timing)
 
 
 @pytest.fixture(scope="module")

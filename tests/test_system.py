@@ -247,6 +247,22 @@ class TestNetlist:
         with pytest.raises(ValueError, match=match):
             system.parse_netlist(path)
 
+    @pytest.mark.parametrize("key,value", [("vdd", 3.5), ("p_window", [0.0, 1.2]),
+                                           ("n_window", [1.7, 3.0]), ("tg_window_span", 1.0)])
+    def test_device_supply_must_follow_quant(self, tmp_path, key, value):
+        # The 'quant' header is the one supply: a second vdd or window in the
+        # 'device' header would move every line's fixed point and energy.
+        path = tmp_path / "netlist.txt"
+        L = np.zeros((64, 1), dtype=np.int64)
+        L[0, 0] = 31
+        system.emit_netlist(system.SystemConfig([(0, 1)], L), path)
+        text = path.read_text()
+        device = next(l for l in text.splitlines() if l.startswith("* device "))
+        edited = dict(json.loads(device[len("* device "):]), **{key: value})
+        path.write_text(text.replace(device, "* device " + json.dumps(edited)))
+        with pytest.raises(ValueError, match=f"'device' header's {key}"):
+            system.parse_netlist(path)
+
     def test_header_not_json_rejected(self, synth_system, tmp_path):
         path = tmp_path / "netlist.txt"
         system.emit_netlist(synth_system, path)
