@@ -25,7 +25,6 @@ from .system import (
     emit_netlist,
     estimate_area,
     evaluate,
-    parse_netlist,
 )
 from .trainer import (
     BinaryClassifier,

@@ -155,6 +155,11 @@ def cmd_select(cfg: RunConfig) -> int:
         raise ValueError("feature selection expects the 64-feature downsampled space")
     base_model = trainer.load_model(base_path)
     (train_x, train_y), (val_x, val_y) = _load_train_val_features(cfg)
+    try:
+        base_acc, _, _ = trainer.evaluate_model(base_model, val_x, val_y)
+    except IndexError as e:
+        raise ValueError(f"{base_path} does not fit the {cfg.feature_space}-feature space "
+                         f"({e}); rerun `train`") from None
     model = trainer.build_ovo(train_x, train_y, val_x, val_y, cfg.hyper, sbs=cfg.sbs)
     _write_json(_out(cfg, "model_sbs.json"),
                 dict(trainer.model_to_dict(model), metadata={"config_hash": config_hash(cfg)}))
@@ -166,7 +171,6 @@ def cmd_select(cfg: RunConfig) -> int:
         writer.writerow(["digit_a", "digit_b", "selected_features"])
         for (a, b), n in counts.items():
             writer.writerow([a, b, n])
-    base_acc, _, _ = trainer.evaluate_model(base_model, val_x, val_y)
     val_acc, _, _ = trainer.evaluate_model(model, val_x, val_y)
     mean_count = model.mean_feature_count()
     _write_json(_out(cfg, "sbs_report.json"), {

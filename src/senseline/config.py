@@ -57,6 +57,11 @@ class RunConfig:
     seed: int = 42
 
     def __post_init__(self):
+        # os.path.exists would take an int path as an open file descriptor.
+        paths = {f"data.{k}": v for k, v in dataclasses.asdict(self.data).items()}
+        for name, value in dict(paths, out_dir=self.out_dir).items():
+            if not isinstance(value, str) or not value:
+                raise ValueError(f"{name} must be a non-empty path string, got {value!r}")
         _check_count("seed", self.seed, minimum=0)
         _check_count("feature_space", self.feature_space)
         if self.feature_space not in (64, 784):

@@ -105,6 +105,15 @@ class TestSelect:
         assert run(["train", "-c", workdir["config"]]) == 0
         assert run(["select", "-c", workdir["config"]]) == 0
 
+    def test_select_after_full_resolution_train_exits_4(self, workdir, monkeypatch, capsys):
+        # The 784-feature model is rejected before any pair is selected.
+        assert run(["train", "-c", workdir["config"], "--feature-space", 784]) == 0
+        monkeypatch.setattr(trainer, "build_ovo", lambda *a, **kw: pytest.fail("selection ran"))
+        assert run(["select", "-c", workdir["config"]]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "64-feature space" in err and "rerun `train`" in err
+        assert not (workdir["tmp"] / "out" / "model_sbs.json").exists()
+
     def test_select_reduces_features(self, workdir):
         run(["train", "-c", workdir["config"]])
         assert run(["select", "-c", workdir["config"]]) == 0
@@ -348,6 +357,24 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "config error" in err and name in err
         assert not (workdir["tmp"] / "out" / "prepare.json").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("out_dir", 5),                      # was a TypeError traceback in prepare
+        ("out_dir", None),
+        ("out_dir", ""),                     # was a data error from os.makedirs("")
+        ("data.test_labels", 1),             # was opened as file descriptor 1
+        ("data.train_images", ""),
+        ("data.train_images", ["x"]),
+    ])
+    def test_non_string_path_exits_4(self, workdir, key, value, capsys):
+        doc = json.loads(json.dumps(workdir["doc"]))
+        *section, name = key.split(".")
+        (doc[section[0]] if section else doc)[name] = value
+        bad = workdir["tmp"] / "bad_path.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["prepare", "-c", bad]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
 
     def test_model_with_intercept_and_threshold_keys_exits_4(self, workdir, capsys):
         assert run(["train", "-c", workdir["config"]]) == 0
