@@ -35,7 +35,10 @@ def _now() -> str:
 
 
 def _out(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ValueError(f"out_dir {cfg.out_dir!r} is not a directory") from None
     return os.path.join(cfg.out_dir, name)
 
 
@@ -48,14 +51,16 @@ def _write_json(path, doc: dict):
 def _check_paths(cfg: RunConfig, keys):
     paths = dataclasses.asdict(cfg.data)
     for key in keys:
-        if not os.path.exists(paths[key]):
-            raise FileNotFoundError(f"data file for '{key}' not found: {paths[key]}")
+        if not os.path.isfile(paths[key]):
+            problem = "is not a regular file" if os.path.exists(paths[key]) else "not found"
+            raise FileNotFoundError(f"data file for '{key}' {problem}: {paths[key]}")
 
 
 def _load_splits(cfg: RunConfig) -> dataset.DataSplits:
     _check_paths(cfg, ("train_images", "train_labels", "test_images", "test_labels"))
-    train_pool = dataset.load_idx(cfg.data.train_images, cfg.data.train_labels)
+    # The training pool last, so load_idx's one cached pair is the pool `train` reads next.
     test_pool = dataset.load_idx(cfg.data.test_images, cfg.data.test_labels)
+    train_pool = dataset.load_idx(cfg.data.train_images, cfg.data.train_labels)
     return dataset.split(train_pool, test_pool, cfg.split)
 
 
@@ -228,6 +233,19 @@ def _evaluate(cfg: RunConfig, sysc: system.SystemConfig, test_x, test_y) -> syst
     return report
 
 
+def _trace_rows(i: int, pairs, line_traces) -> str:
+    """One digit's traces.csv rows, as csv.writer writes them (no quoting, \\r\\n ends).
+
+    Every line of a digit shares one time axis, so it is formatted once;
+    `%.6f` of a float is `f"{v:.6f}"`.
+    """
+    times = [f"{t:.3e}" for t in line_traces[0][:, 0].tolist()]
+    rows = []
+    for (a, b), tr in zip(pairs, line_traces):
+        rows += map(f"{i},{a}-{b},%s,%.6f\r\n".__mod__, zip(times, tr[:, 1].tolist()))
+    return "".join(rows)
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
     """Per-digit vote records (and transient traces in analog mode) + metrics."""
     sysc = _assemble(cfg)
@@ -242,20 +260,18 @@ def cmd_simulate(cfg: RunConfig) -> int:
         writer.writerow(["digit_index", "true_label", "predicted"]
                         + [f"votes_class_{k}" for k in range(10)])
         if mode == "analog":
-            trace_rows = []
+            trace_digits = []
             for i in range(n_trace):
                 rec = simulate_digit(sysc, test_x[i], record_traces=True)
                 writer.writerow([i, int(test_y[i]), rec.predicted] + rec.tally.tolist())
                 records.append({"index": i, "true_label": int(test_y[i]),
                                 "predicted": rec.predicted, "tally": rec.tally.tolist(),
                                 "votes": rec.votes.tolist(), "energy_j": rec.energy})
-                for (a, b), tr in zip(sysc.pairs, rec.line_traces):
-                    trace_rows += [[i, f"{a}-{b}", f"{t:.3e}", f"{v:.6f}"] for t, v in tr]
+                trace_digits.append(_trace_rows(i, sysc.pairs, rec.line_traces))
             with open(_out(cfg, "traces.csv"), "w", newline="") as tf:
                 tf.write(f"# config_hash={config_hash(cfg)}\n")
-                tw = csv.writer(tf)
-                tw.writerow(["digit_index", "pair", "t_seconds", "v_sen"])
-                tw.writerows(trace_rows)
+                csv.writer(tf).writerow(["digit_index", "pair", "t_seconds", "v_sen"])
+                tf.writelines(trace_digits)
         else:
             votes = system.digital_votes(sysc, test_x[:n_trace], mode)
             tallies, preds = tally_votes(sysc.pairs, votes)
@@ -394,7 +410,7 @@ def main(argv=None) -> int:
         else:
             doc = {}
         cfg = config_from_dict(_apply_overrides(doc, args))
-    except (FileNotFoundError, json.JSONDecodeError, ValueError, TypeError) as e:
+    except (OSError, ValueError, TypeError) as e:  # json.JSONDecodeError is a ValueError
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from outdiff import out_dir_diff
-from senseline import cli, system, trainer
-from senseline.config import config_from_dict
+from senseline import cli, dataset, system, trainer
+from senseline.config import config_from_dict, config_hash
+from senseline.line_sim import simulate_digit
 
 
 def run(args, **kw):
@@ -76,6 +78,16 @@ class TestPrepareAndTrain:
         bad.write_text(json.dumps(doc))
         assert run(["train", "-c", bad]) == cli.EXIT_DATA
         assert "/nonexistent/mnist-images" in capsys.readouterr().err
+
+    def test_data_path_naming_a_directory_exits_2(self, workdir, capsys):
+        # Was an IsADirectoryError traceback from reading the directory.
+        doc = dict(workdir["doc"])
+        doc["data"] = dict(doc["data"], test_labels=str(workdir["tmp"]))
+        bad = workdir["tmp"] / "dir_data.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["prepare", "-c", bad]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "test_labels" in err and "not a regular file" in err
 
     def test_truncated_gzip_exits_2(self, workdir, capsys):
         path = workdir["doc"]["data"]["test_images"]
@@ -205,6 +217,68 @@ class TestPipelineArtifacts:
         doc = json.loads((trained["tmp"] / "out" / "report.json").read_text())
         assert "digital-quantized" in doc["metrics"]
         assert "system" in doc
+
+
+def csv_writer_traces(h, pairs, digit_traces: dict) -> bytes:
+    """traces.csv as csv.writer writes it row by row, from {digit index: line traces}."""
+    with io.StringIO(newline="") as f:
+        f.write(f"# config_hash={h}\n")
+        writer = csv.writer(f)
+        writer.writerow(["digit_index", "pair", "t_seconds", "v_sen"])
+        for i, line_traces in digit_traces.items():
+            for (a, b), tr in zip(pairs, line_traces):
+                writer.writerows([i, f"{a}-{b}", f"{t:.3e}", f"{v:.6f}"] for t, v in tr)
+        return f.getvalue().encode()
+
+
+class TestTraceBytes:
+    def test_traces_csv_equals_csv_writer_output(self, workdir):
+        assert run(["run-all", "-c", workdir["config"], "--no-sbs", "--mode", "analog"]) == 0
+        doc = json.loads(json.dumps(workdir["doc"]))
+        doc["evaluate"]["mode"] = "analog"
+        doc["sbs"]["enabled"] = False
+        cfg = config_from_dict(doc)
+        sysc = cli._assemble(cfg)
+        test_x, _ = cli._load_test_features(cfg)
+        n = cfg.evaluate.trace_digits
+        assert n >= 2
+        traces = [simulate_digit(sysc, x, record_traces=True).line_traces for x in test_x[:n]]
+        expected = csv_writer_traces(config_hash(cfg), sysc.pairs, dict(enumerate(traces)))
+        assert (workdir["tmp"] / "out" / "traces.csv").read_bytes() == expected
+
+    def test_line_reaching_both_rails(self):
+        t = np.arange(9) * 1e-11
+        v = np.array([1.5, 3.0, 2.9999996, 3.0000004, 0.0, -0.0, 4e-7, -4e-7, 1.5000005])
+        line_traces = [np.column_stack([t, v]), np.column_stack([t, v[::-1]])]
+        pairs = [(0, 1), (8, 9)]
+        rows = cli._trace_rows(7, pairs, line_traces).encode()
+        header = b"# config_hash=h\ndigit_index,pair,t_seconds,v_sen\r\n"
+        assert header + rows == csv_writer_traces("h", pairs, {7: line_traces})
+        assert rows.count(b"\r\n") == 18
+        assert b"7,0-1,1.000e-11,3.000000\r\n" in rows and b"7,0-1,4.000e-11,0.000000\r\n" in rows
+
+
+class TestDecodeCount:
+    @pytest.fixture()
+    def decodes(self, monkeypatch):
+        """Paths of every IDX file decoded, with load_idx's cached pair cleared."""
+        calls, decode = [], dataset._decode_idx
+        monkeypatch.setattr(dataset, "_last_pair", None)
+        monkeypatch.setattr(dataset, "_decode_idx",
+                            lambda path, *a: calls.append(str(path)) or decode(path, *a))
+        return calls
+
+    @pytest.mark.parametrize("flags", [[], ["--no-sbs"]])
+    def test_run_all_decodes_three_idx_pairs(self, workdir, decodes, flags):
+        assert run(["run-all", "-c", workdir["config"]] + flags) == 0
+        assert len(decodes) == 6
+
+    def test_train_reuses_the_training_pool_prepare_decoded(self, workdir, decodes):
+        assert run(["prepare", "-c", workdir["config"]]) == 0
+        assert run(["train", "-c", workdir["config"]]) == 0
+        data = workdir["doc"]["data"]
+        train_paths = [data["train_images"], data["train_labels"]]
+        assert [p for p in decodes if p in train_paths] == train_paths
 
 
 class TestRunAll:
@@ -375,6 +449,20 @@ class TestConfigErrors:
         assert run(["prepare", "-c", bad]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and key in err
+
+    def test_out_dir_naming_a_file_exits_4(self, workdir, capsys):
+        # Was a FileExistsError traceback from os.makedirs.
+        doc = dict(workdir["doc"], out_dir=str(workdir["config"]))
+        bad = workdir["tmp"] / "file_out_dir.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["prepare", "-c", bad]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "out_dir" in err
+
+    def test_config_path_naming_a_directory_exits_4(self, tmp_path, capsys):
+        # Was an IsADirectoryError traceback from opening the config.
+        assert run(["prepare", "-c", tmp_path]) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_model_with_intercept_and_threshold_keys_exits_4(self, workdir, capsys):
         assert run(["train", "-c", workdir["config"]]) == 0
