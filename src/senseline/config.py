@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .dataset import GridSpec, SplitSpec
-from .device import DeviceParams, supplied_by
+from .device import DeviceParams
 from .line_sim import LineTiming, euler_factor
 from .quantizer import QuantSpec
 from .system import EVAL_MODES
@@ -73,11 +73,9 @@ class RunConfig:
                 raise ValueError(f"unstable Euler step: line.dt = {self.line.dt!r} s gives a "
                                  f"worst-case factor {factor:.3g} at {self.feature_space} "
                                  "features, outside (0, 1]; lower line.dt or raise line.c_line")
-        # The global seed pins the split shuffle, and the quantizer the supply
-        # and the bias windows.
+        # The global seed pins the split shuffle.
         object.__setattr__(self, "split",
                            dataclasses.replace(self.split, shuffle_seed=self.seed))
-        object.__setattr__(self, "device", supplied_by(self.device, self.quant))
 
 
 _SECTIONS = {
@@ -94,18 +92,11 @@ _SECTIONS = {
 
 _TUPLE_FIELDS = {"row_indices", "col_indices"}
 
-# The device section sets only the calibration knobs: RunConfig derives the
-# supply and the bias windows from quant.
-_DEVICE_KEYS = {"i_on", "v_dsat"}
-
 
 def _build_section(cls, values: dict):
-    names = _DEVICE_KEYS if cls is DeviceParams else {f.name for f in dataclasses.fields(cls)}
-    unknown = set(values) - names
+    unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        hint = ("; the supply is quant.vdd and the bias windows follow from quant"
-                if cls is DeviceParams else "")
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}{hint}")
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     coerced = {k: tuple(v) if k in _TUPLE_FIELDS and isinstance(v, list) else v
                for k, v in values.items()}
     return cls(**coerced)

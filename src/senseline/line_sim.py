@@ -139,9 +139,9 @@ class ClassificationTrace:
     line_traces: list[np.ndarray] | None = None
 
 
-def precharge_energy(timing: LineTiming, params: dev.DeviceParams) -> float:
+def precharge_energy(timing: LineTiming, vdd: float) -> float:
     # Worst-case refill of one line's half-swing each cycle.
-    return timing.c_line * (params.vdd / 2) ** 2
+    return timing.c_line * (vdd / 2) ** 2
 
 
 @dataclass
@@ -176,7 +176,7 @@ def _lines(s: SystemConfig, X: np.ndarray, record: bool):
     row's results do not depend on the other rows.
     """
     p, n = _drive_sums(s, X)
-    vdd, v_dsat, c_line, dt = s.params.vdd, s.params.v_dsat, s.timing.c_line, s.timing.dt
+    vdd, v_dsat, c_line, dt = s.quant.vdd, s.params.v_dsat, s.timing.c_line, s.timing.dt
     half, r, n_steps = vdd / 2, dt / c_line, s.timing.n_steps
     u, d = np.maximum(p, n), np.minimum(p, n)
     # m is NaN for a line that never leaves its start regime (fmin drops it),
@@ -215,10 +215,10 @@ def _lines(s: SystemConfig, X: np.ndarray, record: bool):
 
 def _result(s: SystemConfig, finals: np.ndarray, charge: np.ndarray) -> BatchResult:
     """Votes, tallies and energies of (n, lines) final voltages and (n,) total charges."""
-    vdd = s.params.vdd
+    vdd = s.quant.vdd
     votes = np.where(finals >= vdd / 2, 1, -1)
     tallies, preds = tally_votes(s.pairs, votes)
-    e_pre = sum(precharge_energy(s.timing, s.params) for _ in s.pairs)
+    e_pre = sum(precharge_energy(s.timing, vdd) for _ in s.pairs)
     return BatchResult(votes=votes, tallies=tallies, predictions=preds,
                        energies=vdd * charge + e_pre, line_finals=finals)
 

@@ -6,7 +6,9 @@ weights become p-type devices tied to the VDD rail, negative weights n-type
 devices tied to ground. Level 0 coincides with the gating-off voltage, so
 weights that quantize to level 0 produce no device at all.
 
-Gate-window placement (matching the device model's bias windows):
+QuantSpec owns the supply and the device model's bottom-gate bias windows,
+p-type (0, span) and n-type (vdd - span, vdd) with span = max_level * step,
+and places every level inside them:
 
     bottom gate  P: (max_level - level) * step        full drive at 0 V
                  N: vdd - (max_level - level) * step  full drive at vdd
@@ -57,6 +59,16 @@ class QuantSpec:
     @property
     def window_span(self) -> float:
         return self.max_level * self.step_volts
+
+    @property
+    def p_window(self) -> tuple[float, float]:
+        """Bottom-gate bias window of p-type conduction, anchored at ground."""
+        return (0.0, self.window_span)
+
+    @property
+    def n_window(self) -> tuple[float, float]:
+        """Bottom-gate bias window of n-type conduction, anchored at vdd."""
+        return (self.vdd - self.window_span, self.vdd)
 
 
 # P devices source charge from VDD; N devices sink it to ground.

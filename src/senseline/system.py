@@ -85,11 +85,9 @@ def assemble(model: OvOModel, quant: QuantSpec = QuantSpec(),
     return SystemConfig(model.pairs, L, quant, params, timing, model)
 
 
-def estimate_area(s: SystemConfig, footprint_um2: float = DEFAULT_FOOTPRINT_UM2) -> float:
+def estimate_area(s: SystemConfig) -> float:
     """Area in square microns from transistor count alone."""
-    if footprint_um2 <= 0:
-        raise ValueError("footprint must be positive")
-    return s.device_count * footprint_um2
+    return s.device_count * DEFAULT_FOOTPRINT_UM2
 
 
 def emit_netlist(s: SystemConfig, path):
@@ -99,10 +97,11 @@ def emit_netlist(s: SystemConfig, path):
     """
     header = {
         "quant": {"bits": s.quant.bits, "step_volts": s.quant.step_volts, "vdd": s.quant.vdd},
+        # The device model at its supply and bias windows, which the quantizer sets.
         "device": {
-            "i_on": s.params.i_on, "v_dsat": s.params.v_dsat, "vdd": s.params.vdd,
-            "p_window": list(s.params.p_window), "n_window": list(s.params.n_window),
-            "tg_window_span": s.params.tg_window_span,
+            "i_on": s.params.i_on, "v_dsat": s.params.v_dsat, "vdd": s.quant.vdd,
+            "p_window": list(s.quant.p_window), "n_window": list(s.quant.n_window),
+            "tg_window_span": s.quant.window_span,
         },
         "line": dataclasses.asdict(s.timing),
         "pairs": [f"{a}-{b}" for a, b in s.pairs],
@@ -174,8 +173,7 @@ class MetricsReport:
 
 
 def evaluate(s: SystemConfig, X: np.ndarray, labels: np.ndarray,
-             mode: str = "digital-quantized",
-             footprint_um2: float = DEFAULT_FOOTPRINT_UM2) -> MetricsReport:
+             mode: str = "digital-quantized") -> MetricsReport:
     """Run the chosen pipeline over a test set and collect all metrics.
 
     digital-float uses the retained real-weight model; digital-quantized
@@ -199,10 +197,10 @@ def evaluate(s: SystemConfig, X: np.ndarray, labels: np.ndarray,
         accuracy=accuracy,
         confusion=confusion,
         device_count=s.device_count,
-        area_um2=estimate_area(s, footprint_um2),
+        area_um2=estimate_area(s),
         throughput_hz=1.0 / (s.timing.t_precharge + s.timing.t_classify),
         energy_per_decision=energy,
-        total_current_per_decision=None if energy is None else energy / s.params.vdd,
+        total_current_per_decision=None if energy is None else energy / s.quant.vdd,
         energy_scope=ENERGY_SCOPE,
     )
 

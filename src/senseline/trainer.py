@@ -114,6 +114,9 @@ class BinaryClassifier:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if len(self.weights) != len(self.feature_indices) or len(self.weights) < 1:
             raise ValueError("weights and feature_indices must have equal nonzero length")
+        bad = self.weights[~np.isfinite(self.weights)]
+        if bad.size:
+            raise ValueError(f"weights must be finite, got {float(bad[0])}")
 
 
 @dataclass
@@ -133,12 +136,6 @@ class OvOModel:
 
     def mean_feature_count(self) -> float:
         return float(np.mean([len(c.feature_indices) for c in self.classifiers]))
-
-    def classifier_for(self, pair: tuple[int, int]) -> BinaryClassifier:
-        for c in self.classifiers:
-            if c.class_pair == tuple(pair):
-                return c
-        raise KeyError(f"no classifier for pair {pair}")
 
 
 def all_pairs(n_classes: int = 10) -> list[tuple[int, int]]:
@@ -533,7 +530,7 @@ def _classifier_from_record(i: int, rec) -> BinaryClassifier:
     try:
         return BinaryClassifier(tuple(rec["pair"]), rec["feature_indices"], rec["weights"])
     except (TypeError, ValueError) as e:
-        raise ValueError(f"classifier {i}: {e}") from None
+        raise ValueError(f"classifier {i}: {e}; rerun `train`") from None
 
 
 def model_from_dict(d: dict) -> OvOModel:

@@ -96,8 +96,8 @@ def test_c2_downsampling_cost(mnist_model784, mnist_model64):
 def test_c3_feature_selection(mnist_model_sbs):
     model, acc = mnist_model_sbs
     mean_count = model.mean_feature_count()
-    n01 = len(model.classifier_for((0, 1)).feature_indices)
-    n34 = len(model.classifier_for((3, 4)).feature_indices)
+    counts = {c.class_pair: len(c.feature_indices) for c in model.classifiers}
+    n01, n34 = counts[(0, 1)], counts[(3, 4)]
     ok = acc >= 0.885 and 15 <= mean_count <= 35 and n01 < n34
     report("C3 selected-feature model",
            ok, f"test accuracy {acc:.4f} (>= 0.885), mean features {mean_count:.1f} "
@@ -186,8 +186,8 @@ def test_c6_device_line_properties(synth_system, synth_features):
     q = QuantSpec()
 
     # Tri-state: OFF-band bottom gate conducts nothing anywhere.
-    off_lo = np.nextafter(p.p_window[1], 4.0)
-    off_hi = np.nextafter(p.n_window[0], 0.0)
+    off_lo = np.nextafter(q.p_window[1], 4.0)
+    off_hi = np.nextafter(q.n_window[0], 0.0)
     tri = all(
         channel_current(rng.uniform(0, 3), rng.uniform(off_lo, off_hi),
                         rng.uniform(0, 3), rng.uniform(0, 3), p) == 0.0
@@ -205,7 +205,7 @@ def test_c6_device_line_properties(synth_system, synth_features):
     # Line voltage bounded in [0, vdd] across a simulated batch.
     _, _, (sx, _) = synth_features
     batch = simulate_batch(synth_system, sx[:200])
-    bounded_v = bool(np.all(batch.line_finals >= 0.0) and np.all(batch.line_finals <= p.vdd))
+    bounded_v = bool(np.all(batch.line_finals >= 0.0) and np.all(batch.line_finals <= q.vdd))
 
     # Monotone response of final v_sen to any single device's drive.
     monotone = True
@@ -247,7 +247,7 @@ def test_c7_structural_metrics():
 
     count_ok = 900 <= s.device_count <= 1150
     area_ok = area == s.device_count * (3.8 / 1021)
-    current_ok = rep.total_current_per_decision == rep.energy_per_decision / s.params.vdd
+    current_ok = rep.total_current_per_decision == rep.energy_per_decision / s.quant.vdd
     ok = count_ok and area_ok and current_ok
     report("C7 structural metrics",
            ok, f"device count {s.device_count} (in [900, 1150]), area {area:.3f} um^2 "

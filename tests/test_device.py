@@ -4,7 +4,6 @@ import pytest
 from senseline import device
 from senseline.device import (
     DeviceParams,
-    RegionMismatchError,
     channel_current,
     gate_drive_bg,
     gate_drive_tg,
@@ -30,18 +29,7 @@ class TestRegions:
         assert region_of(1.76) == "N"
         assert region_of(1.25) == "OFF"
 
-    def test_custom_windows(self):
-        p = DeviceParams(p_window=(0.2, 1.0), n_window=(2.0, 2.8))
-        assert region_of(0.1, p) == "OFF"
-        assert region_of(2.9, p) == "OFF"
-
-    def test_overlapping_windows_rejected(self):
-        with pytest.raises(ValueError, match="OFF band"):
-            DeviceParams(p_window=(0.0, 2.0), n_window=(1.9, 3.0))
-
-    @pytest.mark.parametrize("kw", [{"i_on": np.inf}, {"v_dsat": np.nan},
-                                    {"tg_window_span": np.inf}, {"vdd": np.nan},
-                                    {"p_window": (-np.inf, 1.24)}, {"n_window": (1.76, np.nan)}])
+    @pytest.mark.parametrize("kw", [{"i_on": np.inf}, {"v_dsat": np.nan}])
     def test_non_finite_rejected(self, kw):
         with pytest.raises(ValueError, match="finite"):
             DeviceParams(**kw)
@@ -59,10 +47,10 @@ class TestDrive:
 
     def test_bounded_unit_interval(self):
         rng = np.random.default_rng(0)
-        p = DeviceParams()
+        q = QuantSpec()
         for _ in range(500):
             v_tg = rng.uniform(-1, 4)
-            g = device.gate_drive_tg(v_tg, "P", p) * device.gate_drive_bg(rng.uniform(0, 1.24), "P", p)
+            g = device.gate_drive_tg(v_tg, "P", q) * device.gate_drive_bg(rng.uniform(0, 1.24), "P", q)
             assert 0.0 <= g <= 1.0
 
 
@@ -118,7 +106,7 @@ class TestCurrent:
         assert i2 >= i4
 
     def test_instance_off_top_gate_conducts_nothing(self):
-        inst = make_instance(DeviceConfig(0, "P", 31), QuantSpec(), DeviceParams())
+        inst = make_instance(DeviceConfig(0, "P", 31), QuantSpec())
         # off top-gate: no current even at full channel bias
         assert channel_current(inst.v_tg, inst.v_bg, 3.0, 0.0) == 0.0
 
@@ -126,8 +114,8 @@ class TestCurrent:
         # A P device rail-to-line can only inject charge into a line below vdd;
         # an N device line-to-ground can only remove charge from a line above 0.
         q, p = QuantSpec(), DeviceParams()
-        pdev = make_instance(DeviceConfig(0, "P", 20), q, p)
-        ndev = make_instance(DeviceConfig(0, "N", 20), q, p)
+        pdev = make_instance(DeviceConfig(0, "P", 20), q)
+        ndev = make_instance(DeviceConfig(0, "N", 20), q)
         from senseline.quantizer import level_to_vtg
         for v_line in np.linspace(0.0, 3.0, 13):
             ip = channel_current(level_to_vtg(25, "P", q), pdev.v_bg, 3.0, v_line, p)
@@ -138,16 +126,8 @@ class TestCurrent:
 
 class TestInstances:
     def test_instance_off_by_default(self):
-        q, p = QuantSpec(), DeviceParams()
-        inst = make_instance(DeviceConfig(3, "N", 12), q, p)
+        q = QuantSpec()
+        inst = make_instance(DeviceConfig(3, "N", 12), q)
         assert inst.v_tg == 0.0  # gating-off voltage for N
-        assert region_of(inst.v_bg, p) == "N"
+        assert region_of(inst.v_bg, q) == "N"
         assert inst.feature_index == 3
-
-    def test_mismatched_windows_detected(self):
-        # Quantizer window wider than the device p-window: level 0 bias lands
-        # in the off band and assembly must refuse it.
-        q = QuantSpec()  # spans 1.24 V
-        p = DeviceParams(p_window=(0.0, 1.0), n_window=(2.0, 3.0))
-        with pytest.raises(RegionMismatchError):
-            make_instance(DeviceConfig(0, "P", 0), q, p)

@@ -39,21 +39,21 @@ def integrate_reference(s, X):
     1), i_out = n * min(v / v_dsat, 1), q += i_in * dt and v = clip(v +
     (i_in - i_out) * dt / c_line, 0, vdd).
     """
-    params, timing = s.params, s.timing
+    params, timing, vdd = s.params, s.timing, s.quant.vdd
     levels = quantize_unit(np.atleast_2d(X), s.quant)
     unit = params.i_on / s.quant.max_level ** 2
     p_sum = (levels @ np.maximum(s.L, 0)).astype(np.float64) * unit
     n_sum = (levels @ np.maximum(-s.L, 0)).astype(np.float64) * unit
-    v = np.full_like(p_sum, params.vdd / 2)
+    v = np.full_like(p_sum, vdd / 2)
     q = np.zeros_like(v)
     scale = timing.dt / timing.c_line
     for _ in range(timing.n_steps):
-        i_in = np.minimum((params.vdd - v) / params.v_dsat, 1.0) * p_sum
+        i_in = np.minimum((vdd - v) / params.v_dsat, 1.0) * p_sum
         i_out = np.minimum(v / params.v_dsat, 1.0) * n_sum
         q += i_in * timing.dt
-        v = np.clip(v + (i_in - i_out) * scale, 0.0, params.vdd)
-    e_pre = sum(precharge_energy(timing, params) for _ in s.pairs)
-    return v, params.vdd * q.sum(axis=1) + e_pre
+        v = np.clip(v + (i_in - i_out) * scale, 0.0, vdd)
+    e_pre = sum(precharge_energy(timing, vdd) for _ in s.pairs)
+    return v, vdd * q.sum(axis=1) + e_pre
 
 
 def assert_matches_reference(s, X):
@@ -61,7 +61,7 @@ def assert_matches_reference(s, X):
     1e-12 V and energies within 1e-13 relative. Returns its result."""
     res = simulate_batch(s, X)
     finals, energies = integrate_reference(s, X)
-    assert np.array_equal(res.votes, np.where(finals >= s.params.vdd / 2, 1, -1))
+    assert np.array_equal(res.votes, np.where(finals >= s.quant.vdd / 2, 1, -1))
     np.testing.assert_allclose(res.line_finals, finals, rtol=0, atol=1e-12)
     np.testing.assert_allclose(res.energies, energies, rtol=1e-13, atol=0)
     return res
@@ -101,9 +101,9 @@ class TestPrecharge:
 
     def test_devices_conduct_nothing_while_gated_off(self):
         # Full-level devices at their default (gating-off) top-gate bias.
-        pdev = make_instance(DeviceConfig(0, "P", 31), Q, P)
-        ndev = make_instance(DeviceConfig(1, "N", 31), Q, P)
-        assert channel_current(pdev.v_tg, pdev.v_bg, P.vdd, 1.5, P) == 0.0
+        pdev = make_instance(DeviceConfig(0, "P", 31), Q)
+        ndev = make_instance(DeviceConfig(1, "N", 31), Q)
+        assert channel_current(pdev.v_tg, pdev.v_bg, Q.vdd, 1.5, P) == 0.0
         assert channel_current(ndev.v_tg, ndev.v_bg, 1.5, 0.0, P) == 0.0
 
 
@@ -126,30 +126,34 @@ class TestStep:
         # on every step; the n-side current to ground must not be charged.
         line = make_line([(0, "P", 31), (1, "N", 31)])
         _, _, energy, _ = run_line(line, levels_all(31))
-        q = (energy - precharge_energy(line.timing, P)) / P.vdd
+        q = (energy - precharge_energy(line.timing, Q.vdd)) / Q.vdd
         assert q == pytest.approx(2e-6 * line.timing.t_classify)
 
 
 class TestDriveSums:
     """The simulator's drive sums against the device model they stand for."""
 
-    @pytest.mark.parametrize("dtype,v_a,v_b", [("P", P.vdd, P.vdd / 2), ("N", P.vdd / 2, 0.0)])
-    def test_device_current_is_the_level_product(self, dtype, v_a, v_b):
+    @pytest.mark.parametrize("dtype,v_a,v_b,q", [
+        pytest.param(dtype, v_a, v_b, q, id=f"{dtype}-{v_a}-{v_b}")
+        for q in (Q, QuantSpec(vdd=4.0))
+        for dtype, v_a, v_b in (("P", q.vdd, q.vdd / 2), ("N", q.vdd / 2, 0.0))])
+    def test_device_current_is_the_level_product(self, dtype, v_a, v_b, q):
         # In saturation a level-w device at feature level x conducts
-        # i_on * (x/31) * (w/31), which is the drive sum of a one-device line.
+        # i_on * (x/31) * (w/31), which is the drive sum of a one-device line,
+        # at any supply: the device model reads its windows from q.
         # The device model's biases, vdd - (vdd - x * step) for a p-type top
         # gate, round at vdd's ulp: up to 1.8e-15 relative at low levels.
-        x = np.arange(Q.levels)[:, None]
-        w = np.arange(1, Q.levels)[None, :]
-        current = np.array([[channel_current(level_to_vtg(xi, dtype, Q),
-                                             level_to_vbg(wi, dtype, Q), v_a, v_b, P)
-                             for wi in range(1, Q.levels)] for xi in range(Q.levels)])
-        L = np.arange(1, Q.levels)[None, :] * (1 if dtype == "P" else -1)
-        line = SystemConfig([(0, 1)] * L.shape[1], L, Q, P)
-        p_sum, n_sum = line_sim._drive_sums(line, x / Q.max_level)
+        x = np.arange(q.levels)[:, None]
+        w = np.arange(1, q.levels)[None, :]
+        current = np.array([[channel_current(level_to_vtg(xi, dtype, q),
+                                             level_to_vbg(wi, dtype, q), v_a, v_b, P, q)
+                             for wi in range(1, q.levels)] for xi in range(q.levels)])
+        L = np.arange(1, q.levels)[None, :] * (1 if dtype == "P" else -1)
+        line = SystemConfig([(0, 1)] * L.shape[1], L, q, P)
+        p_sum, n_sum = line_sim._drive_sums(line, x / q.max_level)
         drive = p_sum if dtype == "P" else n_sum
         assert not np.any(p_sum if dtype == "N" else n_sum)
-        expected = P.i_on * (x / Q.max_level) * (w / Q.max_level)
+        expected = P.i_on * (x / q.max_level) * (w / q.max_level)
         np.testing.assert_allclose(current, expected, rtol=2e-15, atol=0)
         np.testing.assert_allclose(drive, expected, rtol=1e-15, atol=0)
 
@@ -213,10 +217,10 @@ class TestClassifyLine:
                 continue
             v_tg = level_to_vtg(int(levels[fi]), "P", Q)
             v_bg = level_to_vbg(w_level, "P", Q)
-            i = np.array([channel_current(v_tg, v_bg, P.vdd, vk, P) for vk in v[:-1]])
+            i = np.array([channel_current(v_tg, v_bg, Q.vdd, vk, P) for vk in v[:-1]])
             integral += float(np.sum(i) * line.timing.dt)
-        assert energy - precharge_energy(line.timing, P) == pytest.approx(P.vdd * integral,
-                                                                          rel=0.01)
+        assert energy - precharge_energy(line.timing, Q.vdd) == pytest.approx(
+            Q.vdd * integral, rel=0.01)
 
     def test_bounded_voltage_random_lines(self):
         rng = np.random.default_rng(8)
@@ -241,7 +245,7 @@ class TestClassifyLine:
             stable += 1
             _, _, _, trace = run_line(line, levels)
             assert np.all(trace[:, 1] >= 0.0)
-            assert np.all(trace[:, 1] <= hot.vdd)
+            assert np.all(trace[:, 1] <= Q.vdd)
         assert 10 <= stable < 20
 
     def test_monotone_in_single_device_level(self):
@@ -308,7 +312,7 @@ class TestLinearShortcut:
         for k in [n_steps - 1, n_steps - 2, 8, *rng.integers(8, n_steps, size=5)]:
             line = self.two_lines(1.3 / (k - 0.5))
             res = assert_matches_reference(line, levels_all(31)[None, :] / Q.max_level)
-            assert res.line_finals[0, 0] > P.vdd - P.v_dsat
+            assert res.line_finals[0, 0] > Q.vdd - P.v_dsat
             assert res.line_finals[0, 1] < P.v_dsat
 
     def test_mixed_batch_across_blocks(self, monkeypatch):
@@ -325,7 +329,7 @@ class TestLinearShortcut:
         res = assert_matches_reference(line, X)
         assert np.array_equal(res.line_finals, whole.line_finals)
         assert np.array_equal(res.energies, whole.energies)
-        left = (res.line_finals < P.v_dsat) | (res.line_finals > P.vdd - P.v_dsat)
+        left = (res.line_finals < P.v_dsat) | (res.line_finals > Q.vdd - P.v_dsat)
         assert 0 < left.sum() < left.size
 
     @pytest.mark.parametrize("step_volts", [0.15, 0.3])
@@ -340,7 +344,7 @@ class TestLinearShortcut:
                 simulate_batch(line, X)
             return
         res = assert_matches_reference(line, X)
-        assert res.line_finals[0] == pytest.approx([P.vdd, 0.0], abs=1e-12)
+        assert res.line_finals[0] == pytest.approx([Q.vdd, 0.0], abs=1e-12)
 
     def test_last_step_jumps_past_the_rail(self):
         # Ten 0.16 V steps from 1.5 V at v_dsat 10 mV would leave the lines
@@ -368,9 +372,9 @@ class TestLinearShortcut:
         levels = np.array([levels_all(31), levels_all(7), levels_all(0), levels_all(31)])
         levels[3, 1] = 4
         res = assert_matches_reference(line, levels / Q.max_level)
-        if v_dsat > P.vdd / 2:
+        if v_dsat > Q.vdd / 2:
             # Which lines get further than v_dsat from the rail they leave.
-            crossed = np.maximum(res.line_finals, P.vdd - res.line_finals) > v_dsat
+            crossed = np.maximum(res.line_finals, Q.vdd - res.line_finals) > v_dsat
             assert crossed.tolist() == ([[True, True, False], [True, True, False],
                                          [False] * 3, [True] * 3] if v_dsat == 2.0
                                         else [[False] * 3] * 4)
@@ -385,7 +389,7 @@ class TestLinearShortcut:
         rows = np.zeros((3, 64))
         rows[:, :2] = (15, 15), (3, 2), (8, 4)
         res = assert_matches_reference(line, rows / Q.max_level)
-        assert np.all(np.diag(res.line_finals) == P.vdd / 2)
+        assert np.all(np.diag(res.line_finals) == Q.vdd / 2)
         assert np.all(np.diag(res.votes) == 1)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -446,7 +450,7 @@ class TestSimulateDigit:
         assert len(rec.line_traces) == len(synth_system.pairs)
         for tr in rec.line_traces:
             assert tr.shape == (base.n_steps + 1, 2)
-            assert tuple(tr[0]) == (0.0, P.vdd / 2)
+            assert tuple(tr[0]) == (0.0, Q.vdd / 2)
             assert np.array_equal(tr[:, 0], np.arange(base.n_steps + 1) * base.dt)
         assert simulate_digit(synth_system, sx[0]).line_traces is None
 

@@ -21,7 +21,7 @@ from senseline.dataset import (  # noqa: E402
     read_idx_images,
     read_idx_labels,
 )
-from senseline.device import DeviceParams, supplied_by  # noqa: E402
+from senseline.device import DeviceParams  # noqa: E402
 from senseline.line_sim import LineTiming, simulate_batch, simulate_digit  # noqa: E402
 from senseline.quantizer import QuantSpec  # noqa: E402
 from senseline.system import (  # noqa: E402
@@ -182,14 +182,12 @@ def test_closed_form_votes_and_traces(case):
 @st.composite
 def compiled_systems(draw):
     """A random signed level matrix on a random subset of the pairs, at valid
-    line and device parameters whose supply and bias windows are those of a
-    random quantizer."""
+    line and device parameters and a random quantizer (supply and windows)."""
     pairs = draw(st.lists(st.sampled_from(all_pairs()), min_size=1, max_size=45, unique=True))
     L = draw(arrays(np.int64, (N_FEATURES, len(pairs)), elements=st.integers(-MAX, MAX)))
     vdd = draw(finite(0.5, 10.0))
     quant = QuantSpec(step_volts=vdd / 2 / MAX * draw(finite(0.1, 0.99)), vdd=vdd)
-    params = supplied_by(DeviceParams(i_on=draw(finite(1e-9, 1e-4)),
-                                      v_dsat=draw(finite(0.01, 1.0))), quant)
+    params = DeviceParams(i_on=draw(finite(1e-9, 1e-4)), v_dsat=draw(finite(0.01, 1.0)))
     dt = draw(finite(1e-13, 1e-10))
     timing = LineTiming(c_line=draw(finite(1e-16, 1e-12)), t_precharge=draw(finite(1e-10, 1e-8)),
                         t_classify=dt * draw(st.integers(10, 1000)), dt=dt)

@@ -7,7 +7,7 @@ import pytest
 
 from senseline import line_sim, quantizer, system, trainer
 from senseline.line_sim import LineTiming
-from senseline.quantizer import RAILS
+from senseline.quantizer import RAILS, QuantSpec
 from senseline.trainer import BinaryClassifier, OvOModel, all_pairs
 
 NETLIST_HEADER = re.compile(r"^\* (quant|device|line|pairs) (.*)$", re.M)
@@ -21,8 +21,10 @@ def assert_netlist_describes(s: system.SystemConfig, path):
     text = path.read_text()
     headers = {key: json.loads(value) for key, value in NETLIST_HEADER.findall(text)}
     assert headers["quant"] == dataclasses.asdict(s.quant)
-    assert headers["device"] == {k: list(v) if isinstance(v, tuple) else v
-                                 for k, v in dataclasses.asdict(s.params).items()}
+    q = s.quant
+    assert headers["device"] == dict(dataclasses.asdict(s.params), vdd=q.vdd,
+                                     p_window=list(q.p_window), n_window=list(q.n_window),
+                                     tg_window_span=q.window_span)
     assert headers["line"] == dataclasses.asdict(s.timing)
     assert headers["pairs"] == [f"{a}-{b}" for a, b in s.pairs]
     devices = NETLIST_DEVICE.findall(text)
@@ -157,10 +159,6 @@ class TestArea:
     def test_linearity(self):
         assert 2042 * system.DEFAULT_FOOTPRINT_UM2 == pytest.approx(7.6)
 
-    def test_footprint_validated(self, synth_system):
-        with pytest.raises(ValueError):
-            system.estimate_area(synth_system, footprint_um2=0.0)
-
 
 class TestNetlist:
     def test_roundtrip_equality(self, synth_system, tmp_path):
@@ -190,6 +188,46 @@ class TestNetlist:
             "D1 line=0-1 feat=60 type=N wlevel=31 rail=GND",
             "D2 line=2-9 feat=7 type=P wlevel=12 rail=VDD",
         ]
+
+    def test_default_device_header_bytes(self, tmp_path):
+        # perfbench/oracle.py reads this header, so its keys and bytes stay fixed.
+        path = tmp_path / "netlist.txt"
+        system.emit_netlist(system.SystemConfig([(0, 1)], np.zeros((64, 1))), path)
+        assert path.read_text().splitlines()[2] == (
+            '* device {"i_on": 2e-06, "v_dsat": 0.2, "vdd": 3.0, "p_window": [0.0, 1.24], '
+            '"n_window": [1.76, 3.0], "tg_window_span": 1.24}')
+
+
+class TestOneSupply:
+    """The quantizer's vdd is the only supply: the lines, their votes and the
+    netlist of a system assembled at another vdd all follow it."""
+
+    @pytest.fixture(scope="class")
+    def system_4v(self, synth_model):
+        return system.assemble(synth_model, QuantSpec(vdd=4.0))
+
+    def test_lines_hold_and_vote_at_half_the_quantizer_supply(self, system_4v, synth_features):
+        _, _, (sx, sy) = synth_features
+        X = np.vstack([np.zeros(64), sx[:200]])
+        res = line_sim.simulate_batch(system_4v, X)
+        # No feature drive ties every line, and a tied line holds at vdd/2.
+        assert np.all(res.line_finals[0] == 2.0)
+        # The buffer decides at 2.0 V, also for lines that end between 1.5 and 2 V.
+        assert np.any((res.line_finals > 1.5) & (res.line_finals < 2.0))
+        assert np.array_equal(res.votes, np.where(res.line_finals >= 2.0, 1, -1))
+        assert np.array_equal(res.votes,
+                              np.where(system.quantized_margins(system_4v, X) >= 0, 1, -1))
+        rep = system.evaluate(system_4v, sx[:20], sy[:20], mode="analog")
+        assert rep.total_current_per_decision == rep.energy_per_decision / 4.0
+
+    def test_netlist_declares_the_quantizer_supply(self, system_4v, tmp_path):
+        path = tmp_path / "netlist.txt"
+        system.emit_netlist(system_4v, path)
+        text = path.read_text()
+        headers = {key: json.loads(value) for key, value in NETLIST_HEADER.findall(text)}
+        assert headers["quant"]["vdd"] == headers["device"]["vdd"] == 4.0
+        assert headers["device"]["n_window"] == [4.0 - 1.24, 4.0]
+        assert_netlist_describes(system_4v, path)
 
 
 class TestEvaluate:

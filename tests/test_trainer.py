@@ -534,7 +534,15 @@ class TestModelIO:
         ({"intercept": 0.0}, r"classifier 3: unknown key 'intercept'.*rerun `train`"),
         ({"feature_indices": [0.5, 1.7], "weights": [1.0, -1.0]},
          r"classifier 3: feature_indices\[0\] must be an integer >= 0, got 0.5"),
-    ], ids=["missing-key", "threshold-key", "intercept-key", "float-index"])
+        # Written as JSON null, NaN and Infinity; each would load as a non-finite weight.
+        ({"feature_indices": [0, 1], "weights": [1.0, None]},
+         r"classifier 3: weights must be finite, got nan; rerun `train`"),
+        ({"feature_indices": [0, 1], "weights": [float("nan"), 1.0]},
+         r"classifier 3: weights must be finite, got nan; rerun `train`"),
+        ({"feature_indices": [0, 1], "weights": [1.0, float("-inf")]},
+         r"classifier 3: weights must be finite, got -inf; rerun `train`"),
+    ], ids=["missing-key", "threshold-key", "intercept-key", "float-index", "null-weight",
+            "nan-weight", "infinite-weight"])
     def test_malformed_record_rejected(self, synth_model, tmp_path, edit, match):
         doc = trainer.model_to_dict(synth_model)
         rec = doc["classifiers"][3]
