@@ -93,7 +93,7 @@ def _load_test_features(cfg: RunConfig):
 
 
 # What `select` writes from model.json; `train` deletes them as stale.
-SELECT_ARTIFACTS = ("model_sbs.json", "sbs_report.json", "feature_counts.csv")
+SELECT_ARTIFACTS = ("model_sbs.json", "sbs_report.json")
 
 
 def _model_path(cfg: RunConfig) -> str:
@@ -169,18 +169,12 @@ def cmd_select(cfg: RunConfig) -> int:
     _write_json(_out(cfg, "model_sbs.json"),
                 dict(trainer.model_to_dict(model), metadata={"config_hash": config_hash(cfg)}))
 
-    counts = {c.class_pair: len(c.feature_indices) for c in model.classifiers}
-    with open(_out(cfg, "feature_counts.csv"), "w", newline="") as f:
-        f.write(f"# config_hash={config_hash(cfg)}\n")
-        writer = csv.writer(f)
-        writer.writerow(["digit_a", "digit_b", "selected_features"])
-        for (a, b), n in counts.items():
-            writer.writerow([a, b, n])
     val_acc, _, _ = trainer.evaluate_model(model, val_x, val_y)
     mean_count = model.mean_feature_count()
     _write_json(_out(cfg, "sbs_report.json"), {
         "mean_selected_features": mean_count,
-        "selected_features": {f"{a}-{b}": n for (a, b), n in counts.items()},
+        "selected_features": {"%d-%d" % c.class_pair: len(c.feature_indices)
+                              for c in model.classifiers},
         "validation_accuracy_full": base_acc,
         "validation_accuracy_selected": val_acc,
         "metadata": {"config_hash": config_hash(cfg), "created": _now()},
@@ -228,8 +222,6 @@ def _evaluate(cfg: RunConfig, sysc: system.SystemConfig, test_x, test_y) -> syst
     report = system.evaluate(sysc, test_x[:n], test_y[:n], mode=mode)
     _write_json(_out(cfg, f"metrics_{mode}.json"), dict(
         report.to_dict(), metadata={"config_hash": config_hash(cfg), "created": _now()}))
-    system.save_confusion_csv(report.confusion, _out(cfg, f"confusion_{mode}.csv"),
-                              header=f"config_hash={config_hash(cfg)}")
     return report
 
 
@@ -254,34 +246,27 @@ def cmd_simulate(cfg: RunConfig) -> int:
     n_trace = min(cfg.evaluate.trace_digits, len(test_x))
 
     records = []
-    with open(_out(cfg, "votes.csv"), "w", newline="") as f:
-        f.write(f"# config_hash={config_hash(cfg)}\n")
-        writer = csv.writer(f)
-        writer.writerow(["digit_index", "true_label", "predicted"]
-                        + [f"votes_class_{k}" for k in range(10)])
-        if mode == "analog":
-            trace_digits = []
-            for i in range(n_trace):
-                rec = simulate_digit(sysc, test_x[i], record_traces=True)
-                writer.writerow([i, int(test_y[i]), rec.predicted] + rec.tally.tolist())
-                records.append({"index": i, "true_label": int(test_y[i]),
-                                "predicted": rec.predicted, "tally": rec.tally.tolist(),
-                                "votes": rec.votes.tolist(), "energy_j": rec.energy})
-                trace_digits.append(_trace_rows(i, sysc.pairs, rec.line_traces))
-            with open(_out(cfg, "traces.csv"), "w", newline="") as tf:
-                tf.write(f"# config_hash={config_hash(cfg)}\n")
-                csv.writer(tf).writerow(["digit_index", "pair", "t_seconds", "v_sen"])
-                tf.writelines(trace_digits)
-        else:
-            votes = system.digital_votes(sysc, test_x[:n_trace], mode)
-            tallies, preds = tally_votes(sysc.pairs, votes)
-            for i in range(n_trace):
-                writer.writerow([i, int(test_y[i]), int(preds[i])] + tallies[i].tolist())
-                rec = {"index": i, "true_label": int(test_y[i]), "predicted": int(preds[i]),
-                       "tally": tallies[i].tolist(), "energy_j": None}
-                if mode == "digital-quantized":  # float-model records carry no line votes
-                    rec["votes"] = votes[i].tolist()
-                records.append(rec)
+    if mode == "analog":
+        trace_digits = []
+        for i in range(n_trace):
+            rec = simulate_digit(sysc, test_x[i], record_traces=True)
+            records.append({"index": i, "true_label": int(test_y[i]),
+                            "predicted": rec.predicted, "tally": rec.tally.tolist(),
+                            "votes": rec.votes.tolist(), "energy_j": rec.energy})
+            trace_digits.append(_trace_rows(i, sysc.pairs, rec.line_traces))
+        with open(_out(cfg, "traces.csv"), "w", newline="") as tf:
+            tf.write(f"# config_hash={config_hash(cfg)}\n")
+            csv.writer(tf).writerow(["digit_index", "pair", "t_seconds", "v_sen"])
+            tf.writelines(trace_digits)
+    else:
+        votes = system.digital_votes(sysc, test_x[:n_trace], mode)
+        tallies, preds = tally_votes(sysc.pairs, votes)
+        for i in range(n_trace):
+            rec = {"index": i, "true_label": int(test_y[i]), "predicted": int(preds[i]),
+                   "tally": tallies[i].tolist(), "energy_j": None}
+            if mode == "digital-quantized":  # float-model records carry no line votes
+                rec["votes"] = votes[i].tolist()
+            records.append(rec)
     _write_json(_out(cfg, "digit_records.json"), {
         "mode": mode,
         "digits": records,
@@ -298,7 +283,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    """Metrics JSON + confusion CSV for the configured mode."""
+    """Metrics JSON for the configured mode."""
     sysc = _assemble(cfg)
     test_x, test_y = _load_test_features(cfg)
     report = _evaluate(cfg, sysc, test_x, test_y)
@@ -348,7 +333,7 @@ def cmd_run_all(cfg: RunConfig) -> int:
     """prepare -> train -> select -> build -> simulate -> report.
 
     `build` quantizes the weights into the netlist, and `simulate` already
-    writes the mode's metrics and confusion matrix, so the standalone
+    writes the mode's metrics, so the standalone
     `quantize` and `evaluate` stages are not repeated here.
     """
     for fn in (cmd_prepare, cmd_train):
@@ -374,18 +359,19 @@ _COMMANDS = {
 
 
 def _apply_overrides(doc: dict, args) -> dict:
-    if args.out_dir is not None:
-        doc["out_dir"] = args.out_dir
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.mode is not None:
-        doc.setdefault("evaluate", {})["mode"] = args.mode
-    if args.subset is not None:
-        doc.setdefault("evaluate", {})["subset"] = args.subset
-    if args.feature_space is not None:
-        doc["feature_space"] = args.feature_space
-    if args.no_sbs:
-        doc.setdefault("sbs", {})["enabled"] = False
+    """The document with the flags set; a non-object doc or section is left to config_from_dict."""
+    if not isinstance(doc, dict):
+        return doc
+    flags = {"out_dir": args.out_dir, "seed": args.seed, "feature_space": args.feature_space,
+             "evaluate.mode": args.mode, "evaluate.subset": args.subset,
+             "sbs.enabled": False if args.no_sbs else None}
+    for key, value in flags.items():
+        if value is None:
+            continue
+        section, _, name = key.rpartition(".")
+        target = doc.setdefault(section, {}) if section else doc
+        if isinstance(target, dict):
+            target[name] = value
     return doc
 
 

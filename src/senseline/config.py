@@ -17,7 +17,7 @@ from .device import DeviceParams
 from .line_sim import LineTiming, euler_factor
 from .quantizer import QuantSpec
 from .system import EVAL_MODES
-from .trainer import SBSSpec, TrainHyper, _check_count
+from .trainer import SBSSpec, TrainHyper, _check_fields
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,11 @@ class DataPaths:
     test_images: str = "data/t10k-images-idx3-ubyte.gz"
     test_labels: str = "data/t10k-labels-idx1-ubyte.gz"
 
+    def __post_init__(self):
+        # os.path.exists would take an int path as an open file descriptor.
+        _check_fields("data", self, train_images="path", train_labels="path",
+                      test_images="path", test_labels="path")
+
 
 @dataclass(frozen=True)
 class EvalSpec:
@@ -35,10 +40,7 @@ class EvalSpec:
     trace_digits: int = 10      # vote/trace records exported by `simulate`
 
     def __post_init__(self):
-        if self.mode not in EVAL_MODES:
-            raise ValueError(f"evaluate.mode must be one of {EVAL_MODES}, got {self.mode!r}")
-        _check_count("evaluate.subset", self.subset, optional=True)
-        _check_count("evaluate.trace_digits", self.trace_digits, minimum=0)
+        _check_fields("evaluate", self, mode=EVAL_MODES, subset="count?", trace_digits="count0")
 
 
 @dataclass(frozen=True)
@@ -57,15 +59,7 @@ class RunConfig:
     seed: int = 42
 
     def __post_init__(self):
-        # os.path.exists would take an int path as an open file descriptor.
-        paths = {f"data.{k}": v for k, v in dataclasses.asdict(self.data).items()}
-        for name, value in dict(paths, out_dir=self.out_dir).items():
-            if not isinstance(value, str) or not value:
-                raise ValueError(f"{name} must be a non-empty path string, got {value!r}")
-        _check_count("seed", self.seed, minimum=0)
-        _check_count("feature_space", self.feature_space)
-        if self.feature_space not in (64, 784):
-            raise ValueError("feature_space must be 64 or 784")
+        _check_fields("", self, feature_space=(64, 784), out_dir="path", seed="count0")
         if self.evaluate.mode == "analog":
             # Worst case: a device on every feature of a line, each at full drive.
             factor = euler_factor(self.line, self.device, self.feature_space)
@@ -93,10 +87,15 @@ _SECTIONS = {
 _TUPLE_FIELDS = {"row_indices", "col_indices"}
 
 
-def _build_section(cls, values: dict):
+def _build_section(name: str, values: dict):
+    if not isinstance(values, dict):
+        raise ValueError(f"config section {name} must be a JSON object, got {values!r}")
+    cls = _SECTIONS[name]
     unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    if name == "split" and "shuffle_seed" in values:
+        raise ValueError("split.shuffle_seed follows seed and cannot be set; set seed instead")
     coerced = {k: tuple(v) if k in _TUPLE_FIELDS and isinstance(v, list) else v
                for k, v in values.items()}
     return cls(**coerced)
@@ -104,6 +103,8 @@ def _build_section(cls, values: dict):
 
 def config_from_dict(doc: dict) -> RunConfig:
     """Build a RunConfig from a (possibly partial) JSON document."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"the config document must be a JSON object, got {doc!r}")
     kwargs = {}
     top_names = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(doc) - top_names
@@ -111,7 +112,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in doc.items():
         if key in _SECTIONS:
-            kwargs[key] = _build_section(_SECTIONS[key], value)
+            kwargs[key] = _build_section(key, value)
         else:
             kwargs[key] = value
     return RunConfig(**kwargs)

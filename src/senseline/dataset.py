@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trainer import _check_count
+from .trainer import _check_fields
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -74,15 +74,14 @@ class GridSpec:
     col_indices: tuple[int, ...] = DEFAULT_GRID_INDICES
 
     def __post_init__(self):
+        _check_fields("grid", self, row_indices="indices", col_indices="indices")
         for name, idx in (("row_indices", self.row_indices), ("col_indices", self.col_indices)):
-            for k, v in enumerate(idx):
-                _check_count(f"{name}[{k}]", v, minimum=0)
             if len(idx) != 8:
-                raise ValueError(f"{name} must have exactly 8 entries, got {len(idx)}")
+                raise ValueError(f"grid.{name} must have exactly 8 entries, got {len(idx)}")
             if list(idx) != sorted(set(idx)):
-                raise ValueError(f"{name} must be strictly increasing")
-            if idx[0] < 0 or idx[-1] > 27:
-                raise ValueError(f"{name} entries must lie in [0, 27]")
+                raise ValueError(f"grid.{name} must be strictly increasing")
+            if idx[-1] > 27:
+                raise ValueError(f"grid.{name} entries must lie in [0, 27]")
 
 
 @dataclass(frozen=True)
@@ -95,8 +94,8 @@ class SplitSpec:
     shuffle_seed: int = 42
 
     def __post_init__(self):
-        for name in ("train_count", "val_count", "test_count", "shuffle_seed"):
-            _check_count(name, getattr(self, name), minimum=0)
+        _check_fields("split", self, train_count="count0", val_count="count0",
+                      test_count="count0", shuffle_seed="count0")
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,12 @@ i_on and v_dsat.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .quantizer import DeviceConfig, QuantSpec, level_to_vbg, off_vtg
+from .trainer import _check_fields
 
 REGION_P = "P"
 REGION_N = "N"
@@ -44,10 +44,7 @@ class DeviceParams:
     v_dsat: float = 0.2
 
     def __post_init__(self):
-        for name in ("i_on", "v_dsat"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"device {name} must be finite and positive, got {value!r}")
+        _check_fields("device", self, i_on="positive", v_dsat="positive")
 
 
 @dataclass(frozen=True)

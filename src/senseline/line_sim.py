@@ -53,7 +53,6 @@ for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -61,7 +60,7 @@ import numpy as np
 
 from . import device as dev
 from .quantizer import quantize_unit
-from .trainer import tally_votes
+from .trainer import _check_fields, tally_votes
 
 if TYPE_CHECKING:
     from .system import SystemConfig
@@ -81,16 +80,14 @@ class LineTiming:
     dt: float = 10e-12
 
     def __post_init__(self):
-        for name in ("c_line", "t_precharge", "t_classify", "dt"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"line {name} must be finite and positive, got {value!r}")
+        _check_fields("line", self, c_line="positive", t_precharge="positive",
+                      t_classify="positive", dt="positive")
         steps = self.t_classify / self.dt
         if abs(steps - round(steps)) > 1e-9 * steps:
-            raise ValueError(f"line dt must divide t_classify, got {steps!r} steps")
+            raise ValueError(f"line.dt must divide line.t_classify, got {steps!r} steps")
         # Compare the rounded count: 10 * dt / dt may come out a hair under 10.
         if self.n_steps < 10:
-            raise ValueError("line t_classify / dt must be at least 10 integration steps")
+            raise ValueError("line.t_classify / line.dt must be at least 10 integration steps")
 
     @property
     def n_steps(self) -> int:

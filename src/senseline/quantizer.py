@@ -18,13 +18,12 @@ and places every level inside them:
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .trainer import BinaryClassifier, _check_count
+from .trainer import BinaryClassifier, _check_fields
 
 
 @dataclass(frozen=True)
@@ -34,14 +33,10 @@ class QuantSpec:
     vdd: float = 3.0
 
     def __post_init__(self):
-        _check_count("bits", self.bits)
-        for name in ("step_volts", "vdd"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"quant {name} must be finite and positive, got {value!r}")
+        _check_fields("quant", self, bits="count", step_volts="positive", vdd="positive")
         if self.bits >= sys.float_info.max_exp:
             # 2**bits - 1 would not fit in a float, so window_span could not be formed.
-            raise ValueError(f"bits must be < {sys.float_info.max_exp}, got {self.bits}")
+            raise ValueError(f"quant.bits must be < {sys.float_info.max_exp}, got {self.bits}")
         if self.window_span >= self.vdd / 2:
             raise ValueError(
                 f"gate window {self.window_span:.3f} V is not below vdd/2 = {self.vdd / 2:.3f} V; "

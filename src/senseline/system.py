@@ -203,7 +203,3 @@ def evaluate(s: SystemConfig, X: np.ndarray, labels: np.ndarray,
         total_current_per_decision=None if energy is None else energy / s.quant.vdd,
         energy_scope=ENERGY_SCOPE,
     )
-
-
-def save_confusion_csv(confusion: np.ndarray, path, header: str = ""):
-    np.savetxt(path, confusion, fmt="%d", delimiter=",", header=header)

@@ -30,18 +30,50 @@ class TrainingDivergedError(RuntimeError):
     """Loss became non-finite; the learning rate is too large."""
 
 
-def _check_number(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _check_count(name: str, value, optional: bool = False, minimum: int = 1) -> None:
-    if optional and value is None:
+def _is_finite(v) -> bool:
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+# The kinds of config field: what a value must be, and the test it must pass.
+# Booleans are never numbers. An enum kind is the tuple of its values.
+_KINDS = {
+    "count": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "count0": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "count?": ("null or an integer >= 1", lambda v: v is None or _is_int(v) and v >= 1),
+    "nonneg": ("a finite number >= 0", lambda v: _is_finite(v) and v >= 0),
+    "positive": ("a finite number > 0", lambda v: _is_finite(v) and v > 0),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "path": ("a non-empty path string", lambda v: isinstance(v, str) and v != ""),
+    "indices": ("a list of integers >= 0",
+                lambda v: isinstance(v, tuple) and all(_is_int(i) and i >= 0 for i in v)),
+}
+
+
+def _check_value(name: str, value, kind) -> None:
+    """Raise a ValueError naming `name` unless value is of the given kind."""
+    if isinstance(kind, tuple):  # an enum matches on type as well as value
+        if not any(type(value) is type(c) and value == c for c in kind):
+            raise ValueError(f"{name} must be one of {list(kind)}, got {value!r}")
         return
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be {'null or ' if optional else ''}an integer "
-                         f">= {minimum}, got {value!r}")
+    what, ok = _KINDS[kind]
+    if not ok(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def _check_fields(section: str, obj, **kinds) -> None:
+    """Check each named field of a config section; messages name `section.key`.
+
+    Fields of the top-level config (section "") are named bare.
+    """
+    for key, kind in kinds.items():
+        _check_value(f"{section}.{key}" if section else key, getattr(obj, key), kind)
 
 
 @dataclass(frozen=True)
@@ -58,9 +90,8 @@ class TrainHyper:
     l2_lambda: float = 1e-4
 
     def __post_init__(self):
-        for name in ("learning_rate", "grad_tol", "l2_lambda"):
-            _check_number(name, getattr(self, name))
-        _check_count("max_epochs", self.max_epochs)
+        _check_fields("hyper", self, learning_rate="nonneg", max_epochs="count",
+                      grad_tol="nonneg", l2_lambda="nonneg")
 
 
 @dataclass(frozen=True)
@@ -86,13 +117,8 @@ class SBSSpec:
     candidate_rows: int | None = 4000
 
     def __post_init__(self):
-        if not isinstance(self.enabled, bool):
-            raise ValueError(f"enabled must be true or false, got {self.enabled!r}")
-        _check_number("tolerance", self.tolerance)
-        _check_count("candidate_epochs", self.candidate_epochs)
-        _check_count("full_epochs", self.full_epochs)
-        _check_count("max_features", self.max_features, optional=True)
-        _check_count("candidate_rows", self.candidate_rows, optional=True)
+        _check_fields("sbs", self, enabled="bool", tolerance="nonneg", max_features="count?",
+                      candidate_epochs="count", full_epochs="count", candidate_rows="count?")
 
 
 @dataclass
@@ -526,7 +552,7 @@ def _classifier_from_record(i: int, rec) -> BinaryClassifier:
             raise ValueError(f"classifier {i}: {key} must be a list, got {rec[key]!r}")
         for j, v in enumerate(rec[key]):
             if type(v) is not int or v < 0:  # a call per entry would cost ~2.5 ms a model
-                _check_count(f"classifier {i}: {key}[{j}]", v, minimum=0)
+                _check_value(f"classifier {i}: {key}[{j}]", v, "count0")
     try:
         return BinaryClassifier(tuple(rec["pair"]), rec["feature_indices"], rec["weights"])
     except (TypeError, ValueError) as e:

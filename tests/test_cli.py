@@ -106,9 +106,9 @@ class TestSelect:
     def test_select_disabled_keeps_all_features(self, workdir, capsys):
         run(["train", "-c", workdir["config"]])
         assert run(["select", "-c", workdir["config"], "--no-sbs"]) == 0
-        _, rows = read_csv_rows(workdir["tmp"] / "out" / "feature_counts.csv")
-        assert len(rows) == 45
-        assert all(int(r[2]) == 64 for r in rows)
+        report = json.loads((workdir["tmp"] / "out" / "sbs_report.json").read_text())
+        assert len(report["selected_features"]) == 45
+        assert set(report["selected_features"].values()) == {64}
         assert "mean 64.0" in capsys.readouterr().out
 
     def test_train_and_select_read_only_the_training_pool(self, workdir):
@@ -155,10 +155,10 @@ class TestPipelineArtifacts:
     def test_simulate_digital_mode_no_traces(self, trained):
         assert run(["simulate", "-c", trained["config"], "--mode", "digital-float"]) == 0
         out = trained["tmp"] / "out"
-        header, rows = read_csv_rows(out / "votes.csv")
-        assert len(rows) == 3
-        for r in rows:
-            assert sum(int(v) for v in r[3:]) == 45
+        digits = json.loads((out / "digit_records.json").read_text())["digits"]
+        assert len(digits) == 3
+        for d in digits:
+            assert sum(d["tally"]) == 45
         assert not (out / "traces.csv").exists()
         assert (out / "metrics_digital-float.json").exists()
 
@@ -177,10 +177,11 @@ class TestPipelineArtifacts:
         v = np.array([float(r[3]) for r in rows])
         assert v.min() >= 0.0 and v.max() <= 3.0
 
-    def test_evaluate_confusion_csv(self, trained):
+    def test_evaluate_writes_confusion(self, trained):
         assert run(["evaluate", "-c", trained["config"]]) == 0
         out = trained["tmp"] / "out"
-        confusion = np.loadtxt(out / "confusion_digital-quantized.csv", delimiter=",")
+        metrics = json.loads((out / "metrics_digital-quantized.json").read_text())
+        confusion = np.array(metrics["confusion"])
         assert confusion.shape == (10, 10)
         assert confusion.sum() == 60
 
@@ -286,8 +287,11 @@ class TestRunAll:
         assert run(["run-all", "-c", workdir["config"]]) == 0
         out = workdir["tmp"] / "out"
         for name in ("prepare.json", "model.json", "model_sbs.json",
-                     "netlist.txt", "system.json", "votes.csv", "report.json"):
+                     "netlist.txt", "system.json", "digit_records.json", "report.json"):
             assert (out / name).exists(), name
+        # These copied sbs_report.json, digit_records.json and metrics_<mode>.json.
+        for name in ("feature_counts.csv", "votes.csv", "confusion_digital-quantized.csv"):
+            assert not (out / name).exists(), name
         assert not (out / "model_quant.json").exists()
 
     def test_analog_rerun_gives_identical_artifacts(self, workdir):
@@ -328,8 +332,7 @@ class TestRunAll:
         out = workdir["tmp"] / "out"
         metrics = json.loads((out / "metrics_analog.json").read_text())
         assert metrics["n_evaluated"] == 60
-        confusion = np.loadtxt(out / "confusion_analog.csv", delimiter=",")
-        assert confusion.sum() == 60
+        assert np.sum(metrics["confusion"]) == 60
         report = json.loads((out / "report.json").read_text())
         assert report["metrics"]["analog"]["accuracy"] == metrics["accuracy"]
 
@@ -340,9 +343,9 @@ class TestRunAll:
         doc = dict(workdir["doc"])
         doc.setdefault("sbs", {})["enabled"] = False
         h = config_hash(config_from_dict(doc))
-        for name in ("model.json", "system.json", "metrics_digital-quantized.json"):
+        for name in ("model.json", "system.json", "metrics_digital-quantized.json",
+                     "digit_records.json"):
             assert json.loads((out / name).read_text())["metadata"]["config_hash"] == h
-        assert f"# config_hash={h}" in (out / "votes.csv").read_text()
 
 
 class TestConfigErrors:
