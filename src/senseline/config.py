@@ -8,6 +8,7 @@ Output files embed the configuration hash for provenance.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -71,6 +72,14 @@ class RunConfig:
         object.__setattr__(self, "split",
                            dataclasses.replace(self.split, shuffle_seed=self.seed))
 
+    @functools.cached_property
+    def _hash(self) -> str:
+        # Computed on first use and kept: the config is frozen.
+        doc = dataclasses.asdict(self)
+        doc.pop("out_dir", None)
+        canonical = json.dumps(doc, sort_keys=True)
+        return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+
 
 _SECTIONS = {
     "data": DataPaths,
@@ -124,7 +133,4 @@ def config_hash(cfg: RunConfig) -> str:
     The output directory is excluded: where artifacts land does not change
     what they contain.
     """
-    doc = dataclasses.asdict(cfg)
-    doc.pop("out_dir", None)
-    canonical = json.dumps(doc, sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+    return cfg._hash

@@ -14,10 +14,11 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .trainer import _check_fields
+from .trainer import LastParse, _check_fields
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -62,8 +63,11 @@ class LabeledImageSet:
     def __len__(self) -> int:
         return len(self.images)
 
-    def subset(self, idx: np.ndarray) -> "LabeledImageSet":
-        return LabeledImageSet(self.images[idx], self.labels[idx])
+    def subset(self, idx: np.ndarray | slice) -> "LabeledImageSet":
+        """The records at idx, read-only: a view for a slice, a copy for an index array."""
+        images, labels = self.images[idx], self.labels[idx]
+        images.flags.writeable = labels.flags.writeable = False
+        return LabeledImageSet(images, labels)
 
 
 @dataclass(frozen=True)
@@ -105,11 +109,6 @@ class DataSplits:
     test: LabeledImageSet
 
 
-def _read_bytes(path) -> bytes:
-    with open(path, "rb") as f:
-        return f.read()
-
-
 def _decode_idx(path, data: bytes, magic: int, n_dims: int, what: str) -> np.ndarray:
     """Parse an IDX file's bytes: big-endian uint32 magic and n_dims sizes, then uint8 data.
 
@@ -139,19 +138,16 @@ def _decode_idx(path, data: bytes, magic: int, n_dims: int, what: str) -> np.nda
 
 def read_idx_images(path) -> np.ndarray:
     """Parse an IDX image file into a (n, rows, cols) uint8 array."""
-    return _decode_idx(path, _read_bytes(path), *_IMAGE_FORMAT)
+    return _decode_idx(path, Path(path).read_bytes(), *_IMAGE_FORMAT)
 
 
 def read_idx_labels(path) -> np.ndarray:
     """Parse an IDX label file into a (n,) uint8 array."""
-    return _decode_idx(path, _read_bytes(path), *_LABEL_FORMAT)
+    return _decode_idx(path, Path(path).read_bytes(), *_LABEL_FORMAT)
 
 
-# The last pair load_idx decoded: (image bytes, label bytes, set). A sweep
-# loads the same test pair at every point, so a hit skips the decompression
-# and parsing. The key is the files' content, never path, mtime or size: a
-# same-size rewrite within one timestamp tick keeps all three.
-_last_pair: tuple[bytes, bytes, LabeledImageSet] | None = None
+# The last pair load_idx decoded. A sweep loads the same test pair at every point.
+_last_pair = LastParse()
 
 
 def load_idx(images_path, labels_path) -> LabeledImageSet:
@@ -160,20 +156,16 @@ def load_idx(images_path, labels_path) -> LabeledImageSet:
     Both files are read on every call. When their bytes equal those of the
     last pair decoded, that pair's (read-only) set is returned again.
     """
-    global _last_pair
-    image_bytes, label_bytes = _read_bytes(images_path), _read_bytes(labels_path)
-    if _last_pair is not None and (image_bytes, label_bytes) == _last_pair[:2]:
-        return _last_pair[2]
-    _last_pair = None
-    images = _decode_idx(images_path, image_bytes, *_IMAGE_FORMAT)
-    labels = _decode_idx(labels_path, label_bytes, *_LABEL_FORMAT)
-    if len(images) != len(labels):
-        raise CountMismatchError(
-            f"{images_path} has {len(images)} images but {labels_path} has {len(labels)} labels"
-        )
-    pair = LabeledImageSet(images, labels)
-    _last_pair = (image_bytes, label_bytes, pair)
-    return pair
+    def parse(image_bytes, label_bytes):
+        images = _decode_idx(images_path, image_bytes, *_IMAGE_FORMAT)
+        labels = _decode_idx(labels_path, label_bytes, *_LABEL_FORMAT)
+        if len(images) != len(labels):
+            raise CountMismatchError(
+                f"{images_path} has {len(images)} images but {labels_path} has {len(labels)} labels"
+            )
+        return LabeledImageSet(images, labels)
+
+    return _last_pair.load((images_path, labels_path), parse)
 
 
 def normalize(s: LabeledImageSet) -> np.ndarray:
@@ -235,4 +227,4 @@ def select_test(test_pool: LabeledImageSet, spec: SplitSpec = SplitSpec()) -> La
         raise ValueError(
             f"test_count = {spec.test_count} exceeds the {len(test_pool)} available test records"
         )
-    return test_pool.subset(np.arange(spec.test_count))
+    return test_pool.subset(slice(spec.test_count))

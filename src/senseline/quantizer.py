@@ -101,18 +101,21 @@ def quantize_unit(v, q: QuantSpec = QuantSpec()):
     return int(level) if level.ndim == 0 else level
 
 
-def weight_levels(c: BinaryClassifier, q: QuantSpec = QuantSpec()) -> np.ndarray:
+def weight_levels(c: BinaryClassifier | np.ndarray, q: QuantSpec = QuantSpec(),
+                  scale: np.ndarray | None = None) -> np.ndarray:
     """Signed weight level of each of a classifier's weights, in one call.
 
     Weights are scaled by 1/max|w| over the classifier so the largest
     magnitude uses the full dynamic range, then quantized. +level is a
     p-type device, -level an n-type one, and 0 (a zero weight or one that
-    quantizes to level 0) is no device.
+    quantizes to level 0) is no device. c may also be the weights of many
+    classifiers in one array, with scale each weight's own classifier max|w|.
     """
-    w = np.asarray(c.weights, dtype=np.float64)
-    scale = np.max(np.abs(w))
-    if scale == 0.0:
-        raise ValueError(f"classifier {c.class_pair} has an all-zero weight vector")
+    w = np.asarray(c.weights if isinstance(c, BinaryClassifier) else c, dtype=np.float64)
+    if scale is None:
+        scale = np.max(np.abs(w))
+        if scale == 0.0:
+            raise ValueError(f"classifier {c.class_pair} has an all-zero weight vector")
     return np.sign(w).astype(np.int64) * quantize_unit(np.abs(w) / scale, q)
 
 

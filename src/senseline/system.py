@@ -66,22 +66,32 @@ class SystemConfig:
 def assemble(model: OvOModel, quant: QuantSpec = QuantSpec(),
              params: DeviceParams = DeviceParams(), timing: LineTiming = LineTiming(),
              n_features: int = N_FEATURES) -> SystemConfig:
-    """Compile a trained model onto the device array."""
-    L = np.zeros((n_features, len(model.classifiers)), dtype=np.int64)
-    for k, c in enumerate(model.classifiers):
-        feats = c.feature_indices
-        if len(np.unique(feats)) != len(feats):
-            raise ValueError(f"classifier {c.class_pair} references a feature index twice")
-        if feats.min() < 0 or feats.max() >= n_features:
-            raise ValueError(f"classifier {c.class_pair} references a feature outside "
-                             f"the {n_features}-feature array")
-        if not np.any(c.weights):
-            # Tolerated here (strict weight_levels rejects it): the line keeps
-            # no devices and always votes for the smaller digit.
-            warnings.warn(f"classifier {c.class_pair} has no surviving devices after "
-                          "quantization", RuntimeWarning)
-            continue
-        L[feats, k] = weight_levels(c, quant)
+    """Compile a trained model onto the device array, all lines at once.
+
+    A ValueError names the first classifier whose features repeat or leave
+    the array, after a warning for each line before it whose weights are all
+    zero. Such a line is tolerated (strict weight_levels rejects it): it
+    keeps no devices and always votes for the smaller digit.
+    """
+    cs = model.classifiers
+    sizes = [len(c.feature_indices) for c in cs]
+    line = np.repeat(np.arange(len(cs)), sizes)
+    feats = np.concatenate([c.feature_indices for c in cs])
+    weights = np.concatenate([c.weights for c in cs])
+    scales = np.maximum.reduceat(np.abs(weights), np.cumsum([0] + sizes[:-1]))
+    by_line = feats[np.lexsort((feats, line))]  # line is sorted already, so stays aligned
+    twice = line[1:][(np.diff(by_line) == 0) & (np.diff(line) == 0)]
+    outside = line[(feats < 0) | (feats >= n_features)]
+    first_bad = min(np.concatenate([twice, outside]).tolist(), default=len(cs))
+    for k in np.flatnonzero(scales[:first_bad] == 0).tolist():
+        warnings.warn(f"classifier {cs[k].class_pair} has no surviving devices after "
+                      "quantization", RuntimeWarning)
+    if first_bad < len(cs):
+        what = ("a feature index twice" if first_bad in twice
+                else f"a feature outside the {n_features}-feature array")
+        raise ValueError(f"classifier {cs[first_bad].class_pair} references {what}")
+    L = np.zeros((n_features, len(cs)), dtype=np.int64)
+    L[feats, line] = weight_levels(weights, quant, np.repeat(np.where(scales, scales, 1.0), sizes))
     return SystemConfig(model.pairs, L, quant, params, timing, model)
 
 

@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import numbers
+import pathlib
 import warnings
 from dataclasses import dataclass
 
@@ -484,12 +485,17 @@ def pair_votes(model: OvOModel, X: np.ndarray) -> np.ndarray:
 
 
 def tally_votes(pairs: list[tuple[int, int]], votes: np.ndarray):
-    """votes (..., 45) of +/-1 -> (tallies (..., 10), predictions)."""
+    """votes (..., 45) of +/-1 -> (tallies (..., 10), predictions).
+
+    A vote > 0 goes to the pair's a, any other to b: a digit's tally is its
+    count of lines as b plus (votes > 0) @ (+1 as a, -1 as b), exact in float64.
+    """
     votes = np.atleast_2d(votes)
-    n = votes.shape[0]
     a, b = np.asarray(pairs).T
-    winners = np.where(votes > 0, a, b) + 10 * np.arange(n)[:, None]
-    tallies = np.bincount(winners.ravel(), minlength=10 * n).reshape(n, 10)
+    lines = np.arange(len(pairs))
+    net = np.zeros((len(pairs), 10))
+    net[lines, a], net[lines, b] = 1.0, -1.0
+    tallies = ((votes > 0) @ net).astype(np.int64) + np.bincount(b, minlength=10)
     preds = np.argmax(tallies, axis=1)  # argmax takes the smallest digit on ties
     return tallies, preds
 
@@ -554,19 +560,43 @@ def _classifier_from_record(i: int, rec) -> BinaryClassifier:
             if type(v) is not int or v < 0:  # a call per entry would cost ~2.5 ms a model
                 _check_value(f"classifier {i}: {key}[{j}]", v, "count0")
     try:
-        return BinaryClassifier(tuple(rec["pair"]), rec["feature_indices"], rec["weights"])
+        c = BinaryClassifier(tuple(rec["pair"]), rec["feature_indices"], rec["weights"])
     except (TypeError, ValueError) as e:
         raise ValueError(f"classifier {i}: {e}; rerun `train`") from None
+    c.feature_indices.flags.writeable = c.weights.flags.writeable = False
+    return c
 
 
 def model_from_dict(d: dict) -> OvOModel:
-    """The model of a model_to_dict document; malformed records raise ValueError."""
+    """The read-only model of a model_to_dict document; malformed records raise ValueError."""
     records = d.get("classifiers") if isinstance(d, dict) else None
     if not isinstance(records, list):
         raise ValueError("model file has no 'classifiers' list; rerun `train`")
     return OvOModel([_classifier_from_record(i, rec) for i, rec in enumerate(records)])
 
 
+class LastParse:
+    """The value parsed from the last files read, reused while their bytes match.
+
+    Keyed on content, never path, mtime or size, which a same-size rewrite
+    within one timestamp tick keeps. Hits share the value: make it immutable.
+    """
+
+    def __init__(self):
+        self.key, self.value = None, None
+
+    def load(self, paths, parse):
+        """parse(*contents) of the files, read on every call; the last value while they match."""
+        key = tuple(pathlib.Path(p).read_bytes() for p in paths)
+        if key != self.key:
+            self.key = self.value = None
+            self.value, self.key = parse(*key), key
+        return self.value
+
+
+_last_model = LastParse()
+
+
 def load_model(path) -> OvOModel:
-    with open(path) as f:
-        return model_from_dict(json.load(f))
+    """The model in a model file, reused while the file's bytes match."""
+    return _last_model.load([path], lambda data: model_from_dict(json.loads(data)))

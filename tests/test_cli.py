@@ -264,7 +264,7 @@ class TestDecodeCount:
     def decodes(self, monkeypatch):
         """Paths of every IDX file decoded, with load_idx's cached pair cleared."""
         calls, decode = [], dataset._decode_idx
-        monkeypatch.setattr(dataset, "_last_pair", None)
+        monkeypatch.setattr(dataset, "_last_pair", trainer.LastParse())
         monkeypatch.setattr(dataset, "_decode_idx",
                             lambda path, *a: calls.append(str(path)) or decode(path, *a))
         return calls
@@ -280,6 +280,60 @@ class TestDecodeCount:
         data = workdir["doc"]["data"]
         train_paths = [data["train_images"], data["train_labels"]]
         assert [p for p in decodes if p in train_paths] == train_paths
+
+
+
+class TestParseCount:
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        """Every model document parsed, with load_model's reused model cleared."""
+        docs, parse = [], trainer.model_from_dict
+        monkeypatch.setattr(trainer, "_last_model", trainer.LastParse())
+        monkeypatch.setattr(trainer, "model_from_dict", lambda doc: docs.append(doc) or parse(doc))
+        return docs
+
+    @staticmethod
+    def _file_docs(out, *names):
+        return [json.loads((out / name).read_text()) for name in names]
+
+    def test_build_simulate_evaluate_parse_the_model_once(self, workdir, parses):
+        assert run(["train", "-c", workdir["config"], "--no-sbs"]) == 0
+        for stage in ("build", "simulate", "evaluate"):
+            assert run([stage, "-c", workdir["config"], "--no-sbs"]) == 0
+        assert parses == self._file_docs(workdir["tmp"] / "out", "model.json")
+
+    @pytest.mark.parametrize("flags,models", [
+        ([], ["model.json", "model_sbs.json"]),
+        (["--no-sbs"], ["model.json"]),
+    ], ids=["sbs", "no-sbs"])
+    def test_run_all_parses_each_model_file_once(self, workdir, parses, flags, models):
+        assert run(["run-all", "-c", workdir["config"]] + flags) == 0
+        assert parses == self._file_docs(workdir["tmp"] / "out", *models)
+
+    def test_same_size_rewrite_with_other_weights_is_parsed_again(self, workdir, parses):
+        assert run(["train", "-c", workdir["config"], "--no-sbs"]) == 0
+        path = workdir["tmp"] / "out" / "model.json"
+        before = trainer.load_model(path)
+        doc = json.loads(path.read_text())
+        doc["classifiers"][0]["weights"].reverse()
+        st, size = os.stat(path), path.stat().st_size
+        cli._write_json(path, doc)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert path.stat().st_size == size
+        after = trainer.load_model(path)
+        assert len(parses) == 2
+        assert np.array_equal(after.classifiers[0].weights, before.classifiers[0].weights[::-1])
+        assert trainer.load_model(path) is after
+
+    def test_reused_model_cannot_be_written(self, workdir, parses):
+        assert run(["train", "-c", workdir["config"], "--no-sbs"]) == 0
+        path = workdir["tmp"] / "out" / "model.json"
+        model = trainer.load_model(path)
+        assert trainer.load_model(path) is model and len(parses) == 1
+        for c in model.classifiers:
+            for arr in (c.weights, c.feature_indices):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1
 
 
 class TestRunAll:

@@ -78,6 +78,17 @@ def test_default_config_hash_is_pinned():
     assert config_hash(config_from_dict({})) == "b22fd5517563"
 
 
+
+def test_config_hash_is_computed_once_per_config(monkeypatch):
+    calls, asdict = [], dataclasses.asdict
+    monkeypatch.setattr(dataclasses, "asdict", lambda obj: calls.append(obj) or asdict(obj))
+    cfg = config_from_dict({"seed": 3})
+    assert config_hash(cfg) == config_hash(cfg) != config_hash(RunConfig())
+    assert len(calls) == 2
+    # A replaced config is another config, with its own hash.
+    assert config_hash(dataclasses.replace(cfg, seed=4)) not in (config_hash(cfg), "b22fd5517563")
+    assert len(calls) == 3
+
 @pytest.mark.parametrize("make", [
     lambda: DeviceParams(i_on=True),
     lambda: LineTiming(t_precharge=True),

@@ -7,7 +7,7 @@ import pytest
 
 import synth
 from conftest import mnist_paths, requires_mnist
-from senseline import cli, dataset
+from senseline import cli, dataset, trainer
 from senseline.config import RunConfig
 from senseline.dataset import (
     CountMismatchError,
@@ -93,7 +93,7 @@ class TestLoadCache:
 
     @pytest.fixture(autouse=True)
     def decodes(self, monkeypatch):
-        monkeypatch.setattr(dataset, "_last_pair", None)
+        monkeypatch.setattr(dataset, "_last_pair", trainer.LastParse())
         paths = []
         decode = dataset._decode_idx
 
@@ -315,6 +315,16 @@ class TestSplit:
             dataset.split(train_pool, test_pool, SplitSpec(180, 60, 100))
         with pytest.raises(ValueError, match="exceeds"):
             dataset.split(train_pool, test_pool, SplitSpec(100, 60, 101))
+
+    def test_test_split_is_a_read_only_view_of_the_pool(self, idx_dir):
+        # A slice, not a copy of the decoded pool; also of a writable pool.
+        for pool in (dataset.load_idx(*idx_dir["test"]), self._pools()[1]):
+            test = dataset.select_test(pool, SplitSpec(0, 0, 60))
+            for got, whole in ((test.images, pool.images), (test.labels, pool.labels)):
+                assert np.shares_memory(got, whole)
+                assert np.array_equal(got, whole[:60])
+                with pytest.raises(ValueError, match="read-only"):
+                    got[0] = 1
 
     def test_default_spec_counts_are_mnist(self):
         spec = SplitSpec()

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,46 @@ def reference_counts() -> dict:
     return counts
 
 
+def assemble_reference(model: OvOModel, quant: QuantSpec = QuantSpec(),
+                       n_features: int = system.N_FEATURES) -> np.ndarray:
+    """L compiled one classifier at a time, as assemble did before it took all lines at once."""
+    L = np.zeros((n_features, len(model.classifiers)), dtype=np.int64)
+    for k, c in enumerate(model.classifiers):
+        feats = c.feature_indices
+        if len(np.unique(feats)) != len(feats):
+            raise ValueError(f"classifier {c.class_pair} references a feature index twice")
+        if feats.min() < 0 or feats.max() >= n_features:
+            raise ValueError(f"classifier {c.class_pair} references a feature outside "
+                             f"the {n_features}-feature array")
+        if not np.any(c.weights):
+            warnings.warn(f"classifier {c.class_pair} has no surviving devices after "
+                          "quantization", RuntimeWarning)
+            continue
+        L[feats, k] = quantizer.weight_levels(c, quant)
+    return L
+
+
+def random_model(rng, n_features: int = 64) -> OvOModel:
+    """Uneven random feature subsets (1 to n_features per line, in random order)."""
+    classifiers = []
+    for pair in all_pairs():
+        n = int(rng.integers(1, n_features + 1))
+        w = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3])
+        classifiers.append(BinaryClassifier(pair, rng.choice(n_features, n, replace=False), w))
+    return OvOModel(classifiers)
+
+
+def outcome(compile_array, model, **kw):
+    """(L or the error message, warning messages in order) of one compile."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = compile_array(model, **kw)
+        except ValueError as e:
+            result = str(e)
+    return result, [str(w.message) for w in caught]
+
+
 class TestAssemble:
     def test_line_and_device_counts(self, synth_system, synth_model):
         assert len(synth_system.pairs) == 45
@@ -120,6 +161,55 @@ class TestAssemble:
         model.classifiers[3].feature_indices[-1] = 64
         with pytest.raises(ValueError, match="64-feature"):
             system.assemble(model)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("quant", [QuantSpec(), QuantSpec(bits=3, step_volts=0.1)],
+                             ids=["5-bit", "3-bit"])
+    def test_matches_per_classifier_reference(self, seed, quant):
+        model = random_model(np.random.default_rng(seed))
+        L, caught = outcome(lambda m: system.assemble(m, quant).L, model)
+        want, _ = outcome(assemble_reference, model, quant=quant)
+        assert caught == [] and L.dtype == want.dtype and np.array_equal(L, want)
+
+    @pytest.mark.parametrize("n_features", [64, 784])
+    def test_zero_weight_lines_warn_once_each_in_line_order(self, n_features):
+        model = random_model(np.random.default_rng(11), n_features)
+        for k in (30, 2, 17):
+            model.classifiers[k].weights = np.zeros(len(model.classifiers[k].weights))
+        got = outcome(lambda m: system.assemble(m, n_features=n_features).L, model)
+        want = outcome(assemble_reference, model, n_features=n_features)
+        assert got[1] == want[1] == [
+            f"classifier {model.classifiers[k].class_pair} has no surviving devices after "
+            "quantization" for k in (2, 17, 30)]
+        assert np.array_equal(got[0], want[0]) and not np.any(got[0][:, [2, 17, 30]])
+
+    @pytest.mark.parametrize("faults,first", [
+        ({9: "twice"}, 9),
+        ({9: "outside"}, 9),
+        ({9: "negative"}, 9),
+        ({9: "twice and outside"}, 9),
+        ({20: "twice", 9: "outside"}, 9),
+        ({20: "outside", 9: "twice"}, 9),
+        ({40: "twice"}, 40),
+    ])
+    def test_bad_features_name_the_first_bad_line_after_earlier_warnings(self, faults, first):
+        extra = {"twice": lambda f: [f[0]], "outside": lambda f: [64],
+                 "negative": lambda f: [-1], "twice and outside": lambda f: [f[0], 64]}
+        model = random_model(np.random.default_rng(12))
+        zero_lines = (0, 5, 9, 33)  # before, at and after the first bad line
+        for k in zero_lines:
+            model.classifiers[k].weights = np.zeros(len(model.classifiers[k].weights))
+        for k, fault in faults.items():
+            c = model.classifiers[k]
+            added = extra[fault](c.feature_indices)
+            c.feature_indices = np.append(c.feature_indices, added)
+            c.weights = np.append(c.weights, np.zeros(len(added)))
+        got, want = outcome(system.assemble, model), outcome(assemble_reference, model)
+        assert got == want
+        pairs = [c.class_pair for c in model.classifiers]
+        assert got[0].startswith(f"classifier {pairs[first]} references")
+        assert got[1] == [f"classifier {pairs[k]} has no surviving devices after quantization"
+                          for k in zero_lines if k < first]
 
 
 class TestEulerStability:

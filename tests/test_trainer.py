@@ -499,6 +499,35 @@ class TestVote:
         assert np.array_equal(preds, [np.flatnonzero(t == t.max())[0] for t in want])
         assert (tallies.max(axis=1)[:, None] == tallies).sum(axis=1).max() > 1  # ties occur
 
+    @staticmethod
+    def bincount_tally(pairs, votes):
+        """The bincount over n x 45 winner indices that tally_votes replaced, as its reference."""
+        votes = np.atleast_2d(votes)
+        n = votes.shape[0]
+        a, b = np.asarray(pairs).T
+        winners = np.where(votes > 0, a, b) + 10 * np.arange(n)[:, None]
+        tallies = np.bincount(winners.ravel(), minlength=10 * n).reshape(n, 10)
+        return tallies, np.argmax(tallies, axis=1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tally_matches_bincount_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        pairs = trainer.all_pairs()
+        votes = rng.choice([-1, 1], size=(300, 45))
+        # All +1, all -1, and a nine-way tie at the top: 9 loses every pair,
+        # and each of 0..8 beats the next four digits, counting round 0..8.
+        votes[0], votes[1] = 1, -1
+        votes[2] = [1 if b == 9 or b - a <= 4 else -1 for a, b in pairs]
+        tallies, preds = tally_votes(pairs, votes)
+        want, want_preds = self.bincount_tally(pairs, votes)
+        assert tallies.dtype == want.dtype and np.array_equal(tallies, want)
+        assert np.array_equal(preds, want_preds)
+        assert want[2].tolist() == [5] * 9 + [0] and preds[2] == 0
+        for row in votes[:5]:  # a 1-D vote vector is one row
+            got, ref = tally_votes(pairs, row), self.bincount_tally(pairs, row)
+            assert got[0].shape == (1, 10)
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
     def test_vote_batch_matches_single(self, synth_model, synth_features):
         _, _, (sx, _) = synth_features
         tallies, preds = tally_votes(synth_model.pairs, pair_votes(synth_model, sx[:20]))
