@@ -23,6 +23,7 @@ from . import dataset, system, trainer
 from .config import RunConfig, config_from_dict, config_hash
 from .dataset import CountMismatchError, IdxFormatError
 from .line_sim import simulate_digit
+from .quantizer import quantize_unit
 from .trainer import TrainingDivergedError, tally_votes
 
 EXIT_DATA = 2
@@ -56,12 +57,10 @@ def _check_paths(cfg: RunConfig, keys):
             raise FileNotFoundError(f"data file for '{key}' {problem}: {paths[key]}")
 
 
-def _load_splits(cfg: RunConfig) -> dataset.DataSplits:
-    _check_paths(cfg, ("train_images", "train_labels", "test_images", "test_labels"))
-    # The training pool last, so load_idx's one cached pair is the pool `train` reads next.
-    test_pool = dataset.load_idx(cfg.data.test_images, cfg.data.test_labels)
-    train_pool = dataset.load_idx(cfg.data.train_images, cfg.data.train_labels)
-    return dataset.split(train_pool, test_pool, cfg.split)
+def _pixels_of(cfg: RunConfig, s: dataset.LabeledImageSet) -> np.ndarray:
+    """(n, feature_space) uint8 pixels: the grid's at 64 features, all of them at 784."""
+    pixels = s.images.reshape(len(s), -1)
+    return dataset.downsample(pixels, cfg.grid) if cfg.feature_space == 64 else pixels
 
 
 def _features_of(cfg: RunConfig, s: dataset.LabeledImageSet):
@@ -71,11 +70,7 @@ def _features_of(cfg: RunConfig, s: dataset.LabeledImageSet):
     scaling. Selection and p/255 are both elementwise, so this equals
     downsample(normalize(s)) bit for bit without the (n, 784) float matrix.
     """
-    if cfg.feature_space == 64:
-        X = dataset.downsample(s.images.reshape(len(s), -1), cfg.grid) / 255.0
-    else:
-        X = dataset.normalize(s)
-    return X, s.labels.astype(int)
+    return _pixels_of(cfg, s) / 255.0, s.labels.astype(int)
 
 
 def _load_train_val_features(cfg: RunConfig):
@@ -90,6 +85,54 @@ def _load_test_features(cfg: RunConfig):
     _check_paths(cfg, ("test_images", "test_labels"))
     test_pool = dataset.load_idx(cfg.data.test_images, cfg.data.test_labels)
     return _features_of(cfg, dataset.select_test(test_pool, cfg.split))
+
+
+# The test split as feature levels, reused while the test IDX bytes and every
+# setting the levels depend on match. Only these small integer levels stay
+# resident: float test features are built only for digital-float votes.
+_test_split = trainer.LastParse()
+
+
+def _test_levels(cfg: RunConfig):
+    """The test split's read-only (n, feature_space) feature levels and int labels.
+
+    A pixel p's level is quantize_unit(p / 255), tabulated per byte value, so
+    the levels equal quantize_unit of _features_of bit for bit. They are
+    uint8 up to 8 quantizer bits.
+    """
+    _check_paths(cfg, ("test_images", "test_labels"))
+    paths = (cfg.data.test_images, cfg.data.test_labels)
+
+    def parse(image_bytes, label_bytes):
+        pool = dataset.decode_idx_pair(*paths, image_bytes, label_bytes)
+        test = dataset.select_test(pool, cfg.split)
+        table = quantize_unit(np.arange(256) / 255.0, cfg.quant)
+        levels = table.astype(np.uint8 if cfg.quant.max_level < 256 else np.int64)
+        levels = levels[_pixels_of(cfg, test)]
+        labels = test.labels.astype(int)
+        levels.flags.writeable = labels.flags.writeable = False
+        return levels, labels
+
+    return _test_split.load(paths, parse, cfg.split.test_count, cfg.grid, cfg.feature_space,
+                            cfg.quant)
+
+
+def _test_inputs(cfg: RunConfig):
+    """(X, levels, labels) of the test split for the configured mode.
+
+    digital-float votes on the normalized features X; the other modes on the
+    feature levels. The input a mode does not use is None.
+    """
+    if cfg.evaluate.mode == "digital-float":
+        X, labels = _load_test_features(cfg)
+        return X, None, labels
+    levels, labels = _test_levels(cfg)
+    return None, levels, labels
+
+
+def _head(n, *arrays):
+    """The first n rows (all for None) of each array; None stays None."""
+    return tuple(None if a is None else a[:n] for a in arrays)
 
 
 # What `select` writes from model.json; `train` deletes them as stale.
@@ -109,21 +152,23 @@ def _model_path(cfg: RunConfig) -> str:
 
 
 def cmd_prepare(cfg: RunConfig) -> int:
-    """Validate the dataset files and report split statistics."""
-    splits = _load_splits(cfg)
+    """Validate the dataset files, report split statistics and keep the test split's levels."""
+    _check_paths(cfg, ("train_images", "train_labels", "test_images", "test_labels"))
+    _, test_labels = _test_levels(cfg)
+    train_pool = dataset.load_idx(cfg.data.train_images, cfg.data.train_labels)
+    train, val = dataset.split_train_val(train_pool, cfg.split)
+    labels = {"train": train.labels, "val": val.labels, "test": test_labels}
     doc = {
-        "counts": {"train": len(splits.train), "val": len(splits.val), "test": len(splits.test)},
-        "label_histogram": {
-            part: np.bincount(getattr(splits, part).labels, minlength=10).tolist()
-            for part in ("train", "val", "test")
-        },
+        "counts": {part: len(y) for part, y in labels.items()},
+        "label_histogram": {part: np.bincount(y, minlength=10).tolist()
+                            for part, y in labels.items()},
         "feature_space": cfg.feature_space,
         "grid": {"row_indices": list(cfg.grid.row_indices),
                  "col_indices": list(cfg.grid.col_indices)},
         "metadata": {"config_hash": config_hash(cfg), "created": _now()},
     }
     _write_json(_out(cfg, "prepare.json"), doc)
-    print(f"prepared: train={len(splits.train)} val={len(splits.val)} test={len(splits.test)}")
+    print(f"prepared: train={len(train)} val={len(val)} test={len(test_labels)}")
     return 0
 
 
@@ -194,10 +239,24 @@ def cmd_quantize(cfg: RunConfig) -> int:
     return 0
 
 
+# The array compiled from the last model, quantizer and feature space. Which
+# device sits where depends on nothing else, so each stage gets it with its
+# own device and line parameters, sharing the one read-only L.
+_compiled = trainer.LastParse()
+
+
 def _assemble(cfg: RunConfig) -> system.SystemConfig:
     model = trainer.load_model(_model_path(cfg))
-    return system.assemble(model, cfg.quant, cfg.device, cfg.line,
-                           n_features=cfg.feature_space)
+
+    def compile_array():
+        s = system.assemble(model, cfg.quant, n_features=cfg.feature_space)
+        s.L.flags.writeable = False
+        return s
+
+    # load_model returns one object while the file's bytes match. The cached
+    # system holds that model, so its id is not reused while it is cached.
+    base = _compiled.get((id(model), cfg.quant, cfg.feature_space), compile_array)
+    return dataclasses.replace(base, params=cfg.device, timing=cfg.line)
 
 
 def cmd_build(cfg: RunConfig) -> int:
@@ -215,11 +274,11 @@ def cmd_build(cfg: RunConfig) -> int:
     return 0
 
 
-def _evaluate(cfg: RunConfig, sysc: system.SystemConfig, test_x, test_y) -> system.MetricsReport:
+def _evaluate(cfg: RunConfig, sysc: system.SystemConfig, test) -> system.MetricsReport:
     """Evaluate the configured mode on the first `subset` test digits; write its metrics."""
     mode = cfg.evaluate.mode
-    n = cfg.evaluate.subset
-    report = system.evaluate(sysc, test_x[:n], test_y[:n], mode=mode)
+    X, levels, labels = _head(cfg.evaluate.subset, *test)
+    report = system.evaluate(sysc, X, labels, mode=mode, levels=levels)
     _write_json(_out(cfg, f"metrics_{mode}.json"), dict(
         report.to_dict(), metadata={"config_hash": config_hash(cfg), "created": _now()}))
     return report
@@ -241,15 +300,16 @@ def _trace_rows(i: int, pairs, line_traces) -> str:
 def cmd_simulate(cfg: RunConfig) -> int:
     """Per-digit vote records (and transient traces in analog mode) + metrics."""
     sysc = _assemble(cfg)
-    test_x, test_y = _load_test_features(cfg)
+    test = _test_inputs(cfg)
+    test_x, test_levels, test_y = test
     mode = cfg.evaluate.mode
-    n_trace = min(cfg.evaluate.trace_digits, len(test_x))
+    n_trace = min(cfg.evaluate.trace_digits, len(test_y))
 
     records = []
     if mode == "analog":
         trace_digits = []
         for i in range(n_trace):
-            rec = simulate_digit(sysc, test_x[i], record_traces=True)
+            rec = simulate_digit(sysc, levels=test_levels[i], record_traces=True)
             records.append({"index": i, "true_label": int(test_y[i]),
                             "predicted": rec.predicted, "tally": rec.tally.tolist(),
                             "votes": rec.votes.tolist(), "energy_j": rec.energy})
@@ -259,7 +319,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
             csv.writer(tf).writerow(["digit_index", "pair", "t_seconds", "v_sen"])
             tf.writelines(trace_digits)
     else:
-        votes = system.digital_votes(sysc, test_x[:n_trace], mode)
+        X, levels = _head(n_trace, test_x, test_levels)
+        votes = system.digital_votes(sysc, X, mode, levels=levels)
         tallies, preds = tally_votes(sysc.pairs, votes)
         for i in range(n_trace):
             rec = {"index": i, "true_label": int(test_y[i]), "predicted": int(preds[i]),
@@ -273,7 +334,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "metadata": {"config_hash": config_hash(cfg), "created": _now()},
     })
 
-    report = _evaluate(cfg, sysc, test_x, test_y)
+    report = _evaluate(cfg, sysc, test)
     print(f"simulate [{mode}]: {n_trace} vote records; accuracy {report.accuracy:.4f} "
           f"over {report.n_evaluated} digits")
     if report.energy_per_decision is not None:
@@ -285,8 +346,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_evaluate(cfg: RunConfig) -> int:
     """Metrics JSON for the configured mode."""
     sysc = _assemble(cfg)
-    test_x, test_y = _load_test_features(cfg)
-    report = _evaluate(cfg, sysc, test_x, test_y)
+    report = _evaluate(cfg, sysc, _test_inputs(cfg))
     print(f"evaluate [{cfg.evaluate.mode}]: accuracy {report.accuracy:.4f} "
           f"over {report.n_evaluated} digits")
     return 0

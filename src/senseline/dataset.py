@@ -9,6 +9,7 @@ pair to every caller that reads the same bytes.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import math
 import struct
@@ -146,8 +147,24 @@ def read_idx_labels(path) -> np.ndarray:
     return _decode_idx(path, Path(path).read_bytes(), *_LABEL_FORMAT)
 
 
-# The last pair load_idx decoded. A sweep loads the same test pair at every point.
+# The last pair load_idx decoded: the training pool that prepare, train and
+# select read in turn.
 _last_pair = LastParse()
+
+
+def decode_idx_pair(images_path, labels_path, image_bytes: bytes,
+                    label_bytes: bytes) -> LabeledImageSet:
+    """The read-only set of an image/label IDX pair's bytes, cross-checking counts.
+
+    The paths only name the files in error messages.
+    """
+    images = _decode_idx(images_path, image_bytes, *_IMAGE_FORMAT)
+    labels = _decode_idx(labels_path, label_bytes, *_LABEL_FORMAT)
+    if len(images) != len(labels):
+        raise CountMismatchError(
+            f"{images_path} has {len(images)} images but {labels_path} has {len(labels)} labels"
+        )
+    return LabeledImageSet(images, labels)
 
 
 def load_idx(images_path, labels_path) -> LabeledImageSet:
@@ -156,16 +173,8 @@ def load_idx(images_path, labels_path) -> LabeledImageSet:
     Both files are read on every call. When their bytes equal those of the
     last pair decoded, that pair's (read-only) set is returned again.
     """
-    def parse(image_bytes, label_bytes):
-        images = _decode_idx(images_path, image_bytes, *_IMAGE_FORMAT)
-        labels = _decode_idx(labels_path, label_bytes, *_LABEL_FORMAT)
-        if len(images) != len(labels):
-            raise CountMismatchError(
-                f"{images_path} has {len(images)} images but {labels_path} has {len(labels)} labels"
-            )
-        return LabeledImageSet(images, labels)
-
-    return _last_pair.load((images_path, labels_path), parse)
+    return _last_pair.load((images_path, labels_path),
+                           functools.partial(decode_idx_pair, images_path, labels_path))
 
 
 def normalize(s: LabeledImageSet) -> np.ndarray:

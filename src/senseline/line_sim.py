@@ -150,21 +150,43 @@ class BatchResult:
     line_finals: np.ndarray  # (n, 45)
 
 
-def _drive_sums(s: SystemConfig, X: np.ndarray):
+def feature_levels(s: SystemConfig, X=None, levels=None) -> np.ndarray:
+    """The integer feature levels of normalized inputs X (quantize_unit), or `levels` checked.
+
+    Give exactly one (a TypeError otherwise), as one (features,) input or an
+    (n, features) batch for the array's feature count; levels must be
+    integers in [0, max_level]. Anything else is a ValueError.
+    """
+    if (X is None) == (levels is None):
+        raise TypeError("give exactly one of X and levels")
+    arr = np.asarray(X if levels is None else levels)
+    n_features = s.L.shape[0]
+    if arr.ndim not in (1, 2) or arr.shape[-1] != n_features:
+        raise ValueError(f"expected ({n_features},) or (n, {n_features}) inputs for the "
+                         f"{n_features}-feature array, got shape {arr.shape}")
+    if levels is None:
+        return quantize_unit(arr, s.quant)
+    if arr.dtype.kind not in "iu" or (arr.size and not 0 <= arr.min() <= arr.max()
+                                      <= s.quant.max_level):
+        raise ValueError(f"feature levels must be integers in [0, {s.quant.max_level}]")
+    return arr
+
+
+def _drive_sums(s: SystemConfig, levels: np.ndarray):
     """(p_sum, n_sum), each (n, lines): every line's p- and n-side drive currents.
 
-    i_on / max_level**2 times levels @ max(+-L, 0) for the (n, features)
-    normalized inputs X. The gemms are exact (see the module docstring), so
-    a row's sums never depend on the other rows of the batch.
+    i_on / max_level**2 times levels @ max(+-L, 0) for (n, features) integer
+    feature levels. The gemms are exact (see the module docstring), so a
+    row's sums never depend on the other rows of the batch.
     """
-    levels = quantize_unit(X, s.quant).astype(np.float64)
+    levels = levels.astype(np.float64)
     unit = s.params.i_on / s.quant.max_level ** 2
     return tuple(levels @ np.maximum(sign * s.L, 0).astype(np.float64) * unit
                  for sign in (1, -1))
 
 
-def _lines(s: SystemConfig, X: np.ndarray, record: bool):
-    """(finals, q, voltages) of every line for (rows, features) normalized inputs.
+def _lines(s: SystemConfig, levels: np.ndarray, record: bool):
+    """(finals, q, voltages) of every line for (rows, features) feature levels.
 
     finals and q are (rows, lines): the voltage after the last step and the
     charge drawn from VDD, by the closed form of the module docstring.
@@ -172,7 +194,7 @@ def _lines(s: SystemConfig, X: np.ndarray, record: bool):
     vdd/2, or None unless `record`. Every expression is elementwise, so a
     row's results do not depend on the other rows.
     """
-    p, n = _drive_sums(s, X)
+    p, n = _drive_sums(s, levels)
     vdd, v_dsat, c_line, dt = s.quant.vdd, s.params.v_dsat, s.timing.c_line, s.timing.dt
     half, r, n_steps = vdd / 2, dt / c_line, s.timing.n_steps
     u, d = np.maximum(p, n), np.minimum(p, n)
@@ -220,38 +242,39 @@ def _result(s: SystemConfig, finals: np.ndarray, charge: np.ndarray) -> BatchRes
                        energies=vdd * charge + e_pre, line_finals=finals)
 
 
-def simulate_batch(s: SystemConfig, X: np.ndarray) -> BatchResult:
-    """Transient-evaluate a batch of normalized inputs over all lines.
+def simulate_batch(s: SystemConfig, X: np.ndarray | None = None, *,
+                   levels: np.ndarray | None = None) -> BatchResult:
+    """Transient-evaluate a batch over all lines: normalized inputs X, or their feature levels.
 
-    Row i equals simulate_digit on X[i] bit for bit. Raises the ValueError
-    of check_euler_stability for an unstable array.
+    Row i equals simulate_digit on the same input bit for bit. Raises the
+    ValueError of check_euler_stability for an unstable array, and that of
+    feature_levels for inputs it rejects.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     check_euler_stability(s)
-    finals = np.empty((len(X), len(s.pairs)))
-    charge = np.empty(len(X))
-    for lo in range(0, len(X), BLOCK_ROWS):
+    levels = np.atleast_2d(feature_levels(s, X, levels))
+    finals = np.empty((len(levels), len(s.pairs)))
+    charge = np.empty(len(levels))
+    for lo in range(0, len(levels), BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
-        finals[rows], q, _ = _lines(s, X[rows], record=False)
+        finals[rows], q, _ = _lines(s, levels[rows], record=False)
         # C-ordered, so a row's lines add in the same pairwise order as one digit's.
         charge[rows] = q.sum(axis=1)
     return _result(s, finals, charge)
 
 
-def simulate_digit(s: SystemConfig, x: np.ndarray,
-                   record_traces: bool = False) -> ClassificationTrace:
-    """Classify one normalized input through every line.
+def simulate_digit(s: SystemConfig, x: np.ndarray | None = None, record_traces: bool = False,
+                   *, levels: np.ndarray | None = None) -> ClassificationTrace:
+    """Classify one input through every line: a normalized x, or its feature levels.
 
     With record_traces, line_traces[k] is line k's (n_steps + 1, 2) record
     of columns t, v_sen, sampled at t = j * dt from the release of the
     precharge at vdd/2. Deterministic.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n_features = s.L.shape[0]
-    if x.shape != (n_features,):
-        raise ValueError(f"expected a ({n_features},) feature vector, got shape {x.shape}")
+    row = feature_levels(s, x, levels)
+    if row.ndim != 1:
+        raise ValueError(f"expected a ({s.L.shape[0]},) feature vector, got shape {row.shape}")
     check_euler_stability(s)
-    finals, q, voltages = _lines(s, x[None, :], record_traces)
+    finals, q, voltages = _lines(s, row[None, :], record_traces)
     res = _result(s, finals, q.sum(axis=1))
     traces = None
     if record_traces:

@@ -23,8 +23,8 @@ import numpy as np
 from . import line_sim
 from .device import DeviceParams
 from .line_sim import LineTiming
-from .quantizer import RAILS, QuantSpec, quantize_unit, weight_levels
-from .trainer import OvOModel, pair_votes, score_votes
+from .quantizer import RAILS, QuantSpec, weight_levels
+from .trainer import LastParse, OvOModel, pair_votes, score_votes
 
 # Input features driving the array: the 8x8 downsampled grid.
 N_FEATURES = 64
@@ -54,7 +54,11 @@ class SystemConfig:
     model: OvOModel | None = None
 
     def __post_init__(self):
-        self.L = np.asarray(self.L, dtype=np.int64)
+        L = np.asarray(self.L)
+        if not (L.dtype.kind in "biu" or L.dtype.kind == "f" and np.all(np.isfinite(L))
+                and np.all(L == np.round(L))):
+            raise ValueError("L must hold integer weight levels")
+        self.L = L.astype(np.int64, copy=False)
         if self.L.ndim != 2 or self.L.shape[1] != len(self.pairs):
             raise ValueError(f"L must be (features, {len(self.pairs)}), got {self.L.shape}")
 
@@ -100,10 +104,28 @@ def estimate_area(s: SystemConfig) -> float:
     return s.device_count * DEFAULT_FOOTPRINT_UM2
 
 
+# The device lines of the last array written. A sweep writes one array at
+# every point, and only the header's parameters change.
+_netlist_body = LastParse()
+
+
+def _device_lines(s: SystemConfig) -> str:
+    """The netlist's device lines: line by line, in ascending feature order."""
+    lines, feats = np.nonzero(s.L.T)
+    rows = []
+    for k, (line, feat, level) in enumerate(zip(lines.tolist(), feats.tolist(),
+                                                s.L[feats, lines].tolist())):
+        a, b = s.pairs[line]
+        dtype = "P" if level > 0 else "N"
+        rows.append(f"D{k} line={a}-{b} feat={feat} type={dtype} "
+                    f"wlevel={abs(level)} rail={RAILS[dtype]}\n")
+    return "".join(rows)
+
+
 def emit_netlist(s: SystemConfig, path):
     """Write the array as text, one device per line, with a parameter header.
 
-    Devices are listed line by line, in ascending feature order.
+    The device lines are formatted once per distinct L and pairs.
     """
     header = {
         "quant": {"bits": s.quant.bits, "step_volts": s.quant.step_volts, "vdd": s.quant.vdd},
@@ -116,42 +138,44 @@ def emit_netlist(s: SystemConfig, path):
         "line": dataclasses.asdict(s.timing),
         "pairs": [f"{a}-{b}" for a, b in s.pairs],
     }
-    lines, feats = np.nonzero(s.L.T)
+    body = _netlist_body.get((s.L.tobytes(), tuple(s.pairs)),
+                             lambda: _device_lines(s))
     with open(path, "w") as f:
         f.write("* senseline netlist v1\n")
         for key, value in header.items():
             f.write(f"* {key} {json.dumps(value)}\n")
-        for k, (line, feat, level) in enumerate(zip(lines.tolist(), feats.tolist(),
-                                                    s.L[feats, lines].tolist())):
-            a, b = s.pairs[line]
-            dtype = "P" if level > 0 else "N"
-            f.write(f"D{k} line={a}-{b} feat={feat} type={dtype} "
-                    f"wlevel={abs(level)} rail={RAILS[dtype]}\n")
+        f.write(body)
 
 
-def quantized_margins(s: SystemConfig, X: np.ndarray) -> np.ndarray:
+def quantized_margins(s: SystemConfig, X: np.ndarray | None = None, *,
+                      levels: np.ndarray | None = None) -> np.ndarray:
     """Integer decision margins of the quantized array, sign-exact.
 
     margin[:, k] = sum over line k's devices of +/- w_level * x_level, with
-    + for p-type and - for n-type: levels @ L. This is the digital oracle
-    the analog lines are checked against. The float64 gemm is exact, as in
-    the line simulator's drive sums.
+    + for p-type and - for n-type: levels @ L, for normalized inputs X or
+    their feature levels (line_sim.feature_levels). This is the digital
+    oracle the analog lines are checked against. The float64 gemm is exact,
+    as in the line simulator's drive sums.
     """
-    levels = quantize_unit(np.atleast_2d(X), s.quant).astype(np.float64)
+    levels = np.atleast_2d(line_sim.feature_levels(s, X, levels)).astype(np.float64)
     return (levels @ s.L.astype(np.float64)).astype(np.int64)
 
 
-def digital_votes(s: SystemConfig, X: np.ndarray, mode: str) -> np.ndarray:
+def digital_votes(s: SystemConfig, X: np.ndarray | None, mode: str, *,
+                  levels: np.ndarray | None = None) -> np.ndarray:
     """(n, 45) +/-1 pair votes of a digital mode, in the system's line order.
 
-    digital-float votes with the retained real-weight model, and
-    digital-quantized with the signs of the integer margins.
+    digital-float votes with the retained real-weight model on normalized
+    inputs X, and digital-quantized with the signs of the integer margins
+    of X or of their feature levels.
     """
     if mode == "digital-float":
         if s.model is None:
             raise ValueError("system carries no float model; assemble it from a trained model")
+        if X is None:
+            raise ValueError("digital-float votes on normalized inputs, not feature levels")
         return pair_votes(s.model, X)
-    return np.where(quantized_margins(s, X) >= 0, 1, -1)
+    return np.where(quantized_margins(s, X, levels=levels) >= 0, 1, -1)
 
 
 @dataclass
@@ -182,28 +206,31 @@ class MetricsReport:
         }
 
 
-def evaluate(s: SystemConfig, X: np.ndarray, labels: np.ndarray,
-             mode: str = "digital-quantized") -> MetricsReport:
+def evaluate(s: SystemConfig, X: np.ndarray | None, labels: np.ndarray,
+             mode: str = "digital-quantized", *,
+             levels: np.ndarray | None = None) -> MetricsReport:
     """Run the chosen pipeline over a test set and collect all metrics.
 
-    digital-float uses the retained real-weight model; digital-quantized
-    evaluates the integer margins of the assembled array; analog runs the
-    transient simulation.
+    digital-float uses the retained real-weight model on normalized inputs
+    X; digital-quantized evaluates the integer margins of the assembled
+    array and analog runs the transient simulation, on X or on their
+    feature levels.
     """
-    if len(X) == 0:
+    n = len(X if levels is None else levels)
+    if n == 0:
         raise ValueError("test set is empty")
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
     if mode == "analog":
-        result = line_sim.simulate_batch(s, X)
+        result = line_sim.simulate_batch(s, X, levels=levels)
         votes, energy = result.votes, float(np.mean(result.energies))
     else:
-        votes, energy = digital_votes(s, X, mode), None
+        votes, energy = digital_votes(s, X, mode, levels=levels), None
     accuracy, confusion, _ = score_votes(s.pairs, votes, labels)
 
     return MetricsReport(
         mode=mode,
-        n_evaluated=len(X),
+        n_evaluated=n,
         accuracy=accuracy,
         confusion=confusion,
         device_count=s.device_count,

@@ -16,6 +16,7 @@ recorded accuracy stays within a tolerance of the best subset seen.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -504,11 +505,16 @@ def score_votes(pairs: list[tuple[int, int]], votes: np.ndarray, labels: np.ndar
     """Tally (n, 45) pair votes and score them against the true labels.
 
     Returns (accuracy, 10x10 confusion matrix with rows true and columns
-    predicted, predictions).
+    predicted, predictions). Labels must be one digit 0..9 per vote row.
     """
     _, preds = tally_votes(pairs, votes)
+    labels = np.asarray(labels, dtype=int)
+    if labels.shape != preds.shape:
+        raise ValueError(f"{labels.size} labels for {len(preds)} inputs")
+    if labels.size and (labels.min() < 0 or labels.max() > 9):
+        raise ValueError("labels must be digits 0..9")
     confusion = np.zeros((10, 10), dtype=int)
-    np.add.at(confusion, (np.asarray(labels, dtype=int), preds), 1)
+    np.add.at(confusion, (labels, preds), 1)
     return float(np.trace(confusion) / len(labels)), confusion, preds
 
 
@@ -576,22 +582,29 @@ def model_from_dict(d: dict) -> OvOModel:
 
 
 class LastParse:
-    """The value parsed from the last files read, reused while their bytes match.
+    """The last value made, reused while its key matches.
 
-    Keyed on content, never path, mtime or size, which a same-size rewrite
-    within one timestamp tick keeps. Hits share the value: make it immutable.
+    `load` keys on the SHA-256 of files' content, never path, mtime or
+    size, which a same-size rewrite within one timestamp tick keeps. The
+    digest, not the bytes, is kept: a copy of a large input file would stay
+    resident. Hits share the value: make it immutable.
     """
 
     def __init__(self):
         self.key, self.value = None, None
 
-    def load(self, paths, parse):
-        """parse(*contents) of the files, read on every call; the last value while they match."""
-        key = tuple(pathlib.Path(p).read_bytes() for p in paths)
+    def get(self, key, make):
+        """make() for a key other than the last one; the last value while it matches."""
         if key != self.key:
             self.key = self.value = None
-            self.value, self.key = parse(*key), key
+            self.value, self.key = make(), key
         return self.value
+
+    def load(self, paths, parse, *extra):
+        """parse(*contents) of the files, read on every call; reused while they and `extra` match."""
+        contents = tuple(pathlib.Path(p).read_bytes() for p in paths)
+        key = tuple(hashlib.sha256(c).digest() for c in contents) + extra
+        return self.get(key, lambda: parse(*contents))
 
 
 _last_model = LastParse()

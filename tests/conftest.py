@@ -94,6 +94,17 @@ def synth_system(synth_model) -> system.SystemConfig:
     return system.assemble(synth_model)
 
 
+# Every value the pipeline reuses within a process, by module and name.
+PROCESS_CACHES = ((dataset, "_last_pair"), (trainer, "_last_model"), (cli, "_test_split"),
+                  (cli, "_compiled"), (system, "_netlist_body"))
+
+
+def clear_process_caches(monkeypatch):
+    """Start every process cache empty; monkeypatch restores them after the test."""
+    for module, name in PROCESS_CACHES:
+        monkeypatch.setattr(module, name, trainer.LastParse())
+
+
 @pytest.fixture()
 def idx_dir(tmp_path):
     """Small synthetic IDX file pair on disk (train + test, mixed gzip)."""

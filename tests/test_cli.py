@@ -1,15 +1,21 @@
 import csv
+import dataclasses
+import importlib.util
 import io
 import json
 import os
+import pathlib
+import shutil
 
 import numpy as np
 import pytest
 
+from conftest import clear_process_caches
 from outdiff import out_dir_diff
 from senseline import cli, dataset, system, trainer
 from senseline.config import config_from_dict, config_hash
-from senseline.line_sim import simulate_digit
+from senseline.line_sim import LineTiming, simulate_digit
+from senseline.quantizer import QuantSpec, quantize_unit
 
 
 def run(args, **kw):
@@ -262,17 +268,30 @@ class TestTraceBytes:
 class TestDecodeCount:
     @pytest.fixture()
     def decodes(self, monkeypatch):
-        """Paths of every IDX file decoded, with load_idx's cached pair cleared."""
+        """Paths of every IDX file decoded, with every process cache cleared."""
         calls, decode = [], dataset._decode_idx
-        monkeypatch.setattr(dataset, "_last_pair", trainer.LastParse())
+        clear_process_caches(monkeypatch)
         monkeypatch.setattr(dataset, "_decode_idx",
                             lambda path, *a: calls.append(str(path)) or decode(path, *a))
         return calls
 
     @pytest.mark.parametrize("flags", [[], ["--no-sbs"]])
-    def test_run_all_decodes_three_idx_pairs(self, workdir, decodes, flags):
+    def test_run_all_decodes_two_idx_pairs(self, workdir, decodes, flags):
+        # prepare decodes the test pool into feature levels that simulate reuses.
         assert run(["run-all", "-c", workdir["config"]] + flags) == 0
-        assert len(decodes) == 6
+        assert len(decodes) == 4
+
+    @pytest.mark.parametrize("mode", ["analog", "digital-quantized", "digital-float"])
+    def test_only_digital_float_decodes_the_test_pool_after_prepare(self, workdir, decodes,
+                                                                     mode):
+        for stage in ("prepare", "train", "build"):
+            assert run([stage, "-c", workdir["config"], "--no-sbs"]) == 0
+        del decodes[:]
+        for stage in ("simulate", "evaluate"):
+            assert run([stage, "-c", workdir["config"], "--no-sbs", "--mode", mode]) == 0
+        data = workdir["doc"]["data"]
+        test_paths = [data["test_images"], data["test_labels"]]
+        assert decodes == (test_paths if mode == "digital-float" else [])
 
     def test_train_reuses_the_training_pool_prepare_decoded(self, workdir, decodes):
         assert run(["prepare", "-c", workdir["config"]]) == 0
@@ -334,6 +353,201 @@ class TestParseCount:
             for arr in (c.weights, c.feature_indices):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 1
+
+
+def _sweep_points():
+    """The line_sweep benchmark's (c_line, dt, v_dsat, i_on) points."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SWEEP_POINTS
+
+
+def _rewrite_keeping_stat(path, data: bytes):
+    st = os.stat(path)
+    assert len(data) == st.st_size
+    pathlib.Path(path).write_bytes(data)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
+class TestSweepReuse:
+    """Line and device points of one model compile it once and write what cold runs write."""
+
+    POINTS = _sweep_points()
+
+    @staticmethod
+    def _point_configs(workdir, k, point):
+        """Config files of sweep point k: (analog, digital-quantized)."""
+        c_line, dt, v_dsat, i_on = point
+        paths = []
+        for mode in ("analog", "digital-quantized"):
+            doc = json.loads(json.dumps(workdir["doc"]))
+            doc.update(device={"i_on": i_on, "v_dsat": v_dsat},
+                       line={"c_line": c_line, "dt": dt, "t_classify": 2e-9})
+            doc["sbs"]["enabled"] = False
+            doc["evaluate"]["mode"] = mode
+            path = workdir["tmp"] / f"point{k}_{mode}.json"
+            path.write_text(json.dumps(doc))
+            paths.append(path)
+        return paths
+
+    def _run_point(self, workdir, k, tag):
+        """Run point k as the benchmark does; a copy of the out_dir after it."""
+        analog, quant = self._point_configs(workdir, k, self.POINTS[k])
+        for stage, path in (("build", analog), ("simulate", analog), ("evaluate", quant)):
+            assert run([stage, "-c", path]) == 0
+        snapshot = workdir["tmp"] / f"{tag}{k}"
+        shutil.copytree(workdir["tmp"] / "out", snapshot)
+        return snapshot
+
+    @pytest.fixture()
+    def swept(self, workdir, monkeypatch):
+        """Every point run in turn in one process after `train`, counting compiles."""
+        clear_process_caches(monkeypatch)
+        assert run(["train", "-c", workdir["config"], "--no-sbs"]) == 0
+        compiles, assemble = [], system.assemble
+        monkeypatch.setattr(system, "assemble", lambda *a, **k: compiles.append(a) or
+                            assemble(*a, **k))
+        outs = [self._run_point(workdir, k, "warm") for k in range(len(self.POINTS))]
+        return outs, compiles
+
+    def test_points_in_one_process_write_what_cold_points_write(self, workdir, swept,
+                                                                  monkeypatch):
+        warm, compiles = swept
+        assert len(compiles) == 1
+        for k in range(len(self.POINTS)):
+            clear_process_caches(monkeypatch)
+            assert out_dir_diff(warm[k], self._run_point(workdir, k, "cold")) == []
+        assert len(compiles) == 1 + len(self.POINTS)
+
+    def test_each_points_parameters_reach_its_outputs(self, workdir, swept):
+        warm, _ = swept
+        model = trainer.load_model(warm[0] / "model.json")
+        energies = set()
+        for k, (c_line, dt, v_dsat, i_on) in enumerate(self.POINTS):
+            cfg = config_from_dict(json.loads(self._point_configs(workdir, k, self.POINTS[k])[0]
+                                              .read_text()))
+            header = {line.split(" ", 2)[1]: json.loads(line.split(" ", 2)[2])
+                      for line in (warm[k] / "netlist.txt").read_text().splitlines()[1:4]}
+            assert (header["device"]["i_on"], header["device"]["v_dsat"]) == (i_on, v_dsat)
+            assert (header["line"]["c_line"], header["line"]["dt"]) == (c_line, dt)
+            for name in ("system.json", "metrics_analog.json"):
+                doc = json.loads((warm[k] / name).read_text())
+                assert doc["metadata"]["config_hash"] == config_hash(cfg)
+            # The energy of an array compiled afresh at this point's parameters.
+            s = system.assemble(model, cfg.quant, cfg.device, cfg.line)
+            test_x, test_y = cli._load_test_features(cfg)
+            n = cfg.evaluate.subset
+            expected = system.evaluate(s, test_x[:n], test_y[:n], mode="analog")
+            metrics = json.loads((warm[k] / "metrics_analog.json").read_text())
+            assert metrics["energy_per_decision_j"] == expected.energy_per_decision
+            energies.add(metrics["energy_per_decision_j"])
+        assert len(energies) == len(self.POINTS)
+
+    def test_unstable_point_after_a_stable_one_still_raises(self, workdir, capsys,
+                                                            monkeypatch):
+        clear_process_caches(monkeypatch)
+        assert run(["train", "-c", workdir["config"], "--no-sbs"]) == 0
+        stable, _ = self._point_configs(workdir, 0, self.POINTS[0])
+        unstable, _ = self._point_configs(workdir, 1, (1e-16, 10e-12, 0.2, 2e-6))
+        assert run(["simulate", "-c", stable]) == 0
+        assert run(["simulate", "-c", unstable]) == cli.EXIT_CONFIG
+        assert "unstable Euler step" in capsys.readouterr().err
+        assert run(["simulate", "-c", stable]) == 0
+
+    def test_changed_model_or_bits_recompiles(self, workdir, monkeypatch):
+        clear_process_caches(monkeypatch)
+        assert run(["train", "-c", workdir["config"], "--no-sbs"]) == 0
+        cfg = config_from_dict(dict(workdir["doc"], sbs={"enabled": False}))
+        path = workdir["tmp"] / "out" / "model.json"
+        first = cli._assemble(cfg)
+        other_point = dataclasses.replace(cfg, line=LineTiming(c_line=20e-15))
+        assert cli._assemble(other_point).L is first.L
+        assert cli._assemble(dataclasses.replace(cfg, feature_space=784)).L.shape == (784, 45)
+        with pytest.raises(ValueError, match="read-only"):
+            first.L[0, 0] = 1
+        doc = json.loads(path.read_text())
+        doc["classifiers"][0]["weights"].reverse()
+        _rewrite_keeping_stat(path, (json.dumps(doc, indent=1) + "\n").encode())
+        rewritten = cli._assemble(cfg)
+        assert np.array_equal(rewritten.L,
+                              system.assemble(trainer.load_model(path), cfg.quant).L)
+        assert not np.array_equal(rewritten.L, first.L)
+        six_bits = dataclasses.replace(cfg, quant=QuantSpec(bits=6, step_volts=0.02))
+        assert np.array_equal(cli._assemble(six_bits).L,
+                              system.assemble(trainer.load_model(path), six_bits.quant).L)
+
+
+class TestTestSplitReuse:
+    """The test split's feature levels are reused only while everything they depend on matches."""
+
+    @pytest.fixture()
+    def cfg(self, idx_dir, monkeypatch):
+        """A 100-digit test split read from raw (uncompressed) IDX files."""
+        clear_process_caches(monkeypatch)
+        images, labels = idx_dir["train"]
+        return config_from_dict({"data": {"train_images": str(images),
+                                          "train_labels": str(labels),
+                                          "test_images": str(images), "test_labels": str(labels)},
+                                 "split": {"test_count": 100}})
+
+    @pytest.fixture()
+    def decodes(self, monkeypatch):
+        calls, decode = [], dataset.decode_idx_pair
+        monkeypatch.setattr(dataset, "decode_idx_pair",
+                            lambda *a: calls.append(a[0]) or decode(*a))
+        return calls
+
+    @staticmethod
+    def _expected(cfg):
+        """Quantized float test features, computed without the reused levels."""
+        X, y = cli._load_test_features(cfg)
+        return quantize_unit(X, cfg.quant), y
+
+    @pytest.mark.parametrize("bits,dtype", [(5, np.uint8), (8, np.uint8), (9, np.int64)])
+    def test_levels_are_the_quantized_features(self, cfg, bits, dtype):
+        cfg = dataclasses.replace(cfg, quant=QuantSpec(bits=bits, step_volts=1.2 / 2 ** bits))
+        levels, labels = cli._test_levels(cfg)
+        expected, y = self._expected(cfg)
+        assert levels.dtype == dtype and np.array_equal(levels, expected)
+        assert np.array_equal(labels, y)
+        with pytest.raises(ValueError, match="read-only"):
+            levels[0, 0] = 1
+
+    @pytest.mark.parametrize("change", [
+        {"quant": QuantSpec(bits=6, step_volts=0.02)},
+        {"grid": dataset.GridSpec(row_indices=(1, 4, 8, 11, 15, 18, 22, 25))},
+        {"split": dataset.SplitSpec(test_count=50)},
+        {"feature_space": 784},
+    ], ids=["bits", "grid", "test_count", "feature_space"])
+    def test_a_changed_setting_recomputes(self, cfg, decodes, change):
+        first = cli._test_levels(cfg)
+        assert cli._test_levels(cfg) is first and len(decodes) == 1
+        changed = dataclasses.replace(cfg, **change)
+        levels, labels = cli._test_levels(changed)
+        assert len(decodes) == 2
+        expected, y = self._expected(changed)
+        assert np.array_equal(levels, expected) and np.array_equal(labels, y)
+        assert levels.shape != first[0].shape or not np.array_equal(levels, first[0])
+
+    @pytest.mark.parametrize("which", ["test_images", "test_labels"])
+    def test_same_size_rewrite_of_the_test_idx_recomputes(self, cfg, decodes, which):
+        levels, labels = cli._test_levels(cfg)
+        path = getattr(cfg.data, which)
+        raw = bytearray(pathlib.Path(path).read_bytes())
+        if which == "test_images":  # the first digit's first grid pixel, (2, 2)
+            raw[16 + 2 * 28 + 2] ^= 0xFF
+        else:
+            raw[8] = (raw[8] + 1) % 10
+        _rewrite_keeping_stat(path, bytes(raw))
+        new_levels, new_labels = cli._test_levels(cfg)
+        assert len(decodes) == 2
+        expected, y = self._expected(cfg)
+        assert np.array_equal(new_levels, expected) and np.array_equal(new_labels, y)
+        changed = (new_levels[0, 0] != levels[0, 0] if which == "test_images"
+                   else new_labels[0] != labels[0])
+        assert changed
 
 
 class TestRunAll:

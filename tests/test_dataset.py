@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import synth
-from conftest import mnist_paths, requires_mnist
-from senseline import cli, dataset, trainer
+from conftest import clear_process_caches, mnist_paths, requires_mnist
+from senseline import cli, dataset
 from senseline.config import RunConfig
 from senseline.dataset import (
     CountMismatchError,
@@ -93,7 +93,7 @@ class TestLoadCache:
 
     @pytest.fixture(autouse=True)
     def decodes(self, monkeypatch):
-        monkeypatch.setattr(dataset, "_last_pair", trainer.LastParse())
+        clear_process_caches(monkeypatch)
         paths = []
         decode = dataset._decode_idx
 

@@ -16,7 +16,7 @@ from senseline.quantizer import (
     level_to_vtg,
     quantize_unit,
 )
-from senseline.system import SystemConfig
+from senseline.system import SystemConfig, quantized_margins
 
 Q = QuantSpec()
 P = DeviceParams()
@@ -150,7 +150,7 @@ class TestDriveSums:
                              for wi in range(1, q.levels)] for xi in range(q.levels)])
         L = np.arange(1, q.levels)[None, :] * (1 if dtype == "P" else -1)
         line = SystemConfig([(0, 1)] * L.shape[1], L, q, P)
-        p_sum, n_sum = line_sim._drive_sums(line, x / q.max_level)
+        p_sum, n_sum = line_sim._drive_sums(line, x)
         drive = p_sum if dtype == "P" else n_sum
         assert not np.any(p_sum if dtype == "N" else n_sum)
         expected = P.i_on * (x / q.max_level) * (w / q.max_level)
@@ -398,6 +398,50 @@ class TestLinearShortcut:
         line = make_line([(0, "P", 31)], params=planted_params(bad))
         with pytest.raises(ValueError, match="unstable Euler step"):
             simulate_batch(line, np.tile(levels_all(31) / Q.max_level, (3, 1)))
+
+
+class TestLevelInputs:
+    """The simulators and the integer oracle take feature levels as well as normalized inputs."""
+
+    def test_levels_give_the_float_inputs_results_bit_for_bit(self, synth_system,
+                                                               synth_features):
+        _, _, (sx, _) = synth_features
+        X = sx[:700]  # more than one block of rows
+        levels = quantize_unit(X, Q).astype(np.uint8)
+        a, b = simulate_batch(synth_system, X), simulate_batch(synth_system, levels=levels)
+        for field in ("votes", "tallies", "predictions", "energies", "line_finals"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert np.array_equal(quantized_margins(synth_system, X),
+                              quantized_margins(synth_system, levels=levels))
+        x = simulate_digit(synth_system, X[0], record_traces=True)
+        y = simulate_digit(synth_system, record_traces=True, levels=levels[0])
+        assert x.energy == y.energy and np.array_equal(x.line_finals, y.line_finals)
+        assert all(np.array_equal(u, v) for u, v in zip(x.line_traces, y.line_traces))
+
+    @pytest.mark.parametrize("call", [
+        lambda s, a: simulate_batch(s, a / Q.max_level),
+        lambda s, a: simulate_batch(s, levels=a),
+        lambda s, a: quantized_margins(s, a / Q.max_level),
+        lambda s, a: quantized_margins(s, levels=a),
+        lambda s, a: simulate_digit(s, levels=a[0]),
+    ], ids=["batch", "batch-levels", "margins", "margins-levels", "digit-levels"])
+    def test_width_other_than_the_arrays_names_both(self, synth_system, call):
+        with pytest.raises(ValueError, match=r"\(n, 64\) inputs .* got shape \((5, )?63,?\)"):
+            call(synth_system, np.ones((5, 63), dtype=np.int64))
+
+    @pytest.mark.parametrize("levels", [np.full((2, 64), 32), np.full((2, 64), -1),
+                                        np.full((2, 64), 3.0)], ids=["above", "below", "float"])
+    def test_levels_outside_the_quantizer_rejected(self, synth_system, levels):
+        with pytest.raises(ValueError, match=r"integers in \[0, 31\]"):
+            simulate_batch(synth_system, levels=levels)
+        with pytest.raises(ValueError, match=r"integers in \[0, 31\]"):
+            quantized_margins(synth_system, levels=levels)
+
+    def test_exactly_one_input(self, synth_system):
+        with pytest.raises(TypeError, match="exactly one"):
+            simulate_batch(synth_system)
+        with pytest.raises(TypeError, match="exactly one"):
+            simulate_batch(synth_system, np.zeros((1, 64)), levels=np.zeros((1, 64), np.uint8))
 
 
 class TestSimulateDigit:

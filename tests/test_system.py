@@ -256,6 +256,20 @@ class TestNetlist:
         system.emit_netlist(synth_system, path)
         assert_netlist_describes(synth_system, path)
 
+    def test_each_array_written_in_turn_gets_its_own_device_lines(self, synth_system,
+                                                                   tmp_path):
+        # Same shape, other levels; then the same levels under other pairs; then
+        # the first array again at other line parameters.
+        other_L = synth_system.L.copy()
+        other_L[0] = -other_L[0]
+        arrays = [synth_system, system.SystemConfig(synth_system.pairs, other_L),
+                  system.SystemConfig(synth_system.pairs[::-1], other_L),
+                  dataclasses.replace(synth_system, timing=LineTiming(c_line=20e-15))]
+        for k, s in enumerate(arrays):
+            path = tmp_path / f"netlist{k}.txt"
+            system.emit_netlist(s, path)
+            assert_netlist_describes(s, path)
+
     def test_device_lines_and_rails(self, synth_system, tmp_path):
         path = tmp_path / "netlist.txt"
         system.emit_netlist(synth_system, path)
@@ -369,3 +383,39 @@ class TestEvaluate:
         margins = system.quantized_margins(synth_system, sx[:7])
         assert margins.shape == (7, 45)
         assert margins.dtype == np.int64
+
+    @pytest.mark.parametrize("labels,message", [
+        ([0, 1], "2 labels for 3 inputs"),
+        ([0, 1, 12], "digits 0..9"),
+        ([0, -1, 2], "digits 0..9"),
+    ])
+    @pytest.mark.parametrize("mode", system.EVAL_MODES)
+    def test_bad_labels_rejected(self, synth_system, synth_features, labels, message, mode):
+        _, _, (sx, _) = synth_features
+        with pytest.raises(ValueError, match=message):
+            system.evaluate(synth_system, sx[:3], np.array(labels), mode=mode)
+
+    def test_levels_evaluate_as_their_inputs(self, synth_system, synth_features):
+        _, _, (sx, sy) = synth_features
+        levels = quantizer.quantize_unit(sx[:200], synth_system.quant).astype(np.uint8)
+        for mode in ("digital-quantized", "analog"):
+            a = system.evaluate(synth_system, sx[:200], sy[:200], mode=mode)
+            b = system.evaluate(synth_system, None, sy[:200], mode=mode, levels=levels)
+            assert a.to_dict() == b.to_dict()
+        with pytest.raises(ValueError, match="normalized inputs"):
+            system.evaluate(synth_system, None, sy[:200], mode="digital-float", levels=levels)
+
+
+class TestIntegerLevels:
+    @pytest.mark.parametrize("value", [1.7, np.nan, np.inf])
+    def test_non_integer_L_rejected(self, value):
+        L = np.zeros((64, 1))
+        L[3, 0] = value
+        with pytest.raises(ValueError, match="integer weight levels"):
+            system.SystemConfig([(0, 1)], L)
+
+    def test_integer_valued_floats_accepted(self):
+        L = np.zeros((64, 1))
+        L[3, 0], L[5, 0] = 2.0, -31.0
+        s = system.SystemConfig([(0, 1)], L)
+        assert s.L.dtype == np.int64 and s.L[3, 0] == 2 and s.L[5, 0] == -31
