@@ -239,30 +239,33 @@ def cmd_quantize(cfg: RunConfig) -> int:
     return 0
 
 
-# The array compiled from the last model, quantizer and feature space. Which
-# device sits where depends on nothing else, so each stage gets it with its
-# own device and line parameters, sharing the one read-only L.
+# The array compiled from the model file's content, quantizer and feature
+# space, and its netlist device lines. Which device sits where depends on
+# nothing else, so each stage gets it with its own device and line
+# parameters, sharing the one read-only L.
 _compiled = trainer.LastParse()
 
 
-def _assemble(cfg: RunConfig) -> system.SystemConfig:
-    model = trainer.load_model(_model_path(cfg))
-
-    def compile_array():
-        s = system.assemble(model, cfg.quant, n_features=cfg.feature_space)
+def _compile(cfg: RunConfig) -> tuple[system.SystemConfig, str]:
+    """The model file's array at cfg's device and line parameters, and its device lines."""
+    def parse(data):
+        s = system.assemble(trainer.model_from_dict(json.loads(data)), cfg.quant,
+                            n_features=cfg.feature_space)
         s.L.flags.writeable = False
-        return s
+        return s, system.device_lines(s)
 
-    # load_model returns one object while the file's bytes match. The cached
-    # system holds that model, so its id is not reused while it is cached.
-    base = _compiled.get((id(model), cfg.quant, cfg.feature_space), compile_array)
-    return dataclasses.replace(base, params=cfg.device, timing=cfg.line)
+    base, lines = _compiled.load([_model_path(cfg)], parse, cfg.quant, cfg.feature_space)
+    return dataclasses.replace(base, params=cfg.device, timing=cfg.line), lines
+
+
+def _assemble(cfg: RunConfig) -> system.SystemConfig:
+    return _compile(cfg)[0]
 
 
 def cmd_build(cfg: RunConfig) -> int:
     """Assemble the device array and emit the netlist."""
-    sysc = _assemble(cfg)
-    system.emit_netlist(sysc, _out(cfg, "netlist.txt"))
+    sysc, lines = _compile(cfg)
+    system.emit_netlist(sysc, _out(cfg, "netlist.txt"), lines)
     _write_json(_out(cfg, "system.json"), {
         "device_count": sysc.device_count,
         "area_um2": system.estimate_area(sysc),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .dataset import GridSpec, SplitSpec
 from .device import DeviceParams
 from .line_sim import LineTiming, euler_factor
-from .quantizer import QuantSpec
+from .quantizer import QuantSpec, check_exact_sums
 from .system import EVAL_MODES
 from .trainer import SBSSpec, TrainHyper, _check_fields
 
@@ -61,6 +61,7 @@ class RunConfig:
 
     def __post_init__(self):
         _check_fields("", self, feature_space=(64, 784), out_dir="path", seed="count0")
+        check_exact_sums(self.quant, self.feature_space)
         if self.evaluate.mode == "analog":
             # Worst case: a device on every feature of a line, each at full drive.
             factor = euler_factor(self.line, self.device, self.feature_space)

@@ -103,13 +103,6 @@ class SplitSpec:
                       test_count="count0", shuffle_seed="count0")
 
 
-@dataclass(frozen=True)
-class DataSplits:
-    train: LabeledImageSet
-    val: LabeledImageSet
-    test: LabeledImageSet
-
-
 def _decode_idx(path, data: bytes, magic: int, n_dims: int, what: str) -> np.ndarray:
     """Parse an IDX file's bytes: big-endian uint32 magic and n_dims sizes, then uint8 data.
 
@@ -200,16 +193,6 @@ def downsample(features: np.ndarray, grid: GridSpec = GridSpec()) -> np.ndarray:
     cols = np.asarray(grid.col_indices)
     flat = (rows[:, None] * 28 + cols[None, :]).ravel()
     return features[..., flat]
-
-
-def split(train_pool: LabeledImageSet, test_pool: LabeledImageSet,
-          spec: SplitSpec = SplitSpec()) -> DataSplits:
-    """Partition the training pool into train/val; pass the test pool through.
-
-    The test pool is never shuffled into training.
-    """
-    train, val = split_train_val(train_pool, spec)
-    return DataSplits(train=train, val=val, test=select_test(test_pool, spec))
 
 
 def split_train_val(train_pool: LabeledImageSet, spec: SplitSpec = SplitSpec()):

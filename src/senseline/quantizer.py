@@ -66,6 +66,17 @@ class QuantSpec:
         return (self.vdd - self.window_span, self.vdd)
 
 
+def check_exact_sums(q: QuantSpec, n_features: int):
+    """Reject level products whose sum over n_features can reach 2**53.
+
+    The drive sums and integer margins are float64 products of feature and
+    weight levels, exact (and so sign-exact) only below 2**53.
+    """
+    if n_features * q.max_level ** 2 >= 2 ** 53:
+        raise ValueError(f"quant.bits = {q.bits} at feature_space = {n_features}: sums of "
+                         "level products can reach 2^53 and lose exactness; lower quant.bits")
+
+
 # P devices source charge from VDD; N devices sink it to ground.
 RAILS = {"P": "VDD", "N": "GND"}
 

@@ -23,8 +23,8 @@ import numpy as np
 from . import line_sim
 from .device import DeviceParams
 from .line_sim import LineTiming
-from .quantizer import RAILS, QuantSpec, weight_levels
-from .trainer import LastParse, OvOModel, pair_votes, score_votes
+from .quantizer import RAILS, QuantSpec, check_exact_sums, weight_levels
+from .trainer import OvOModel, pair_votes, score_predictions, tally_votes
 
 # Input features driving the array: the 8x8 downsampled grid.
 N_FEATURES = 64
@@ -61,6 +61,7 @@ class SystemConfig:
         self.L = L.astype(np.int64, copy=False)
         if self.L.ndim != 2 or self.L.shape[1] != len(self.pairs):
             raise ValueError(f"L must be (features, {len(self.pairs)}), got {self.L.shape}")
+        check_exact_sums(self.quant, self.L.shape[0])
 
     @property
     def device_count(self) -> int:
@@ -104,12 +105,7 @@ def estimate_area(s: SystemConfig) -> float:
     return s.device_count * DEFAULT_FOOTPRINT_UM2
 
 
-# The device lines of the last array written. A sweep writes one array at
-# every point, and only the header's parameters change.
-_netlist_body = LastParse()
-
-
-def _device_lines(s: SystemConfig) -> str:
+def device_lines(s: SystemConfig) -> str:
     """The netlist's device lines: line by line, in ascending feature order."""
     lines, feats = np.nonzero(s.L.T)
     rows = []
@@ -122,10 +118,10 @@ def _device_lines(s: SystemConfig) -> str:
     return "".join(rows)
 
 
-def emit_netlist(s: SystemConfig, path):
+def emit_netlist(s: SystemConfig, path, lines: str | None = None):
     """Write the array as text, one device per line, with a parameter header.
 
-    The device lines are formatted once per distinct L and pairs.
+    `lines` are the array's device_lines(s), formatted here if not given.
     """
     header = {
         "quant": {"bits": s.quant.bits, "step_volts": s.quant.step_volts, "vdd": s.quant.vdd},
@@ -138,13 +134,11 @@ def emit_netlist(s: SystemConfig, path):
         "line": dataclasses.asdict(s.timing),
         "pairs": [f"{a}-{b}" for a, b in s.pairs],
     }
-    body = _netlist_body.get((s.L.tobytes(), tuple(s.pairs)),
-                             lambda: _device_lines(s))
     with open(path, "w") as f:
         f.write("* senseline netlist v1\n")
         for key, value in header.items():
             f.write(f"* {key} {json.dumps(value)}\n")
-        f.write(body)
+        f.write(device_lines(s) if lines is None else lines)
 
 
 def quantized_margins(s: SystemConfig, X: np.ndarray | None = None, *,
@@ -223,10 +217,11 @@ def evaluate(s: SystemConfig, X: np.ndarray | None, labels: np.ndarray,
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
     if mode == "analog":
         result = line_sim.simulate_batch(s, X, levels=levels)
-        votes, energy = result.votes, float(np.mean(result.energies))
+        preds, energy = result.predictions, float(np.mean(result.energies))
     else:
-        votes, energy = digital_votes(s, X, mode, levels=levels), None
-    accuracy, confusion, _ = score_votes(s.pairs, votes, labels)
+        _, preds = tally_votes(s.pairs, digital_votes(s, X, mode, levels=levels))
+        energy = None
+    accuracy, confusion = score_predictions(preds, labels)
 
     return MetricsReport(
         mode=mode,

@@ -501,13 +501,12 @@ def tally_votes(pairs: list[tuple[int, int]], votes: np.ndarray):
     return tallies, preds
 
 
-def score_votes(pairs: list[tuple[int, int]], votes: np.ndarray, labels: np.ndarray):
-    """Tally (n, 45) pair votes and score them against the true labels.
+def score_predictions(preds: np.ndarray, labels: np.ndarray):
+    """Score (n,) predicted digits against the true labels.
 
     Returns (accuracy, 10x10 confusion matrix with rows true and columns
-    predicted, predictions). Labels must be one digit 0..9 per vote row.
+    predicted). Labels must be one digit 0..9 per prediction.
     """
-    _, preds = tally_votes(pairs, votes)
     labels = np.asarray(labels, dtype=int)
     if labels.shape != preds.shape:
         raise ValueError(f"{labels.size} labels for {len(preds)} inputs")
@@ -515,12 +514,13 @@ def score_votes(pairs: list[tuple[int, int]], votes: np.ndarray, labels: np.ndar
         raise ValueError("labels must be digits 0..9")
     confusion = np.zeros((10, 10), dtype=int)
     np.add.at(confusion, (labels, preds), 1)
-    return float(np.trace(confusion) / len(labels)), confusion, preds
+    return float(np.trace(confusion) / len(labels)), confusion
 
 
 def evaluate_model(model: OvOModel, X: np.ndarray, labels: np.ndarray):
-    """Majority-vote accuracy, confusion matrix and predictions (see score_votes)."""
-    return score_votes(model.pairs, pair_votes(model, X), labels)
+    """Majority-vote accuracy, confusion matrix (see score_predictions) and predictions."""
+    _, preds = tally_votes(model.pairs, pair_votes(model, X))
+    return (*score_predictions(preds, labels), preds)
 
 
 def per_pair_val_accuracy(model: OvOModel, val_x: np.ndarray, val_y: np.ndarray) -> dict:
@@ -582,7 +582,7 @@ def model_from_dict(d: dict) -> OvOModel:
 
 
 class LastParse:
-    """The last value made, reused while its key matches.
+    """The last value parsed, reused while its key matches.
 
     `load` keys on the SHA-256 of files' content, never path, mtime or
     size, which a same-size rewrite within one timestamp tick keeps. The
@@ -593,23 +593,16 @@ class LastParse:
     def __init__(self):
         self.key, self.value = None, None
 
-    def get(self, key, make):
-        """make() for a key other than the last one; the last value while it matches."""
-        if key != self.key:
-            self.key = self.value = None
-            self.value, self.key = make(), key
-        return self.value
-
     def load(self, paths, parse, *extra):
         """parse(*contents) of the files, read on every call; reused while they and `extra` match."""
         contents = tuple(pathlib.Path(p).read_bytes() for p in paths)
         key = tuple(hashlib.sha256(c).digest() for c in contents) + extra
-        return self.get(key, lambda: parse(*contents))
-
-
-_last_model = LastParse()
+        if key != self.key:
+            self.key = self.value = None
+            self.value, self.key = parse(*contents), key
+        return self.value
 
 
 def load_model(path) -> OvOModel:
-    """The model in a model file, reused while the file's bytes match."""
-    return _last_model.load([path], lambda data: model_from_dict(json.loads(data)))
+    """The model in a model file."""
+    return model_from_dict(json.loads(pathlib.Path(path).read_bytes()))

@@ -48,15 +48,15 @@ def mnist_features():
         pytest.skip("real MNIST not available in this environment")
     train_pool = dataset.load_idx(paths["train_images"], paths["train_labels"])
     test_pool = dataset.load_idx(paths["test_images"], paths["test_labels"])
-    splits = dataset.split(train_pool, test_pool, dataset.SplitSpec())
+    train, val = dataset.split_train_val(train_pool)
 
     def both(s):
         x784 = dataset.normalize(s)
         return x784, dataset.downsample(x784), s.labels.astype(int)
 
-    tr784, tr64, ty = both(splits.train)
-    va784, va64, vy = both(splits.val)
-    te784, te64, sy = both(splits.test)
+    tr784, tr64, ty = both(train)
+    va784, va64, vy = both(val)
+    te784, te64, sy = both(dataset.select_test(test_pool))
     return {
         "784": ((tr784, ty), (va784, vy), (te784, sy)),
         "64": ((tr64, ty), (va64, vy), (te64, sy)),
@@ -65,11 +65,12 @@ def mnist_features():
 
 @pytest.fixture(scope="session")
 def synth_splits():
-    """Synthetic digit corpus split 7000/2000/1500, session-cached."""
+    """Synthetic digit corpus split 7000/2000/1500 as (train, val, test), session-cached."""
     images, labels = synth.make_corpus(10_500, seed=7)
-    train = dataset.LabeledImageSet(images[:9000], labels[:9000])
-    test = dataset.LabeledImageSet(images[9000:], labels[9000:])
-    return dataset.split(train, test, dataset.SplitSpec(7000, 2000, 1500, shuffle_seed=42))
+    spec = dataset.SplitSpec(7000, 2000, 1500, shuffle_seed=42)
+    train_pool = dataset.LabeledImageSet(images[:9000], labels[:9000])
+    test_pool = dataset.LabeledImageSet(images[9000:], labels[9000:])
+    return (*dataset.split_train_val(train_pool, spec), dataset.select_test(test_pool, spec))
 
 
 def _features64(s: dataset.LabeledImageSet):
@@ -79,7 +80,7 @@ def _features64(s: dataset.LabeledImageSet):
 @pytest.fixture(scope="session")
 def synth_features(synth_splits):
     """(train_x, train_y), (val_x, val_y), (test_x, test_y) at 64 features."""
-    return tuple(_features64(s) for s in (synth_splits.train, synth_splits.val, synth_splits.test))
+    return tuple(_features64(s) for s in synth_splits)
 
 
 @pytest.fixture(scope="session")
@@ -95,8 +96,7 @@ def synth_system(synth_model) -> system.SystemConfig:
 
 
 # Every value the pipeline reuses within a process, by module and name.
-PROCESS_CACHES = ((dataset, "_last_pair"), (trainer, "_last_model"), (cli, "_test_split"),
-                  (cli, "_compiled"), (system, "_netlist_body"))
+PROCESS_CACHES = ((dataset, "_last_pair"), (cli, "_test_split"), (cli, "_compiled"))
 
 
 def clear_process_caches(monkeypatch):

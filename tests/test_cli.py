@@ -5,12 +5,14 @@ import io
 import json
 import os
 import pathlib
+import pkgutil
 import shutil
 
 import numpy as np
 import pytest
 
-from conftest import clear_process_caches
+import senseline
+from conftest import PROCESS_CACHES, clear_process_caches
 from outdiff import out_dir_diff
 from senseline import cli, dataset, system, trainer
 from senseline.config import config_from_dict, config_hash
@@ -302,12 +304,21 @@ class TestDecodeCount:
 
 
 
+def test_every_process_cache_is_cleared_between_tests():
+    """Each module-level LastParse in senseline is listed in conftest.PROCESS_CACHES."""
+    modules = [senseline] + [importlib.import_module(f"senseline.{m.name}")
+                             for m in pkgutil.iter_modules(senseline.__path__)]
+    found = {(module, name) for module in modules
+             for name, value in vars(module).items() if isinstance(value, trainer.LastParse)}
+    assert found == set(PROCESS_CACHES)
+
+
 class TestParseCount:
     @pytest.fixture()
     def parses(self, monkeypatch):
-        """Every model document parsed, with load_model's reused model cleared."""
+        """Every model document parsed, with every process cache cleared."""
         docs, parse = [], trainer.model_from_dict
-        monkeypatch.setattr(trainer, "_last_model", trainer.LastParse())
+        clear_process_caches(monkeypatch)
         monkeypatch.setattr(trainer, "model_from_dict", lambda doc: docs.append(doc) or parse(doc))
         return docs
 
@@ -315,11 +326,15 @@ class TestParseCount:
     def _file_docs(out, *names):
         return [json.loads((out / name).read_text()) for name in names]
 
-    def test_build_simulate_evaluate_parse_the_model_once(self, workdir, parses):
+    def test_build_simulate_evaluate_parse_the_model_once(self, workdir, parses, monkeypatch):
         assert run(["train", "-c", workdir["config"], "--no-sbs"]) == 0
+        formats, device_lines = [], system.device_lines
+        monkeypatch.setattr(system, "device_lines",
+                            lambda s: formats.append(s) or device_lines(s))
         for stage in ("build", "simulate", "evaluate"):
             assert run([stage, "-c", workdir["config"], "--no-sbs"]) == 0
         assert parses == self._file_docs(workdir["tmp"] / "out", "model.json")
+        assert len(formats) == 1
 
     @pytest.mark.parametrize("flags,models", [
         ([], ["model.json", "model_sbs.json"]),
@@ -329,26 +344,30 @@ class TestParseCount:
         assert run(["run-all", "-c", workdir["config"]] + flags) == 0
         assert parses == self._file_docs(workdir["tmp"] / "out", *models)
 
+    @staticmethod
+    def _cfg(workdir):
+        return config_from_dict(dict(workdir["doc"], sbs={"enabled": False}))
+
     def test_same_size_rewrite_with_other_weights_is_parsed_again(self, workdir, parses):
         assert run(["train", "-c", workdir["config"], "--no-sbs"]) == 0
-        path = workdir["tmp"] / "out" / "model.json"
-        before = trainer.load_model(path)
+        cfg, path = self._cfg(workdir), workdir["tmp"] / "out" / "model.json"
+        before = cli._assemble(cfg).model
         doc = json.loads(path.read_text())
         doc["classifiers"][0]["weights"].reverse()
         st, size = os.stat(path), path.stat().st_size
         cli._write_json(path, doc)
         os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
         assert path.stat().st_size == size
-        after = trainer.load_model(path)
+        after = cli._assemble(cfg).model
         assert len(parses) == 2
         assert np.array_equal(after.classifiers[0].weights, before.classifiers[0].weights[::-1])
-        assert trainer.load_model(path) is after
+        assert cli._assemble(cfg).model is after and len(parses) == 2
 
     def test_reused_model_cannot_be_written(self, workdir, parses):
         assert run(["train", "-c", workdir["config"], "--no-sbs"]) == 0
-        path = workdir["tmp"] / "out" / "model.json"
-        model = trainer.load_model(path)
-        assert trainer.load_model(path) is model and len(parses) == 1
+        cfg = self._cfg(workdir)
+        model = cli._assemble(cfg).model
+        assert cli._assemble(cfg).model is model and len(parses) == 1
         for c in model.classifiers:
             for arr in (c.weights, c.feature_indices):
                 with pytest.raises(ValueError, match="read-only"):
@@ -655,6 +674,24 @@ class TestConfigErrors:
         [values] = doc.values()
         [key] = values
         assert "config error" in err and key in err
+
+    @pytest.mark.parametrize("bits,feature_space,mode", [
+        (26, 64, "analog"), (24, 64, "digital-quantized"), (22, 784, "digital-quantized")])
+    def test_quant_bits_too_wide_for_exact_sums_exits_4(self, workdir, capsys, bits,
+                                                         feature_space, mode):
+        bad = workdir["tmp"] / "wide_bits.json"
+        bad.write_text(json.dumps({"quant": {"bits": bits, "step_volts": 1e-9},
+                                   "feature_space": feature_space,
+                                   "evaluate": {"mode": mode}}))
+        assert run(["prepare", "-c", bad]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "quant.bits" in err and "feature_space" in err
+
+    @pytest.mark.parametrize("bits,feature_space", [(23, 64), (21, 784)])
+    def test_widest_exact_quant_bits_load(self, bits, feature_space):
+        cfg = config_from_dict({"quant": {"bits": bits, "step_volts": 1e-9},
+                                "feature_space": feature_space})
+        assert cfg.quant.bits == bits
 
     def test_oversized_quant_bits_exits_4(self, workdir, capsys):
         bad = workdir["tmp"] / "big_bits.json"

@@ -271,50 +271,52 @@ class TestSplit:
 
     def test_counts(self):
         train_pool, test_pool = self._pools()
-        spl = dataset.split(train_pool, test_pool, SplitSpec(150, 50, 100, shuffle_seed=1))
-        assert (len(spl.train), len(spl.val), len(spl.test)) == (150, 50, 100)
+        spec = SplitSpec(150, 50, 100, shuffle_seed=1)
+        train, val = dataset.split_train_val(train_pool, spec)
+        test = dataset.select_test(test_pool, spec)
+        assert (len(train), len(val), len(test)) == (150, 50, 100)
 
     def test_same_seed_identical(self):
-        train_pool, test_pool = self._pools()
+        train_pool, _ = self._pools()
         spec = SplitSpec(120, 60, 100, shuffle_seed=9)
-        a = dataset.split(train_pool, test_pool, spec)
-        b = dataset.split(train_pool, test_pool, spec)
-        assert np.array_equal(a.train.images, b.train.images)
-        assert np.array_equal(a.val.labels, b.val.labels)
+        a_train, a_val = dataset.split_train_val(train_pool, spec)
+        b_train, b_val = dataset.split_train_val(train_pool, spec)
+        assert np.array_equal(a_train.images, b_train.images)
+        assert np.array_equal(a_val.labels, b_val.labels)
 
     def test_different_seed_changes_train_not_test(self):
         train_pool, test_pool = self._pools()
-        a = dataset.split(train_pool, test_pool, SplitSpec(120, 60, 100, shuffle_seed=1))
-        b = dataset.split(train_pool, test_pool, SplitSpec(120, 60, 100, shuffle_seed=2))
-        assert not np.array_equal(a.train.labels, b.train.labels)
-        assert np.array_equal(a.test.images, b.test.images)
+        a, b = SplitSpec(120, 60, 100, shuffle_seed=1), SplitSpec(120, 60, 100, shuffle_seed=2)
+        a_train, _ = dataset.split_train_val(train_pool, a)
+        b_train, _ = dataset.split_train_val(train_pool, b)
+        assert not np.array_equal(a_train.labels, b_train.labels)
+        assert np.array_equal(dataset.select_test(test_pool, a).images,
+                              dataset.select_test(test_pool, b).images)
 
     def test_partitions_disjoint(self):
-        train_pool, test_pool = self._pools()
-        spl = dataset.split(train_pool, test_pool, SplitSpec(120, 60, 100, shuffle_seed=3))
+        train_pool, _ = self._pools()
+        train, val = dataset.split_train_val(train_pool, SplitSpec(120, 60, 100, shuffle_seed=3))
         # Reconstruct which pool rows went where via exact image matches.
         pool_bytes = {train_pool.images[i].tobytes(): i for i in range(len(train_pool))}
-        train_rows = {pool_bytes[img.tobytes()] for img in spl.train.images}
-        val_rows = {pool_bytes[img.tobytes()] for img in spl.val.images}
+        train_rows = {pool_bytes[img.tobytes()] for img in train.images}
+        val_rows = {pool_bytes[img.tobytes()] for img in val.images}
         assert not train_rows & val_rows
 
-    def test_train_val_alone_equals_split(self):
-        train_pool, test_pool = self._pools()
+    def test_train_val_follows_the_seeded_permutation(self):
+        train_pool, _ = self._pools()
         spec = SplitSpec(120, 60, 100, shuffle_seed=4)
-        full = dataset.split(train_pool, test_pool, spec)
+        perm = np.random.default_rng(4).permutation(len(train_pool))
         train, val = dataset.split_train_val(train_pool, spec)
-        for got, want in ((train, full.train), (val, full.val)):
-            assert np.array_equal(got.images, want.images)
-            assert np.array_equal(got.labels, want.labels)
-        with pytest.raises(ValueError, match="exceeds"):
-            dataset.split_train_val(train_pool, SplitSpec(180, 60, 0))
+        for got, rows in ((train, perm[:120]), (val, perm[120:180])):
+            assert np.array_equal(got.images, train_pool.images[rows])
+            assert np.array_equal(got.labels, train_pool.labels[rows])
 
     def test_overflow_errors(self):
         train_pool, test_pool = self._pools()
         with pytest.raises(ValueError, match="exceeds"):
-            dataset.split(train_pool, test_pool, SplitSpec(180, 60, 100))
+            dataset.split_train_val(train_pool, SplitSpec(180, 60, 100))
         with pytest.raises(ValueError, match="exceeds"):
-            dataset.split(train_pool, test_pool, SplitSpec(100, 60, 101))
+            dataset.select_test(test_pool, SplitSpec(100, 60, 101))
 
     def test_test_split_is_a_read_only_view_of_the_pool(self, idx_dir):
         # A slice, not a copy of the decoded pool; also of a writable pool.
@@ -345,5 +347,6 @@ class TestRealMnist:
         paths = mnist_paths()
         train = dataset.load_idx(paths["train_images"], paths["train_labels"])
         test = dataset.load_idx(paths["test_images"], paths["test_labels"])
-        spl = dataset.split(train, test, SplitSpec())
-        assert (len(spl.train), len(spl.val), len(spl.test)) == (45_000, 15_000, 10_000)
+        train, val = dataset.split_train_val(train, SplitSpec())
+        test = dataset.select_test(test, SplitSpec())
+        assert (len(train), len(val), len(test)) == (45_000, 15_000, 10_000)

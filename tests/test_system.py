@@ -270,6 +270,11 @@ class TestNetlist:
             system.emit_netlist(s, path)
             assert_netlist_describes(s, path)
 
+    def test_given_device_lines_write_the_same_bytes(self, synth_system, tmp_path):
+        system.emit_netlist(synth_system, tmp_path / "formatted.txt")
+        system.emit_netlist(synth_system, tmp_path / "given.txt", system.device_lines(synth_system))
+        assert (tmp_path / "given.txt").read_bytes() == (tmp_path / "formatted.txt").read_bytes()
+
     def test_device_lines_and_rails(self, synth_system, tmp_path):
         path = tmp_path / "netlist.txt"
         system.emit_netlist(synth_system, path)
@@ -363,6 +368,21 @@ class TestEvaluate:
         assert report.energy_scope == system.ENERGY_SCOPE
         assert report.throughput_hz == pytest.approx(250e6)
 
+    def test_analog_evaluation_tallies_once(self, synth_system, synth_features, monkeypatch):
+        _, _, (sx, sy) = synth_features
+        preds = line_sim.simulate_batch(synth_system, sx[:200]).predictions
+        confusion = np.zeros((10, 10), dtype=int)
+        for true, pred in zip(sy[:200], preds):
+            confusion[true, pred] += 1
+        calls, tally = [], trainer.tally_votes
+        for module in (trainer, line_sim, system):
+            monkeypatch.setattr(module, "tally_votes", lambda *a: calls.append(a) or tally(*a),
+                                raising=False)
+        report = system.evaluate(synth_system, sx[:200], sy[:200], mode="analog")
+        assert len(calls) == 1
+        assert np.array_equal(report.confusion, confusion)
+        assert report.accuracy == np.mean(preds == sy[:200])
+
     def test_empty_test_set_rejected(self, synth_system):
         with pytest.raises(ValueError, match="empty"):
             system.evaluate(synth_system, np.zeros((0, 64)), np.zeros(0, dtype=int))
@@ -419,3 +439,26 @@ class TestIntegerLevels:
         L[3, 0], L[5, 0] = 2.0, -31.0
         s = system.SystemConfig([(0, 1)], L)
         assert s.L.dtype == np.int64 and s.L[3, 0] == 2 and s.L[5, 0] == -31
+
+
+class TestExactLevelSums:
+    """Level products are summed in float64, exact only while every sum is below 2**53."""
+
+    @pytest.mark.parametrize("bits,n_features", [(24, 64), (26, 64), (22, 784)])
+    def test_quantizer_too_wide_for_its_features_rejected(self, bits, n_features):
+        q = QuantSpec(bits=bits, step_volts=1e-9)
+        with pytest.raises(ValueError, match=r"quant.bits = \d+ at feature_space = \d+"):
+            system.SystemConfig([(0, 1)], np.zeros((n_features, 1)), q)
+
+    @pytest.mark.parametrize("bits,n_features", [(23, 64), (21, 784)])
+    def test_widest_quantizer_keeps_full_scale_margins_exact(self, bits, n_features):
+        q = QuantSpec(bits=bits, step_volts=1e-9)
+        L = np.full((n_features, 2), q.max_level)
+        L[:, 1] = -L[:, 1]
+        s = system.SystemConfig([(0, 1), (2, 3)], L, q)
+        levels = np.full((1, n_features), q.max_level)
+        top = n_features * q.max_level ** 2
+        assert system.quantized_margins(s, levels=levels).tolist() == [[top, -top]]
+        margins = system.quantized_margins(s, levels=levels - 1)
+        assert margins.tolist() == [[top - n_features * q.max_level,
+                                     -top + n_features * q.max_level]]
