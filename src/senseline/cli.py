@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import functools
 import json
 import os
 import pathlib
@@ -240,19 +241,19 @@ def cmd_quantize(cfg: RunConfig) -> int:
 
 
 # The array compiled from the model file's content, quantizer and feature
-# space, and its netlist device lines. Which device sits where depends on
-# nothing else, so each stage gets it with its own device and line
-# parameters, sharing the one read-only L.
+# space, and its netlist device lines, formatted on first use (by `build`).
+# Which device sits where depends on nothing else, so each stage gets it with
+# its own device and line parameters, sharing the one read-only L.
 _compiled = trainer.LastParse()
 
 
-def _compile(cfg: RunConfig) -> tuple[system.SystemConfig, str]:
-    """The model file's array at cfg's device and line parameters, and its device lines."""
+def _compile(cfg: RunConfig):
+    """The model file's array at cfg's parameters, and a memoized thunk of its device lines."""
     def parse(data):
         s = system.assemble(trainer.model_from_dict(json.loads(data)), cfg.quant,
                             n_features=cfg.feature_space)
         s.L.flags.writeable = False
-        return s, system.device_lines(s)
+        return s, functools.cache(lambda: system.device_lines(s))
 
     base, lines = _compiled.load([_model_path(cfg)], parse, cfg.quant, cfg.feature_space)
     return dataclasses.replace(base, params=cfg.device, timing=cfg.line), lines
@@ -265,7 +266,7 @@ def _assemble(cfg: RunConfig) -> system.SystemConfig:
 def cmd_build(cfg: RunConfig) -> int:
     """Assemble the device array and emit the netlist."""
     sysc, lines = _compile(cfg)
-    system.emit_netlist(sysc, _out(cfg, "netlist.txt"), lines)
+    system.emit_netlist(sysc, _out(cfg, "netlist.txt"), lines())
     _write_json(_out(cfg, "system.json"), {
         "device_count": sysc.device_count,
         "area_um2": system.estimate_area(sysc),

@@ -171,10 +171,11 @@ def all_pairs(n_classes: int = 10) -> list[tuple[int, int]]:
 
 
 def _sigmoid_neg(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # sigma(-u) in one pass, no masks, no overflow: e = exp(-|u|) <= 1, so
-    # max(e, u < 0) is 1 where u < 0 (giving 1/(1 + exp(u))) and e elsewhere
-    # (giving exp(-u)/(1 + exp(-u))). min(u, -u) is -|u| and keeps a NaN's
-    # sign. out may be u itself.
+    # sigma(-u) for the final training, bit for bit the two-branch form (which
+    # _gd_masked's 1/(1 + exp(u)) is not), in one pass, no masks, no overflow:
+    # e = exp(-|u|) <= 1, so max(e, u < 0) is 1 where u < 0 (giving
+    # 1/(1 + exp(u))) and e elsewhere (giving exp(-u)/(1 + exp(-u))).
+    # min(u, -u) is -|u| and keeps a NaN's sign. out may be u itself.
     u = np.asarray(u, dtype=np.float64)
     e = np.minimum(u, -u)
     np.exp(e, out=e)
@@ -237,30 +238,29 @@ def _gd_masked(X: np.ndarray, y: np.ndarray, W: np.ndarray, mask: np.ndarray,
     makes row c equivalent to a model trained without those features.
     Returns W.
 
-    Each epoch is the plain full-batch step W <- (W - lr*(l2*W - M/n)) * mask
-    with M = (y * sigma(-y * (X @ W.T))).T @ X, computed with y folded into
-    the rows of X: (y*X) @ W.T equals y * (X @ W.T) and sigma(..).T @ (y*X)
-    equals M bit for bit, because y = +/-1 only flips signs. The two matmuls
-    see the layouts of X and W that a direct transcription would, so BLAS
-    sums in the same order (its order can depend on operand layout).
+    Each epoch is the full-batch step W <- (W - lr*(l2*W - M/n)) * mask with
+    M = (y * sigma(-y * (X @ W.T))).T @ X, re-associated as
+    W <- (W*(1 - lr*l2) + sigma(-y * (X @ W.T)).T @ (y*X * lr/n)) * mask,
+    with sigma(-u) = 1/(1 + exp(u)), in three passes (exp(u) overflowing to
+    inf gives exactly 0). That equals the direct form up to rounding, not bit
+    for bit. Folding y into the rows of X is exact: y = +/-1 only flips signs.
     """
     n = len(y)
-    lr = hyper.learning_rate
-    l2 = hyper.l2_lambda
     keep = mask.astype(np.float64)
+    decay = 1.0 - hyper.learning_rate * hyper.l2_lambda
     Xy = X * y[:, None]              # a contiguous X keeps its memory order
+    Xyc = Xy * (hyper.learning_rate / n)
     V = np.empty((n, len(W)))        # y * margins, then sigma(-y * margins)
     G = np.empty_like(W)
-    R = np.empty_like(W)
-    with np.errstate(over="ignore"):  # divergence is detected below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised below
         for _ in range(epochs):
             np.matmul(Xy, W.T, out=V)
-            np.matmul(_sigmoid_neg(V, out=V).T, Xy, out=G)
-            G /= n
-            np.multiply(W, l2, out=R)
-            np.subtract(R, G, out=G)
-            G *= lr
-            W -= G
+            np.exp(V, out=V)
+            V += 1.0
+            np.reciprocal(V, out=V)
+            np.matmul(V.T, Xyc, out=G)
+            W *= decay
+            W += G
             W *= keep
     if not np.all(np.isfinite(W)):
         raise TrainingDivergedError("weights became non-finite; lower the learning rate")
@@ -427,20 +427,23 @@ def sbs_select(pair: tuple[int, int], train_x: np.ndarray, train_y: np.ndarray,
         return np.mean((Xva @ W.T >= 0) == val_pos, axis=0)
 
     active = np.arange(d)
-    parent = _gd_masked(Xa, ytr, np.zeros((1, d)), np.ones((1, d), dtype=bool),
-                        hyper, spec.full_epochs)[0]
-    record = [(active.copy(), float(val_acc(parent[None, :])[0]))]
+    try:
+        parent = _gd_masked(Xa, ytr, np.zeros((1, d)), np.ones((1, d), dtype=bool),
+                            hyper, spec.full_epochs)[0]
+        record = [(active.copy(), float(val_acc(parent[None, :])[0]))]
 
-    while len(active) > 1:
-        mask = ~np.eye(len(active), dtype=bool)
-        W = _gd_masked(Xa, ytr, parent * mask, mask, hyper, spec.candidate_epochs)
-        accs = val_acc(W)
-        j = int(np.argmax(accs))
-        parent = np.delete(W[j], j)
-        active = np.delete(active, j)
-        Xa = np.delete(Xa, j, axis=1)
-        Xva = np.delete(Xva, j, axis=1)
-        record.append((active.copy(), float(accs[j])))
+        while len(active) > 1:
+            mask = ~np.eye(len(active), dtype=bool)
+            W = _gd_masked(Xa, ytr, parent * mask, mask, hyper, spec.candidate_epochs)
+            accs = val_acc(W)
+            j = int(np.argmax(accs))
+            parent = np.delete(W[j], j)
+            active = np.delete(active, j)
+            Xa = np.delete(Xa, j, axis=1)
+            Xva = np.delete(Xva, j, axis=1)
+            record.append((active.copy(), float(accs[j])))
+    except TrainingDivergedError as e:
+        raise TrainingDivergedError(f"pair {pair}: {e}") from None
 
     best_acc = max(acc for _, acc in record)
     cap = spec.max_features if spec.max_features is not None else d

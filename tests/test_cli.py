@@ -322,19 +322,29 @@ class TestParseCount:
         monkeypatch.setattr(trainer, "model_from_dict", lambda doc: docs.append(doc) or parse(doc))
         return docs
 
+    @pytest.fixture()
+    def formats(self, monkeypatch):
+        """Every array whose netlist device lines are formatted."""
+        arrays, device_lines = [], system.device_lines
+        monkeypatch.setattr(system, "device_lines", lambda s: arrays.append(s) or device_lines(s))
+        return arrays
+
     @staticmethod
     def _file_docs(out, *names):
         return [json.loads((out / name).read_text()) for name in names]
 
-    def test_build_simulate_evaluate_parse_the_model_once(self, workdir, parses, monkeypatch):
+    def test_build_simulate_evaluate_parse_the_model_once(self, workdir, parses, formats):
         assert run(["train", "-c", workdir["config"], "--no-sbs"]) == 0
-        formats, device_lines = [], system.device_lines
-        monkeypatch.setattr(system, "device_lines",
-                            lambda s: formats.append(s) or device_lines(s))
         for stage in ("build", "simulate", "evaluate"):
             assert run([stage, "-c", workdir["config"], "--no-sbs"]) == 0
         assert parses == self._file_docs(workdir["tmp"] / "out", "model.json")
         assert len(formats) == 1
+
+    def test_simulate_alone_formats_no_device_lines(self, workdir, parses, formats):
+        assert run(["train", "-c", workdir["config"], "--no-sbs"]) == 0
+        assert run(["simulate", "-c", workdir["config"], "--no-sbs"]) == 0
+        assert len(parses) == 1
+        assert formats == []
 
     @pytest.mark.parametrize("flags,models", [
         ([], ["model.json", "model_sbs.json"]),

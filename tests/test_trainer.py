@@ -279,7 +279,8 @@ def assert_bits_equal(a, b):
 
 
 class TestKernelMatchesReference:
-    """The candidate-training kernel is bit-identical to the direct form."""
+    """The sigmoid is bit-identical to the two-branch form; the candidate-training
+    kernel equals the direct form up to rounding and eliminates exactly as it does."""
 
     def test_sigmoid_single_pass_equals_two_branch(self):
         u = np.array([0.0, -0.0, 1e-310, -1e-310, 745.0, -745.0, np.inf, -np.inf,
@@ -311,18 +312,21 @@ class TestKernelMatchesReference:
         for mask in (np.ones((1, k), dtype=bool), ~np.eye(k, dtype=bool)):
             W = trainer._gd_masked(X, y, parent * mask, mask, hyper, 12)
             ref = gd_masked_reference(X, y, np.tile(parent, (len(mask), 1)), mask, hyper, 12)
-            assert_bits_equal(W, ref)
+            np.testing.assert_allclose(W, ref, rtol=1e-10, atol=1e-12)
+            assert np.all(W[~mask] == 0.0)
 
     def test_sbs_record_equals_reference_elimination(self, synth_features):
+        # Every subset and recorded accuracy is exact, though the weights are not.
         (tx, ty), (vx, vy), _ = synth_features
         hyper = TrainHyper(max_epochs=150)
         spec = SBSSpec(candidate_epochs=8, full_epochs=60, candidate_rows=200)
-        _, record = trainer.sbs_select((3, 8), tx, ty, vx, vy, hyper, spec, return_record=True)
-        ref = sbs_record_reference((3, 8), tx, ty, vx, vy, hyper, spec)
-        assert len(record) == len(ref) == 64
-        for (sub, acc), (ref_sub, ref_acc) in zip(record, ref):
-            assert np.array_equal(sub, ref_sub)
-            assert acc == ref_acc
+        for pair in trainer.all_pairs()[3::5]:  # (0, 4) .. (3, 8) .. (7, 9)
+            _, record = trainer.sbs_select(pair, tx, ty, vx, vy, hyper, spec, return_record=True)
+            ref = sbs_record_reference(pair, tx, ty, vx, vy, hyper, spec)
+            assert len(record) == len(ref) == 64
+            for (sub, acc), (ref_sub, ref_acc) in zip(record, ref):
+                assert np.array_equal(sub, ref_sub), pair
+                assert acc == ref_acc, pair
 
 
 class TestLockstepTrainer:
@@ -411,6 +415,14 @@ class TestSBS:
         spec = SBSSpec(max_features=3, candidate_epochs=20, full_epochs=50)
         subset = trainer.sbs_select((3, 4), tx, ty, vx, vy, TrainHyper(), spec)
         assert len(subset) <= 3
+
+    def test_divergence_names_the_pair_without_warnings(self):
+        tx, ty, vx, vy = self._problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError, match=r"pair \(3, 4\): weights"):
+                trainer.sbs_select((3, 4), tx, ty, vx, vy, TrainHyper(learning_rate=1e6),
+                                   SBSSpec(candidate_epochs=5))
 
 
 class TestOvO:
