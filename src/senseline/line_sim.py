@@ -53,6 +53,7 @@ for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -83,6 +84,9 @@ class LineTiming:
         _check_fields("line", self, c_line="positive", t_precharge="positive",
                       t_classify="positive", dt="positive")
         steps = self.t_classify / self.dt
+        if not math.isfinite(steps):
+            raise ValueError(f"line.t_classify / line.dt must be a finite step count, got "
+                             f"{self.t_classify!r} / {self.dt!r}")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"line.dt must divide line.t_classify, got {steps!r} steps")
         # Compare the rounded count: 10 * dt / dt may come out a hair under 10.

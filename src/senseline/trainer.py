@@ -229,32 +229,46 @@ def filter_pair(X: np.ndarray, labels: np.ndarray, pair: tuple[int, int]):
     return X[mask], y
 
 
-def _gd_masked(X: np.ndarray, y: np.ndarray, W: np.ndarray, mask: np.ndarray,
+def _fold(X: np.ndarray, y: np.ndarray, hyper: TrainHyper, dtype=np.float64):
+    """_gd_masked's data for rows X with +/-1 labels y: (Xy, Xyc) = (y*X, y*X * lr/n).
+
+    Both are of dtype and keep X's memory order. Folding y into the rows is
+    exact: y = +/-1 only flips signs. Each is rounded to dtype once, from float64.
+    """
+    Xy = X * y[:, None]
+    Xyc = Xy * (hyper.learning_rate / len(y))
+    return Xy.astype(dtype, copy=False), Xyc.astype(dtype, copy=False)
+
+
+def _gd_masked(Xy: np.ndarray, Xyc: np.ndarray, W: np.ndarray, mask: np.ndarray,
                hyper: TrainHyper, epochs: int) -> np.ndarray:
     """Train a batch of linear-logistic models simultaneously, in place.
 
-    Row c of W (float64, C-contiguous) is one model and is updated in place;
-    entries where mask is False must be zero on entry and stay zero, which
-    makes row c equivalent to a model trained without those features.
-    Returns W.
+    Xy and Xyc are _fold's data for the training rows. Row c of W (float64,
+    C-contiguous) is one model and is updated in place; entries where mask
+    is False must be zero on entry and stay zero, which makes row c
+    equivalent to a model trained without those features. Returns W.
 
     Each epoch is the full-batch step W <- (W - lr*(l2*W - M/n)) * mask with
     M = (y * sigma(-y * (X @ W.T))).T @ X, re-associated as
-    W <- (W*(1 - lr*l2) + sigma(-y * (X @ W.T)).T @ (y*X * lr/n)) * mask,
+    W <- (W*(1 - lr*l2) + sigma(-(Xy @ W.T)).T @ Xyc) * mask,
     with sigma(-u) = 1/(1 + exp(u)), in three passes (exp(u) overflowing to
     inf gives exactly 0). That equals the direct form up to rounding, not bit
-    for bit. Folding y into the rows of X is exact: y = +/-1 only flips signs.
+    for bit. Mixed precision: the two products and the sigmoid run in the
+    data's dtype, on a copy of W cast to it, while W itself is decayed,
+    updated and masked in float64. Float32 data halves the products' cost;
+    the float64 weights keep the small per-epoch updates from being rounded
+    away.
     """
-    n = len(y)
     keep = mask.astype(np.float64)
     decay = 1.0 - hyper.learning_rate * hyper.l2_lambda
-    Xy = X * y[:, None]              # a contiguous X keeps its memory order
-    Xyc = Xy * (hyper.learning_rate / n)
-    V = np.empty((n, len(W)))        # y * margins, then sigma(-y * margins)
-    G = np.empty_like(W)
+    Wp = np.empty(W.shape, Xy.dtype)             # W in the data's dtype
+    V = np.empty((len(Xy), len(W)), Xy.dtype)    # margins, then sigma(-margins)
+    G = np.empty(W.shape, Xy.dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised below
         for _ in range(epochs):
-            np.matmul(Xy, W.T, out=V)
+            np.copyto(Wp, W)
+            np.matmul(Xy, Wp.T, out=V)
             np.exp(V, out=V)
             V += 1.0
             np.reciprocal(V, out=V)
@@ -416,10 +430,12 @@ def sbs_select(pair: tuple[int, int], train_x: np.ndarray, train_y: np.ndarray,
         Xtr, ytr = Xtr[: spec.candidate_rows], ytr[: spec.candidate_rows]
 
     d = train_x.shape[1]
-    # Columns of the active features, Fortran-ordered like a column gather
-    # (BLAS may sum in another order for another layout); np.delete keeps
-    # that order.
-    Xa = np.asfortranarray(Xtr)
+    # The folded training columns of the active features, in float32 for the
+    # candidate products (see _gd_masked), and the validation columns, in
+    # float64 for the accuracies. All are Fortran-ordered like a column
+    # gather (BLAS may sum in another order for another layout); np.delete
+    # keeps that order.
+    Xy, Xyc = _fold(np.asfortranarray(Xtr), ytr, hyper, np.float32)
     Xva = np.asfortranarray(Xv)
     val_pos = yv[:, None] > 0
 
@@ -428,25 +444,35 @@ def sbs_select(pair: tuple[int, int], train_x: np.ndarray, train_y: np.ndarray,
 
     active = np.arange(d)
     try:
-        parent = _gd_masked(Xa, ytr, np.zeros((1, d)), np.ones((1, d), dtype=bool),
+        parent = _gd_masked(Xy, Xyc, np.zeros((1, d)), np.ones((1, d), dtype=bool),
                             hyper, spec.full_epochs)[0]
         record = [(active.copy(), float(val_acc(parent[None, :])[0]))]
 
         while len(active) > 1:
             mask = ~np.eye(len(active), dtype=bool)
-            W = _gd_masked(Xa, ytr, parent * mask, mask, hyper, spec.candidate_epochs)
+            W = _gd_masked(Xy, Xyc, parent * mask, mask, hyper, spec.candidate_epochs)
             accs = val_acc(W)
             j = int(np.argmax(accs))
             parent = np.delete(W[j], j)
             active = np.delete(active, j)
-            Xa = np.delete(Xa, j, axis=1)
+            Xy = np.delete(Xy, j, axis=1)
+            Xyc = np.delete(Xyc, j, axis=1)
             Xva = np.delete(Xva, j, axis=1)
             record.append((active.copy(), float(accs[j])))
     except TrainingDivergedError as e:
         raise TrainingDivergedError(f"pair {pair}: {e}") from None
+    subset = pick_subset(record, spec)
+    return (subset, record) if return_record else subset
 
+
+def pick_subset(record: list, spec: SBSSpec) -> np.ndarray:
+    """The sorted subset sbs_select returns for an elimination trail.
+
+    record is the trail: (feature index array, recorded validation accuracy)
+    pairs, the full feature set first.
+    """
     best_acc = max(acc for _, acc in record)
-    cap = spec.max_features if spec.max_features is not None else d
+    cap = spec.max_features if spec.max_features is not None else len(record[0][0])
     eligible = [(sub, acc) for sub, acc in record
                 if acc >= best_acc - spec.tolerance and len(sub) <= cap]
     if eligible:
@@ -456,8 +482,7 @@ def sbs_select(pair: tuple[int, int], train_x: np.ndarray, train_y: np.ndarray,
         # the most accurate subset under the cap.
         under_cap = [(sub, acc) for sub, acc in record if len(sub) <= cap]
         subset = max(under_cap, key=lambda e: e[1])[0]
-    subset = np.sort(subset)
-    return (subset, record) if return_record else subset
+    return np.sort(subset)
 
 
 def build_ovo(train_x: np.ndarray, train_y: np.ndarray,
@@ -550,6 +575,7 @@ def model_to_dict(model: OvOModel) -> dict:
 
 
 _RECORD_KEYS = ("pair", "feature_indices", "weights")
+_INTP_MAX = int(np.iinfo(np.intp).max)  # a larger index does not fit an index array
 
 
 def _classifier_from_record(i: int, rec) -> BinaryClassifier:
@@ -566,8 +592,10 @@ def _classifier_from_record(i: int, rec) -> BinaryClassifier:
         if not isinstance(rec[key], list):
             raise ValueError(f"classifier {i}: {key} must be a list, got {rec[key]!r}")
         for j, v in enumerate(rec[key]):
-            if type(v) is not int or v < 0:  # a call per entry would cost ~2.5 ms a model
+            if type(v) is not int or not 0 <= v <= _INTP_MAX:  # a call per entry: ~2.5 ms a model
                 _check_value(f"classifier {i}: {key}[{j}]", v, "count0")
+                raise ValueError(f"classifier {i}: {key}[{j}] must be at most {_INTP_MAX}, "
+                                 f"got {v!r}")
     try:
         c = BinaryClassifier(tuple(rec["pair"]), rec["feature_indices"], rec["weights"])
     except (TypeError, ValueError) as e:

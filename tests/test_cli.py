@@ -675,6 +675,7 @@ class TestConfigErrors:
         {"device": {"p_window": [-0.5, 1.24]}},
         {"device": {"n_window": [1.76, 3.0]}},
         {"device": {"tg_window_span": 1.24}},
+        {"line": {"t_classify": 1e308}},  # was an OverflowError traceback from round(inf)
     ])
     def test_invalid_device_or_line_section_exits_4(self, workdir, doc, capsys):
         bad = workdir["tmp"] / "bad_section.json"
@@ -792,6 +793,18 @@ class TestConfigErrors:
         assert run(["build", "-c", workdir["config"]]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "classifier 0: unknown key 'intercept'" in err and "rerun `train`" in err
+
+    @pytest.mark.parametrize("command", ["build", "simulate", "evaluate", "select"])
+    def test_model_feature_index_beyond_intp_exits_4(self, workdir, capsys, command):
+        # Was an OverflowError traceback from the index array's conversion.
+        assert run(["train", "-c", workdir["config"]]) == 0
+        path = workdir["tmp"] / "out" / "model.json"
+        doc = json.loads(path.read_text())
+        doc["classifiers"][3]["feature_indices"][1] = 10 ** 30
+        path.write_text(json.dumps(doc))
+        assert run([command, "-c", workdir["config"]]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "classifier 3: feature_indices[1]" in err
 
     def test_missing_config_file(self, capsys):
         assert run(["prepare", "-c", "/nonexistent/config.json"]) == cli.EXIT_CONFIG

@@ -117,7 +117,7 @@ class TestGradient:
         mask = rng.random((3, 5)) > 0.3
         W0 = rng.normal(size=(3, 5)) * mask
         hyper = TrainHyper(learning_rate=0.3, l2_lambda=0.05)
-        W1 = trainer._gd_masked(X, y, W0.copy(), mask, hyper, epochs=1)
+        W1 = trainer._gd_masked(*trainer._fold(X, y, hyper), W0.copy(), mask, hyper, epochs=1)
         for w0, w1, keep in zip(W0, W1, mask):
             step = w0 - hyper.learning_rate * logistic_grad(w0, X, y, hyper.l2_lambda)[0]
             np.testing.assert_allclose(w1, step * keep, rtol=1e-12, atol=1e-15)
@@ -195,7 +195,8 @@ class TestTrainLogistic:
         k = 10
         mask = ~np.eye(k, dtype=bool)
         W = np.zeros((k, k))
-        assert trainer._gd_masked(Xp, yp, W, mask, hyper, 40) is W  # in place
+        Xy, Xyc = trainer._fold(Xp, yp, hyper)
+        assert trainer._gd_masked(Xy, Xyc, W, mask, hyper, 40) is W  # in place
         mask_rows = (ty == pair[0]) | (ty == pair[1])
         labels = ty[mask_rows][:300]
         for c in (0, 4, 9):
@@ -278,9 +279,22 @@ def assert_bits_equal(a, b):
     np.testing.assert_array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
+def gd_masked_problem(k, n, layout):
+    """(X, y, hyper, parent) of one kernel case; layout is X's memory layout."""
+    rng = np.random.default_rng(k * 1000 + n)
+    X = rng.random((n, 2 * k))
+    cols = np.arange(k)
+    X = {"C": np.ascontiguousarray(X[:, cols]),  # row-major copy
+         "gathered": X[:, cols],                 # column gather: Fortran order
+         "sliced": X[:, :k]}[layout]             # view with a wider row stride
+    y = np.where(rng.random(n) > 0.5, 1.0, -1.0)
+    return X, y, TrainHyper(learning_rate=0.5, l2_lambda=1e-3), rng.normal(scale=0.3, size=k)
+
+
 class TestKernelMatchesReference:
     """The sigmoid is bit-identical to the two-branch form; the candidate-training
-    kernel equals the direct form up to rounding and eliminates exactly as it does."""
+    kernel equals the direct form up to rounding (float64 data) or to float32
+    rounding (float32 data), and eliminates exactly as it does."""
 
     def test_sigmoid_single_pass_equals_two_branch(self):
         u = np.array([0.0, -0.0, 1e-310, -1e-310, 745.0, -745.0, np.inf, -np.inf,
@@ -300,27 +314,50 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("k,n", SHAPES, ids=[f"{k}-{n}-False" for k, n in SHAPES])
     @pytest.mark.parametrize("layout", ["C", "gathered", "sliced"])
     def test_gd_masked_equals_reference(self, k, n, layout):
-        rng = np.random.default_rng(k * 1000 + n)
-        X = rng.random((n, 2 * k))
-        cols = np.arange(k)
-        X = {"C": np.ascontiguousarray(X[:, cols]),  # row-major copy
-             "gathered": X[:, cols],                 # column gather: Fortran order
-             "sliced": X[:, :k]}[layout]             # view with a wider row stride
-        y = np.where(rng.random(n) > 0.5, 1.0, -1.0)
-        hyper = TrainHyper(learning_rate=0.5, l2_lambda=1e-3)
-        parent = rng.normal(scale=0.3, size=k)
+        X, y, hyper, parent = gd_masked_problem(k, n, layout)
         for mask in (np.ones((1, k), dtype=bool), ~np.eye(k, dtype=bool)):
-            W = trainer._gd_masked(X, y, parent * mask, mask, hyper, 12)
+            W = trainer._gd_masked(*trainer._fold(X, y, hyper), parent * mask, mask, hyper, 12)
             ref = gd_masked_reference(X, y, np.tile(parent, (len(mask), 1)), mask, hyper, 12)
             np.testing.assert_allclose(W, ref, rtol=1e-10, atol=1e-12)
             assert np.all(W[~mask] == 0.0)
 
+    @pytest.mark.parametrize("k,n", SHAPES, ids=[f"{k}-{n}" for k, n in SHAPES])
+    @pytest.mark.parametrize("layout", ["C", "gathered", "sliced"])
+    def test_gd_masked_float32_data_near_reference(self, k, n, layout):
+        # The mixed-precision instance that selection runs: float32 products,
+        # float64 weights. Tolerance: 5e-4 relative to max(|ref|, 1e-3); the
+        # worst case measured over these cases is 6.5e-5.
+        X, y, hyper, parent = gd_masked_problem(k, n, layout)
+        Xy, Xyc = trainer._fold(X, y, hyper, np.float32)
+        assert Xy.dtype == Xyc.dtype == np.float32
+        for mask in (np.ones((1, k), dtype=bool), ~np.eye(k, dtype=bool)):
+            W = trainer._gd_masked(Xy, Xyc, parent * mask, mask, hyper, 12)
+            ref = gd_masked_reference(X, y, np.tile(parent, (len(mask), 1)), mask, hyper, 12)
+            assert W.dtype == np.float64
+            np.testing.assert_allclose(W, ref, rtol=5e-4, atol=5e-7)
+            assert np.all(W[~mask] == 0.0)
+
+    def test_gd_masked_float32_data_keeps_small_updates(self):
+        # At learning rate 1e-5 each epoch moves weights of ~0.3 by far less
+        # than float32 resolves; the float64 W adds the moves up. Measured
+        # error: 2e-7 of the largest move; float32 weights gave 3.5e-2.
+        X, y, _, parent = gd_masked_problem(64, 200, "gathered")
+        hyper = TrainHyper(learning_rate=1e-5, l2_lambda=1e-3)
+        mask = ~np.eye(64, dtype=bool)
+        W0 = parent * mask
+        W = trainer._gd_masked(*trainer._fold(X, y, hyper, np.float32), W0.copy(), mask,
+                               hyper, 12)
+        ref_moved = gd_masked_reference(X, y, np.tile(parent, (64, 1)), mask, hyper, 12) - W0
+        np.testing.assert_allclose(W - W0, ref_moved, rtol=0,
+                                   atol=1e-4 * np.abs(ref_moved).max())
+
     def test_sbs_record_equals_reference_elimination(self, synth_features):
-        # Every subset and recorded accuracy is exact, though the weights are not.
+        # Every subset and recorded accuracy of every pair is exact, though
+        # selection trains on float32 products and the reference in float64.
         (tx, ty), (vx, vy), _ = synth_features
         hyper = TrainHyper(max_epochs=150)
         spec = SBSSpec(candidate_epochs=8, full_epochs=60, candidate_rows=200)
-        for pair in trainer.all_pairs()[3::5]:  # (0, 4) .. (3, 8) .. (7, 9)
+        for pair in trainer.all_pairs():
             _, record = trainer.sbs_select(pair, tx, ty, vx, vy, hyper, spec, return_record=True)
             ref = sbs_record_reference(pair, tx, ty, vx, vy, hyper, spec)
             assert len(record) == len(ref) == 64

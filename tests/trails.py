@@ -1,0 +1,105 @@
+"""Compare selection's elimination trails with the float64 direct form, pair by pair.
+
+    python tests/trails.py --budgets bench 11 12 13
+    python tests/trails.py --budgets default 7 8 9 10 11
+
+For each corpus seed it renders tests/synth.py's corpus and splits its
+training pool as the budgets say:
+- bench: perfbench's "full" size (2,000 train and 1,000 val rows of a
+  6,000-image corpus) and its selection budgets;
+- default: 7,500 train and 2,500 val rows of a 12,000-image corpus and the
+  default TrainHyper and SBSSpec.
+The split shuffle is seeded with the corpus seed, as a run's `seed` seeds
+it. Then, for each of the 45 pairs, it runs trainer.sbs_select and
+test_trainer.sbs_record_reference, the direct float64 form of the same
+elimination. It prints one JSON document: per seed, how many pairs have
+identical trails (the removed-feature order and every recorded accuracy)
+and identical picks, each differing pair with the feature count k of its
+first differing trail entry, and the seconds each side took. Exits 1 if any
+trail differs. A default-budget seed takes several minutes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+
+import synth  # noqa: E402
+from senseline import dataset, trainer  # noqa: E402
+from senseline.trainer import SBSSpec, TrainHyper  # noqa: E402
+from test_trainer import sbs_record_reference  # noqa: E402
+from workloads import SIZES  # noqa: E402
+
+
+def budgets(name: str):
+    """(corpus images, train rows, val rows, TrainHyper, SBSSpec) of the named budgets."""
+    if name == "default":
+        return 12_000, 7_500, 2_500, TrainHyper(), SBSSpec()
+    size = SIZES["full"]
+    return (size["train"] + size["val"] + size["test"], size["train"], size["val"],
+            TrainHyper(max_epochs=size["max_epochs"]), SBSSpec(**size["sbs"]))
+
+
+def features(n_images: int, n_train: int, n_val: int, seed: int):
+    """((train_x, train_y), (val_x, val_y)) of the seeded corpus, as `prepare` splits it."""
+    images, labels = synth.make_corpus(n_images, seed=seed)
+    pool = dataset.LabeledImageSet(images[: n_train + n_val], labels[: n_train + n_val])
+    spec = dataset.SplitSpec(train_count=n_train, val_count=n_val, test_count=0,
+                             shuffle_seed=seed)
+    return [(dataset.downsample(s.images.reshape(len(s), -1)) / 255.0, s.labels.astype(int))
+            for s in dataset.split_train_val(pool, spec)]
+
+
+def first_difference(record, ref):
+    """The feature count k of the first trail entry that differs, or None."""
+    for (sub, acc), (ref_sub, ref_acc) in zip(record, ref):
+        if not np.array_equal(sub, ref_sub) or acc != ref_acc:
+            return len(ref_sub)
+    return None
+
+
+def compare_seed(budget: str, seed: int) -> dict:
+    n_images, n_train, n_val, hyper, spec = budgets(budget)
+    (tx, ty), (vx, vy) = features(n_images, n_train, n_val, seed)
+    differing, same_picks, select_s, reference_s = [], 0, 0.0, 0.0
+    for pair in trainer.all_pairs():
+        t0 = time.perf_counter()
+        subset, record = trainer.sbs_select(pair, tx, ty, vx, vy, hyper, spec,
+                                            return_record=True)
+        t1 = time.perf_counter()
+        ref = sbs_record_reference(pair, tx, ty, vx, vy, hyper, spec)
+        t2 = time.perf_counter()
+        select_s, reference_s = select_s + t1 - t0, reference_s + t2 - t1
+        same_pick = np.array_equal(subset, trainer.pick_subset(ref, spec))
+        same_picks += same_pick
+        k = first_difference(record, ref)
+        if k is not None:
+            differing.append({"pair": list(pair), "first_k": k, "same_pick": same_pick})
+    return {"pairs": 45, "identical_trails": 45 - len(differing),
+            "identical_picks": same_picks, "differing": differing,
+            "select_s": round(select_s, 2), "reference_s": round(reference_s, 2)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--budgets", choices=("bench", "default"), default="bench")
+    parser.add_argument("seeds", type=int, nargs="+")
+    args = parser.parse_args(argv)
+    seeds = {}
+    for seed in args.seeds:
+        seeds[str(seed)] = compare_seed(args.budgets, seed)
+        print(f"seed {seed}: {json.dumps(seeds[str(seed)])}", file=sys.stderr, flush=True)
+    print(json.dumps({"budgets": args.budgets, "seeds": seeds}, indent=1))
+    return 1 if any(s["differing"] for s in seeds.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
