@@ -75,10 +75,12 @@ def _features_of(cfg: RunConfig, s: dataset.LabeledImageSet):
 
 
 def _load_train_val_features(cfg: RunConfig):
-    """Features of the train and val splits; the test pool is not read."""
+    """Features of the train and val splits, each pair with validation rows; no test pool."""
     _check_paths(cfg, ("train_images", "train_labels"))
     train_pool = dataset.load_idx(cfg.data.train_images, cfg.data.train_labels)
-    return tuple(_features_of(cfg, s) for s in dataset.split_train_val(train_pool, cfg.split))
+    train, val = dataset.split_train_val(train_pool, cfg.split)
+    trainer.check_val_rows(trainer.all_pairs(), val.labels)
+    return _features_of(cfg, train), _features_of(cfg, val)
 
 
 def _load_test_features(cfg: RunConfig):

@@ -244,41 +244,45 @@ def _gd_masked(Xy: np.ndarray, Xyc: np.ndarray, W: np.ndarray, mask: np.ndarray,
                hyper: TrainHyper, epochs: int) -> np.ndarray:
     """Train a batch of linear-logistic models simultaneously, in place.
 
-    Xy and Xyc are _fold's data for the training rows. Row c of W (float64,
-    C-contiguous) is one model and is updated in place; entries where mask
-    is False must be zero on entry and stay zero, which makes row c
-    equivalent to a model trained without those features. Returns W.
+    Xy and Xyc are _fold's data for the training rows, (n, k) or a (..., n, k)
+    stack. Row c of W (float64, C-contiguous, (..., C, k)) is one model and is
+    updated in place; entries where mask (C, k) is False must be zero on
+    entry and stay zero, which makes row c equivalent to a model trained
+    without those features. Returns W, non-finite where a model diverged.
 
     Each epoch is the full-batch step W <- (W - lr*(l2*W - M/n)) * mask with
     M = (y * sigma(-y * (X @ W.T))).T @ X, re-associated as
-    W <- (W*(1 - lr*l2) + sigma(-(Xy @ W.T)).T @ Xyc) * mask,
+    W <- W*(1 - lr*l2) + (sigma(-(Xy @ W.T)).T @ Xyc) * mask,
     with sigma(-u) = 1/(1 + exp(u)), in three passes (exp(u) overflowing to
-    inf gives exactly 0). That equals the direct form up to rounding, not bit
-    for bit. Mixed precision: the two products and the sigmoid run in the
-    data's dtype, on a copy of W cast to it, while W itself is decayed,
-    updated and masked in float64. Float32 data halves the products' cost;
-    the float64 weights keep the small per-epoch updates from being rounded
-    away.
+    inf gives exactly 0): nine numpy calls for the whole stack. That equals
+    the direct form up to rounding, not bit for bit; each slice of a stack
+    gets the BLAS call it would get alone, so it trains bit for bit as alone.
+    Mixed precision: the two products and the sigmoid run in the data's
+    dtype, on a copy of W cast to it, while W itself is decayed and updated
+    in float64. Float32 data halves the products' cost; the float64 weights
+    keep the small per-epoch updates from being rounded away.
     """
-    keep = mask.astype(np.float64)
     decay = 1.0 - hyper.learning_rate * hyper.l2_lambda
-    Wp = np.empty(W.shape, Xy.dtype)             # W in the data's dtype
-    V = np.empty((len(Xy), len(W)), Xy.dtype)    # margins, then sigma(-margins)
-    G = np.empty(W.shape, Xy.dtype)
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised below
+    Wp, G = np.empty(W.shape, Xy.dtype), np.empty(W.shape, Xy.dtype)  # W in the data's dtype
+    V = np.empty(W.shape[:-2] + (Xy.shape[-2], W.shape[-2]), Xy.dtype)  # margins, then sigma(-u)
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
             np.copyto(Wp, W)
-            np.matmul(Xy, Wp.T, out=V)
+            np.matmul(Xy, Wp.swapaxes(-1, -2), out=V)
             np.exp(V, out=V)
             V += 1.0
             np.reciprocal(V, out=V)
-            np.matmul(V.T, Xyc, out=G)
+            np.matmul(V.swapaxes(-1, -2), Xyc, out=G)
+            G *= mask
             W *= decay
             W += G
-            W *= keep
-    if not np.all(np.isfinite(W)):
-        raise TrainingDivergedError("weights became non-finite; lower the learning rate")
     return W
+
+
+def _drop_column(X: np.ndarray, j: int, k: int) -> None:
+    """X[..., :k - 1] = np.delete(X[..., :k], j, axis=-1), one pass over Fortran-ordered X."""
+    flat, n = X.T.reshape(-1), X.size // X.shape[-1]
+    flat[j * n:(k - 1) * n] = flat[(j + 1) * n:k * n]
 
 
 # Pairs train in lockstep blocks whose folded matrices total at most this
@@ -287,6 +291,17 @@ def _gd_masked(Xy: np.ndarray, Xyc: np.ndarray, W: np.ndarray, mask: np.ndarray,
 # training rows the 45 pairs trained in 0.15 s in 1 MiB blocks, 0.19 s in
 # one block and 0.25 s one pair at a time.
 _BLOCK_BYTES = 1 << 20
+
+
+def _blocks(items: list, nbytes: list, keys: list) -> list[list]:
+    """items in runs of one key whose nbytes total at most _BLOCK_BYTES (or of one item)."""
+    blocks = []
+    for i, item in enumerate(items):
+        if i and keys[i] == keys[i - 1] and sum(nbytes[i - len(blocks[-1]):i + 1]) <= _BLOCK_BYTES:
+            blocks[-1].append(item)
+        else:
+            blocks.append([item])
+    return blocks
 
 
 def _pair_problem(X: np.ndarray, labels: np.ndarray, pair: tuple[int, int], feature_indices):
@@ -368,16 +383,9 @@ def _train_pairs(X: np.ndarray, labels: np.ndarray, tasks: list,
     """
     if hyper.learning_rate == 0.0:
         warnings.warn("learning_rate is 0; returning zero-initialized weights", RuntimeWarning)
-    ends, block_bytes = [], 0
-    for i, (_, rows, features) in enumerate(tasks):
-        nbytes = 8 * np.count_nonzero(rows) * len(features)
-        if i and block_bytes + nbytes > _BLOCK_BYTES:
-            ends.append(i)
-            block_bytes = 0
-        block_bytes += nbytes
     classifiers = []
-    for start, end in zip([0] + ends, ends + [len(tasks)]):
-        block = tasks[start:end]
+    for block in _blocks(tasks, [8 * np.count_nonzero(rows) * len(features)
+                                 for _, rows, features in tasks], [0] * len(tasks)):
         problems = [_pair_problem(X[rows], labels[rows], pair, features)
                     for pair, rows, features in block]
         if hyper.learning_rate == 0.0:
@@ -408,61 +416,68 @@ def train_logistic(X: np.ndarray, labels: np.ndarray, pair: tuple[int, int],
     return _train_pairs(X, labels, [(tuple(pair), rows, feature_indices)], hyper)[0]
 
 
-def sbs_select(pair: tuple[int, int], train_x: np.ndarray, train_y: np.ndarray,
+def check_val_rows(pairs: list, val_y: np.ndarray) -> None:
+    """Raise a ValueError naming the first pair with no validation rows (no accuracy)."""
+    present = set(np.unique(val_y).tolist())
+    for pair in (p for p in pairs if not present & set(p)):
+        raise ValueError(f"pair {tuple(pair)} has no validation rows; raise "
+                         f"split.val_count (now {len(val_y)})")
+
+
+def sbs_select(pairs: list, train_x: np.ndarray, train_y: np.ndarray,
                val_x: np.ndarray, val_y: np.ndarray,
                hyper: TrainHyper = TrainHyper(), spec: SBSSpec = SBSSpec(),
-               return_record: bool = False):
-    """Greedy backward elimination of features for one digit pair.
+               return_record: bool = False) -> list:
+    """Greedy backward elimination of features for a block of pairs, in lockstep.
 
-    Starts from the full feature set. Each iteration retrains a candidate
-    model per remaining feature (that feature removed), records the
-    validation accuracy of the best candidate, and drops its feature. The
-    returned subset is the smallest recorded one whose accuracy is at least
-    best-seen minus spec.tolerance (ties in candidate accuracy break toward
-    the lowest feature index).
-
-    With return_record, also returns the elimination trail as a list of
-    (feature index array, recorded validation accuracy) pairs.
+    Per pair, each round retrains a candidate model per remaining feature
+    (that feature removed), records the validation accuracy of the best
+    candidate (ties break toward the lowest feature index) and drops its
+    feature. The pair's subset is the smallest recorded one whose accuracy
+    is at least best-seen minus spec.tolerance. The pairs' candidate row
+    counts must be equal (see sbs_blocks): their folded rows are one float32
+    (B, n, d) stack of Fortran-ordered slices, so each pair's trail is bit
+    for bit its trail alone (see _gd_masked). A round removes the eliminated
+    column in place, for the next round's leading [..., :k] view. Accuracy
+    is an exact hit count over n_val. Returns each pair's sorted subset, or
+    with return_record its (subset, trail), a trail being (feature index
+    array, recorded accuracy) pairs.
     """
-    Xtr, ytr = filter_pair(train_x, train_y, pair)
-    Xv, yv = filter_pair(val_x, val_y, pair)
-    if spec.candidate_rows is not None and len(ytr) > spec.candidate_rows:
-        Xtr, ytr = Xtr[: spec.candidate_rows], ytr[: spec.candidate_rows]
+    check_val_rows(pairs, val_y)
+    folded = [_fold(X[: spec.candidate_rows], y[: spec.candidate_rows], hyper, np.float32)
+              for X, y in (filter_pair(train_x, train_y, pair) for pair in pairs)]
+    val = [(np.asfortranarray(X), y, np.count_nonzero(y < 0))
+           for X, y in (filter_pair(val_x, val_y, pair) for pair in pairs)]
+    (B, d), n = (len(pairs), train_x.shape[1]), len(folded[0][0])
+    if any(len(Xy) != n for Xy, _ in folded):
+        raise ValueError("the pairs of a block must have equal candidate row counts")
+    Xy, Xyc = (np.ascontiguousarray([f[i].T for f in folded]).swapaxes(1, 2) for i in range(2))
+    weights, keep, active = np.empty(B * d * d), ~np.eye(d, dtype=bool), np.tile(range(d), (B, 1))
 
-    d = train_x.shape[1]
-    # The folded training columns of the active features, in float32 for the
-    # candidate products (see _gd_masked), and the validation columns, in
-    # float64 for the accuracies. All are Fortran-ordered like a column
-    # gather (BLAS may sum in another order for another layout); np.delete
-    # keeps that order.
-    Xy, Xyc = _fold(np.asfortranarray(Xtr), ytr, hyper, np.float32)
-    Xva = np.asfortranarray(Xv)
-    val_pos = yv[:, None] > 0
+    def descend(W, mask, epochs):
+        _gd_masked(Xy[..., :W.shape[-1]], Xyc[..., :W.shape[-1]], W, mask, hyper, epochs)
+        for pair in (p for p, ok in zip(pairs, np.isfinite(W).all(axis=(1, 2))) if not ok):
+            raise TrainingDivergedError(f"pair {pair}: weights became non-finite; "
+                                        "lower the learning rate")
+        return W
 
-    def val_acc(W):
-        return np.mean((Xva @ W.T >= 0) == val_pos, axis=0)
-
-    active = np.arange(d)
-    try:
-        parent = _gd_masked(Xy, Xyc, np.zeros((1, d)), np.ones((1, d), dtype=bool),
-                            hyper, spec.full_epochs)[0]
-        record = [(active.copy(), float(val_acc(parent[None, :])[0]))]
-
-        while len(active) > 1:
-            mask = ~np.eye(len(active), dtype=bool)
-            W = _gd_masked(Xy, Xyc, parent * mask, mask, hyper, spec.candidate_epochs)
-            accs = val_acc(W)
-            j = int(np.argmax(accs))
-            parent = np.delete(W[j], j)
-            active = np.delete(active, j)
-            Xy = np.delete(Xy, j, axis=1)
-            Xyc = np.delete(Xyc, j, axis=1)
-            Xva = np.delete(Xva, j, axis=1)
-            record.append((active.copy(), float(accs[j])))
-    except TrainingDivergedError as e:
-        raise TrainingDivergedError(f"pair {pair}: {e}") from None
-    subset = pick_subset(record, spec)
-    return (subset, record) if return_record else subset
+    W = descend(np.zeros((B, 1, d)), np.ones((1, d), dtype=bool), spec.full_epochs)
+    records = [[(active[b].copy(), float((n_neg + y @ (Xv @ W[b].T >= 0))[0] / len(y)))]
+               for b, (Xv, y, n_neg) in enumerate(val)]
+    parent = W[:, 0].copy()
+    for k in range(d, 1, -1):
+        W = weights[: B * k * k].reshape(B, k, k)
+        W[:] = parent[:, None, :k]
+        W.reshape(B, k * k)[:, :: k + 1] = 0.0
+        descend(W, keep[:k, :k], spec.candidate_epochs)
+        for b, (Xv, y, n_neg) in enumerate(val):
+            hits = n_neg + y @ (Xv[:, :k] @ W[b].T >= 0)  # +1 rows hit at >= 0, -1 below
+            j = int(np.argmax(hits))
+            parent[b, :k] = W[b, j]
+            for X in (parent[b], active[b], Xy[b], Xyc[b], Xv):
+                _drop_column(X, j, k)
+            records[b].append((active[b, : k - 1].copy(), float(hits[j] / len(y))))
+    return [(pick_subset(r, spec), r) if return_record else pick_subset(r, spec) for r in records]
 
 
 def pick_subset(record: list, spec: SBSSpec) -> np.ndarray:
@@ -493,14 +508,22 @@ def build_ovo(train_x: np.ndarray, train_y: np.ndarray,
     present = set(np.unique(train_y).tolist())
     if present != set(range(10)):
         raise ValueError(f"training set must contain all 10 digits, has {sorted(present)}")
-    tasks = []
-    for pair in all_pairs():
-        if sbs is not None and sbs.enabled:
-            features = sbs_select(pair, train_x, train_y, val_x, val_y, hyper, sbs)
-        else:
-            features = np.arange(train_x.shape[1])
-        tasks.append((pair, (train_y == pair[0]) | (train_y == pair[1]), features))
-    return OvOModel(_train_pairs(train_x, train_y, tasks, hyper))
+    features = [np.arange(train_x.shape[1]) for _ in range(45)]
+    if sbs is not None and sbs.enabled:
+        check_val_rows(all_pairs(), val_y)
+        features = [f for block in sbs_blocks(train_y, sbs, train_x.shape[1])
+                    for f in sbs_select(block, train_x, train_y, val_x, val_y, hyper, sbs)]
+    return OvOModel(_train_pairs(train_x, train_y, [
+        (pair, (train_y == pair[0]) | (train_y == pair[1]), f)
+        for pair, f in zip(all_pairs(), features)], hyper))
+
+
+def sbs_blocks(train_y: np.ndarray, spec: SBSSpec, d: int) -> list[list]:
+    """The 45 pairs in sbs_select's blocks: runs of consecutive pairs with equal
+    candidate row counts n whose float32 data (n x d twice a pair) fits _BLOCK_BYTES."""
+    rows = [min(np.count_nonzero((train_y == a) | (train_y == b)),
+                spec.candidate_rows or len(train_y)) for a, b in all_pairs()]
+    return _blocks(all_pairs(), [8 * n * d for n in rows], rows)
 
 
 def pair_votes(model: OvOModel, X: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import pkgutil
+import re
 import shutil
 
 import numpy as np
@@ -133,6 +134,27 @@ class TestSelect:
         err = capsys.readouterr().err
         assert "64-feature space" in err and "rerun `train`" in err
         assert not (workdir["tmp"] / "out" / "model_sbs.json").exists()
+
+    @pytest.mark.parametrize("val_count", [0, 3])
+    def test_pair_without_validation_rows_exits_4_before_training(self, workdir, monkeypatch,
+                                                                  capsys, val_count):
+        # 3 validation rows leave most pairs none: `train` wrote NaN accuracies
+        # and `select` eliminated on them; 0 rows failed inside numpy.
+        assert run(["train", "-c", workdir["config"]]) == 0
+        doc = dict(workdir["doc"], split=dict(workdir["doc"]["split"], val_count=val_count))
+        path = workdir["tmp"] / "few_val.json"
+        path.write_text(json.dumps(doc))
+        out = workdir["tmp"] / "out"
+        before = {name: (out / name).read_bytes() for name in ("model.json", "train_report.json")}
+        for name in ("_gd_masked", "_train_pairs"):
+            monkeypatch.setattr(trainer, name, lambda *a, **kw: pytest.fail("training ran"))
+        for stage in ("train", "select"):
+            assert run([stage, "-c", path]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert re.search(r"pair \(\d, \d\) has no validation rows; raise "
+                             rf"split.val_count \(now {val_count}\)", err), err
+        assert {name: (out / name).read_bytes() for name in before} == before
+        assert not (out / "model_sbs.json").exists()
 
     def test_select_reduces_features(self, workdir):
         run(["train", "-c", workdir["config"]])

@@ -353,12 +353,16 @@ class TestKernelMatchesReference:
 
     def test_sbs_record_equals_reference_elimination(self, synth_features):
         # Every subset and recorded accuracy of every pair is exact, though
-        # selection trains on float32 products and the reference in float64.
+        # selection trains on float32 products and the reference in float64,
+        # and pairs train in the blocks build_ovo forms.
         (tx, ty), (vx, vy), _ = synth_features
         hyper = TrainHyper(max_epochs=150)
         spec = SBSSpec(candidate_epochs=8, full_epochs=60, candidate_rows=200)
-        for pair in trainer.all_pairs():
-            _, record = trainer.sbs_select(pair, tx, ty, vx, vy, hyper, spec, return_record=True)
+        blocks = trainer.sbs_blocks(ty, spec, tx.shape[1])
+        assert [len(b) for b in blocks] == [10, 10, 10, 10, 5]
+        records = [record for block in blocks for _, record in
+                   trainer.sbs_select(block, tx, ty, vx, vy, hyper, spec, return_record=True)]
+        for pair, record in zip(trainer.all_pairs(), records):
             ref = sbs_record_reference(pair, tx, ty, vx, vy, hyper, spec)
             assert len(record) == len(ref) == 64
             for (sub, acc), (ref_sub, ref_acc) in zip(record, ref):
@@ -430,8 +434,8 @@ class TestSBS:
     def test_selects_small_informative_subset(self):
         tx, ty, vx, vy = self._problem()
         spec = SBSSpec(candidate_epochs=40, full_epochs=150)
-        subset, record = trainer.sbs_select((3, 4), tx, ty, vx, vy,
-                                            TrainHyper(), spec, return_record=True)
+        [(subset, record)] = trainer.sbs_select([(3, 4)], tx, ty, vx, vy,
+                                                TrainHyper(), spec, return_record=True)
         assert {0, 1} <= set(subset.tolist())
         assert len(subset) < 12
         sizes = [len(sub) for sub, _ in record]
@@ -444,13 +448,13 @@ class TestSBS:
     def test_degenerate_tolerance_returns_single_feature(self):
         tx, ty, vx, vy = self._problem()
         spec = SBSSpec(tolerance=1.0, candidate_epochs=20, full_epochs=50)
-        subset = trainer.sbs_select((3, 4), tx, ty, vx, vy, TrainHyper(), spec)
+        [subset] = trainer.sbs_select([(3, 4)], tx, ty, vx, vy, TrainHyper(), spec)
         assert len(subset) == 1
 
     def test_max_features_cap(self):
         tx, ty, vx, vy = self._problem()
         spec = SBSSpec(max_features=3, candidate_epochs=20, full_epochs=50)
-        subset = trainer.sbs_select((3, 4), tx, ty, vx, vy, TrainHyper(), spec)
+        [subset] = trainer.sbs_select([(3, 4)], tx, ty, vx, vy, TrainHyper(), spec)
         assert len(subset) <= 3
 
     def test_divergence_names_the_pair_without_warnings(self):
@@ -458,8 +462,88 @@ class TestSBS:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDivergedError, match=r"pair \(3, 4\): weights"):
-                trainer.sbs_select((3, 4), tx, ty, vx, vy, TrainHyper(learning_rate=1e6),
+                trainer.sbs_select([(3, 4)], tx, ty, vx, vy, TrainHyper(learning_rate=1e6),
                                    SBSSpec(candidate_epochs=5))
+            # In a block, the pair whose weights turn non-finite is named, not the
+            # block's first: digits 5 and 6 are the rows of (3, 4) with one
+            # infinite training feature, so their margins are NaN from epoch 1.
+            tx, vx = (np.vstack([x, x]) for x in (tx, vx))
+            ty, vy = (np.concatenate([y, y + 2]) for y in (ty, vy))
+            tx[-1, 5] = np.inf
+            with pytest.raises(TrainingDivergedError, match=r"pair \(5, 6\): weights"):
+                trainer.sbs_select([(3, 4), (5, 6)], tx, ty, vx, vy, TrainHyper(),
+                                   SBSSpec(candidate_epochs=5))
+
+
+class TestBlocks:
+    """Pairs eliminated in one block equal the same pairs eliminated alone, bit for bit."""
+
+    def test_block_equals_blocks_of_one(self, synth_features, monkeypatch):
+        # Same removal order, accuracies and picks, and the same candidate
+        # weights after every kernel call of every round.
+        (tx, ty), (vx, vy), _ = synth_features
+        hyper, spec = TrainHyper(), SBSSpec(candidate_epochs=4, full_epochs=20, candidate_rows=200)
+        weights = []
+        kernel = trainer._gd_masked
+        monkeypatch.setattr(trainer, "_gd_masked",
+                            lambda *a, **kw: weights.append(kernel(*a, **kw).copy()) or a[2])
+        pairs = [(0, 1), (2, 7), (3, 8), (4, 9)]
+        block = trainer.sbs_select(pairs, tx, ty, vx, vy, hyper, spec, return_record=True)
+        block_weights, weights[:] = weights[:], []
+        for b, pair in enumerate(pairs):
+            [(subset, record)] = trainer.sbs_select([pair], tx, ty, vx, vy, hyper, spec,
+                                                    return_record=True)
+            assert np.array_equal(subset, block[b][0])
+            for (sub, acc), (block_sub, block_acc) in zip(record, block[b][1], strict=True):
+                assert np.array_equal(sub, block_sub) and acc == block_acc
+            assert len(weights) == len(block_weights) == 64
+            for alone, stacked in zip(weights, block_weights):
+                assert_bits_equal(alone[0], stacked[b])
+            weights.clear()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("j", [0, 3, 6])
+    def test_drop_column_equals_delete(self, dtype, j):
+        # Column j of the leading k = 7 of 9 columns of a Fortran array, and
+        # entry j of a vector; the columns past k stay as they were.
+        X = np.asfortranarray(np.random.default_rng(j).normal(size=(5, 9)).astype(dtype))
+        for A in (X, X[0].copy()):
+            want, tail = np.delete(A[..., :7], j, axis=-1), A[..., 7:].copy()
+            trainer._drop_column(A, j, 7)
+            assert np.array_equal(A[..., :6], want) and np.array_equal(A[..., 7:], tail)
+
+    def test_blocks_hold_equal_row_pairs_within_the_byte_budget(self, synth_features):
+        (_, ty), _, _ = synth_features
+        # 200 capped rows a pair: 102,400 bytes of float32 data, 10 pairs a block.
+        blocks = trainer.sbs_blocks(ty, SBSSpec(candidate_rows=200), 64)
+        assert [len(b) for b in blocks] == [10, 10, 10, 10, 5]
+        assert sum(blocks, []) == trainer.all_pairs()
+        # Uncapped, the pairs' row counts differ: consecutive equal counts
+        # share a block, the others train alone.
+        blocks = trainer.sbs_blocks(ty, SBSSpec(candidate_rows=None), 64)
+        assert sum(blocks, []) == trainer.all_pairs()
+        for block in blocks:
+            rows = {np.count_nonzero(np.isin(ty, pair)) for pair in block}
+            assert len(rows) == 1
+            assert len(block) == 1 or 8 * rows.pop() * 64 * len(block) <= trainer._BLOCK_BYTES
+
+    def test_unequal_rows_rejected(self, synth_features):
+        (tx, ty), (vx, vy), _ = synth_features
+        with pytest.raises(ValueError, match="equal candidate row counts"):
+            trainer.sbs_select([(0, 1), (2, 3)], tx, ty, vx, vy, TrainHyper(),
+                               SBSSpec(candidate_rows=None))
+
+    def test_pair_without_validation_rows_rejected(self, synth_features, monkeypatch):
+        # Its accuracy would be 0/0; no training runs.
+        (tx, ty), (vx, vy), _ = synth_features
+        keep = ~np.isin(vy, (2, 3))
+        for name in ("_gd_masked", "_train_pairs"):
+            monkeypatch.setattr(trainer, name, lambda *a, **kw: pytest.fail("training ran"))
+        for call in (lambda: trainer.sbs_select([(0, 1), (2, 3)], tx, ty, vx[keep], vy[keep]),
+                     lambda: trainer.build_ovo(tx, ty, vx[keep], vy[keep], sbs=SBSSpec())):
+            with pytest.raises(ValueError, match=r"pair \(2, 3\) has no validation rows; "
+                                                 r"raise split.val_count"):
+                call()
 
 
 class TestOvO:

@@ -2,6 +2,7 @@
 
     python tests/trails.py --budgets bench 11 12 13
     python tests/trails.py --budgets default 7 8 9 10 11
+    python tests/trails.py --digest --budgets bench 11 12 13
 
 For each corpus seed it renders tests/synth.py's corpus and splits its
 training pool as the budgets say:
@@ -10,18 +11,24 @@ training pool as the budgets say:
 - default: 7,500 train and 2,500 val rows of a 12,000-image corpus and the
   default TrainHyper and SBSSpec.
 The split shuffle is seeded with the corpus seed, as a run's `seed` seeds
-it. Then, for each of the 45 pairs, it runs trainer.sbs_select and
-test_trainer.sbs_record_reference, the direct float64 form of the same
-elimination. It prints one JSON document: per seed, how many pairs have
-identical trails (the removed-feature order and every recorded accuracy)
-and identical picks, each differing pair with the feature count k of its
-first differing trail entry, and the seconds each side took. Exits 1 if any
-trail differs. A default-budget seed takes several minutes.
+it. Then it runs trainer.sbs_select on the 45 pairs, in the blocks
+build_ovo forms, and for each pair test_trainer.sbs_record_reference, the
+direct float64 form of the same elimination. It prints one JSON document:
+per seed, how many pairs have identical trails (the removed-feature order
+and every recorded accuracy) and identical picks, each differing pair with
+the feature count k of its first differing trail entry, and the seconds
+each side took. Exits 1 if any trail differs. A default-budget seed takes
+several minutes.
+
+With --digest it runs no reference and prints, per seed, one SHA-256 over
+the 45 pairs' removal orders, recorded accuracies (as float.hex) and picks,
+so that two source trees can be checked for bit-identical selection.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -66,18 +73,34 @@ def first_difference(record, ref):
     return None
 
 
-def compare_seed(budget: str, seed: int) -> dict:
+def select_seed(budget: str, seed: int):
+    """(features, hyper, spec, [(subset, record)] per pair, seconds) of one seed's selection."""
     n_images, n_train, n_val, hyper, spec = budgets(budget)
-    (tx, ty), (vx, vy) = features(n_images, n_train, n_val, seed)
-    differing, same_picks, select_s, reference_s = [], 0, 0.0, 0.0
-    for pair in trainer.all_pairs():
+    (tx, ty), (vx, vy) = data = features(n_images, n_train, n_val, seed)
+    t0 = time.perf_counter()
+    selected = [result for block in trainer.sbs_blocks(ty, spec, tx.shape[1])
+                for result in trainer.sbs_select(block, tx, ty, vx, vy, hyper, spec,
+                                                 return_record=True)]
+    return data, hyper, spec, selected, time.perf_counter() - t0
+
+
+def trail_digest(selected) -> str:
+    """SHA-256 over each pair's removal order, recorded accuracies (float.hex) and pick."""
+    h = hashlib.sha256()
+    for pair, (subset, record) in zip(trainer.all_pairs(), selected):
+        order = [int(np.setdiff1d(sub, rest)[0]) for (sub, _), (rest, _) in zip(record, record[1:])]
+        h.update(json.dumps([list(pair), order, [float(acc).hex() for _, acc in record],
+                             subset.tolist()]).encode())
+    return h.hexdigest()
+
+
+def compare_seed(budget: str, seed: int) -> dict:
+    ((tx, ty), (vx, vy)), hyper, spec, selected, select_s = select_seed(budget, seed)
+    differing, same_picks, reference_s = [], 0, 0.0
+    for pair, (subset, record) in zip(trainer.all_pairs(), selected):
         t0 = time.perf_counter()
-        subset, record = trainer.sbs_select(pair, tx, ty, vx, vy, hyper, spec,
-                                            return_record=True)
-        t1 = time.perf_counter()
         ref = sbs_record_reference(pair, tx, ty, vx, vy, hyper, spec)
-        t2 = time.perf_counter()
-        select_s, reference_s = select_s + t1 - t0, reference_s + t2 - t1
+        reference_s += time.perf_counter() - t0
         same_pick = np.array_equal(subset, trainer.pick_subset(ref, spec))
         same_picks += same_pick
         k = first_difference(record, ref)
@@ -91,8 +114,15 @@ def compare_seed(budget: str, seed: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--budgets", choices=("bench", "default"), default="bench")
+    parser.add_argument("--digest", action="store_true",
+                        help="print each seed's trail digest instead of comparing")
     parser.add_argument("seeds", type=int, nargs="+")
     args = parser.parse_args(argv)
+    if args.digest:
+        digests = {str(seed): trail_digest(select_seed(args.budgets, seed)[3])
+                   for seed in args.seeds}
+        print(json.dumps({"budgets": args.budgets, "digests": digests}, indent=1))
+        return 0
     seeds = {}
     for seed in args.seeds:
         seeds[str(seed)] = compare_seed(args.budgets, seed)
