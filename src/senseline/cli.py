@@ -79,7 +79,7 @@ def _load_train_val_features(cfg: RunConfig):
     _check_paths(cfg, ("train_images", "train_labels"))
     train_pool = dataset.load_idx(cfg.data.train_images, cfg.data.train_labels)
     train, val = dataset.split_train_val(train_pool, cfg.split)
-    trainer.check_val_rows(trainer.all_pairs(), val.labels)
+    trainer.check_pair_rows(trainer.all_pairs(), val.labels)
     return _features_of(cfg, train), _features_of(cfg, val)
 
 

@@ -69,6 +69,13 @@ class RunConfig:
                 raise ValueError(f"unstable Euler step: line.dt = {self.line.dt!r} s gives a "
                                  f"worst-case factor {factor:.3g} at {self.feature_space} "
                                  "features, outside (0, 1]; lower line.dt or raise line.c_line")
+            # A trace digit holds (n_steps + 1) x 45 samples; untraced, any step count runs.
+            samples = self.evaluate.trace_digits * (self.line.n_steps + 1) * 45
+            if samples > 10_000_000:
+                raise ValueError(f"evaluate.trace_digits = {self.evaluate.trace_digits} at "
+                                 f"{self.line.n_steps} steps (line.t_classify / line.dt) "
+                                 f"would record {samples:,} trace samples, over 10,000,000; "
+                                 "lower evaluate.trace_digits or line.t_classify")
         # The global seed pins the split shuffle.
         object.__setattr__(self, "split",
                            dataclasses.replace(self.split, shuffle_seed=self.seed))

@@ -170,19 +170,13 @@ def all_pairs(n_classes: int = 10) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n_classes), 2))
 
 
-def _sigmoid_neg(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # sigma(-u) for the final training, bit for bit the two-branch form (which
-    # _gd_masked's 1/(1 + exp(u)) is not), in one pass, no masks, no overflow:
-    # e = exp(-|u|) <= 1, so max(e, u < 0) is 1 where u < 0 (giving
-    # 1/(1 + exp(u))) and e elsewhere (giving exp(-u)/(1 + exp(-u))).
-    # min(u, -u) is -|u| and keeps a NaN's sign. out may be u itself.
-    u = np.asarray(u, dtype=np.float64)
-    e = np.minimum(u, -u)
-    np.exp(e, out=e)
-    out = np.maximum(e, u < 0, out=out)
-    e += 1.0
-    out /= e
-    return out
+def _sigma_neg(u: np.ndarray) -> np.ndarray:
+    """sigma(-u) = 1/(1 + exp(u)) in place, in u's dtype: every trainer's one sigmoid form.
+
+    Call it under np.errstate(over="ignore"): exp(u) overflowing to inf gives exactly 0."""
+    np.exp(u, out=u)
+    u += 1.0
+    return np.reciprocal(u, out=u)
 
 
 def logistic_loss(w: np.ndarray, X: np.ndarray, y: np.ndarray,
@@ -199,10 +193,9 @@ def logistic_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray,
                   l2_lambda: float = 0.0, intercept: float = 0.0):
     """Analytic gradient of logistic_loss: (d/dw, d/d_intercept)."""
     z = X @ w + intercept
-    s = y * _sigmoid_neg(y * z)
-    grad_w = -(X.T @ s) / len(y) + l2_lambda * w
-    grad_b = float(-np.mean(s))
-    return grad_w, grad_b
+    with np.errstate(over="ignore"):
+        s = y * _sigma_neg(y * z)
+    return -(X.T @ s) / len(y) + l2_lambda * w, float(-np.mean(s))
 
 
 def predict_margin(c: BinaryClassifier, x: np.ndarray) -> np.ndarray | float:
@@ -252,11 +245,10 @@ def _gd_masked(Xy: np.ndarray, Xyc: np.ndarray, W: np.ndarray, mask: np.ndarray,
 
     Each epoch is the full-batch step W <- (W - lr*(l2*W - M/n)) * mask with
     M = (y * sigma(-y * (X @ W.T))).T @ X, re-associated as
-    W <- W*(1 - lr*l2) + (sigma(-(Xy @ W.T)).T @ Xyc) * mask,
-    with sigma(-u) = 1/(1 + exp(u)), in three passes (exp(u) overflowing to
-    inf gives exactly 0): nine numpy calls for the whole stack. That equals
-    the direct form up to rounding, not bit for bit; each slice of a stack
-    gets the BLAS call it would get alone, so it trains bit for bit as alone.
+    W <- W*(1 - lr*l2) + (sigma(-(Xy @ W.T)).T @ Xyc) * mask with _sigma_neg:
+    nine numpy calls for the whole stack. That equals the direct form up to
+    rounding, not bit for bit; each slice of a stack gets the BLAS call it
+    would get alone, so it trains bit for bit as alone.
     Mixed precision: the two products and the sigmoid run in the data's
     dtype, on a copy of W cast to it, while W itself is decayed and updated
     in float64. Float32 data halves the products' cost; the float64 weights
@@ -269,9 +261,7 @@ def _gd_masked(Xy: np.ndarray, Xyc: np.ndarray, W: np.ndarray, mask: np.ndarray,
         for _ in range(epochs):
             np.copyto(Wp, W)
             np.matmul(Xy, Wp.swapaxes(-1, -2), out=V)
-            np.exp(V, out=V)
-            V += 1.0
-            np.reciprocal(V, out=V)
+            _sigma_neg(V)
             np.matmul(V.swapaxes(-1, -2), Xyc, out=G)
             G *= mask
             W *= decay
@@ -285,11 +275,10 @@ def _drop_column(X: np.ndarray, j: int, k: int) -> None:
     flat[j * n:(k - 1) * n] = flat[(j + 1) * n:k * n]
 
 
-# Pairs train in lockstep blocks whose folded matrices total at most this
-# many bytes, so that a block's two matmuls per epoch read from L2 cache
-# rather than memory. Tuned on a Xeon with 2 MB of L2 per core: at 2,000
-# training rows the 45 pairs trained in 0.15 s in 1 MiB blocks, 0.19 s in
-# one block and 0.25 s one pair at a time.
+# Pairs train in lockstep blocks whose float32 folded matrices total at most
+# this many bytes, so that a block's products read from L2 cache, not memory.
+# Tuned on a Xeon with 2 MB of L2 per core: at 2,000 training rows the 45
+# pairs trained in 0.10 s in 1 MiB blocks and 0.12 s in 512 KiB ones.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -305,47 +294,48 @@ def _blocks(items: list, nbytes: list, keys: list) -> list[list]:
 
 
 def _pair_problem(X: np.ndarray, labels: np.ndarray, pair: tuple[int, int], feature_indices):
-    """Check one pair's rows; return (feature_indices, y * X[:, features]).
+    """Check one pair's rows; return (feature_indices, y * X[:, features] in float32).
 
-    y holds the +/-1 labels (+1 = pair[0]). Folding y into the rows is exact:
-    it only flips signs. The column gather is Fortran-ordered and the fold
-    keeps that order, so BLAS sums the margins as it would for X[:, features].
+    y holds the +/-1 labels (+1 = pair[0]); folding them in only flips signs.
+    The data is Fortran-ordered, as the column gather is, and a value beyond
+    float32's range becomes inf, so its pair diverges.
     """
     feature_indices = np.asarray(feature_indices, dtype=np.intp)
     if len(feature_indices) == 0:
         raise ValueError("feature set must be nonempty")
     a, b = pair
-    present = set(np.unique(labels).tolist())
+    present = set(labels.tolist())  # np.unique would import numpy.ma
     if not present <= {a, b}:
         raise ValueError(f"rows contain digits {sorted(present)} outside pair {pair}")
     if a not in present or b not in present:
         raise ValueError(f"one class of pair {pair} is empty after filtering")
     y = np.where(labels == a, 1.0, -1.0)
-    return feature_indices, X[:, feature_indices] * y[:, None]
+    with np.errstate(over="ignore"):
+        return feature_indices, np.multiply(X[:, feature_indices], y[:, None], dtype=np.float32)
 
 
 def _descend(problems: list, hyper: TrainHyper):
     """Full-batch gradient descent from zero for a block of pairs, in lockstep.
 
-    problems are _pair_problem results. Returns each pair's weights, as
-    views into one array. Each pair takes exactly the steps it would take
-    alone: w <- w - lr * (l2*w - (Xy.T @ s) / n) with s = sigma(-(Xy @ w)).
-    A pair freezes at the first epoch whose gradient infinity-norm is below
-    grad_tol, before that epoch's step. The pairs share one margin buffer
-    and one weight and gradient vector, so each epoch makes one elementwise
-    call where a pair alone would make one each.
+    problems are _pair_problem results. Returns each pair's float64 weights,
+    as views into one array. A pair's epoch is w <- w - lr * g with
+    g = l2*w - (Xy.T @ sigma(-(Xy @ w))) / n; it freezes at the first epoch
+    whose max |g| is below grad_tol, before that epoch's step. Mixed
+    precision, as in _gd_masked: both products and the sigmoid run in
+    float32, on a float32 copy of w; g, the check and the step in float64.
+    The pairs share one buffer per quantity, and every call is per element
+    or per pair, so a pair steps bit for bit as it would alone.
     """
     lr, l2, tol = hyper.learning_rate, hyper.l2_lambda, hyper.grad_tol
-    Xys = [Xy for _, Xy in problems]
+    Xys, XTs = [Xy for _, Xy in problems], [Xy.T for _, Xy in problems]
     sizes = [len(f) for f, _ in problems]
     w_start = np.cumsum([0] + sizes)
     n_start = np.cumsum([0] + [len(Xy) for Xy in Xys])
     W = np.zeros(w_start[-1])
-    G = np.empty_like(W)
-    R = np.empty_like(W)
-    V = np.empty(n_start[-1])            # y * margins, then sigma(-y * margins)
-    Ws = [W[s:e] for s, e in zip(w_start, w_start[1:])]
-    Gs = [G[s:e] for s, e in zip(w_start, w_start[1:])]
+    G, R = np.empty_like(W), np.empty_like(W)
+    Wp, Gp = np.empty(W.shape, np.float32), np.empty(W.shape, np.float32)  # in the data's dtype
+    V = np.empty(n_start[-1], np.float32)  # margins, then sigma(-margins)
+    Wps, Gps = ([A[s:e] for s, e in zip(w_start, w_start[1:])] for A in (Wp, Gp))
     Vs = [V[s:e] for s, e in zip(n_start, n_start[1:])]
     n_of_w = np.repeat([float(len(Xy)) for Xy in Xys], sizes)
     live = np.ones(len(problems), dtype=bool)
@@ -353,12 +343,13 @@ def _descend(problems: list, hyper: TrainHyper):
     # A diverged pair's weights stay non-finite; the caller checks them once.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(hyper.max_epochs):
+            np.copyto(Wp, W)
             for p in steps:
-                np.matmul(Xys[p], Ws[p], out=Vs[p])
-            _sigmoid_neg(V, out=V)
+                np.dot(Xys[p], Wps[p], out=Vs[p])
+            _sigma_neg(V)
             for p in steps:
-                np.matmul(Xys[p].T, Vs[p], out=Gs[p])
-            G /= n_of_w
+                np.dot(XTs[p], Vs[p], out=Gps[p])
+            np.divide(Gp, n_of_w, out=G)
             np.multiply(W, l2, out=R)
             np.subtract(R, G, out=G)
             frozen = live & (np.maximum.reduceat(np.abs(G), w_start[:-1]) < tol)
@@ -370,7 +361,7 @@ def _descend(problems: list, hyper: TrainHyper):
                 live_w = np.repeat(live, sizes)
             G *= lr
             np.subtract(W, G, out=W, where=live_w)
-    return Ws
+    return [W[s:e] for s, e in zip(w_start, w_start[1:])]
 
 
 def _train_pairs(X: np.ndarray, labels: np.ndarray, tasks: list,
@@ -384,7 +375,7 @@ def _train_pairs(X: np.ndarray, labels: np.ndarray, tasks: list,
     if hyper.learning_rate == 0.0:
         warnings.warn("learning_rate is 0; returning zero-initialized weights", RuntimeWarning)
     classifiers = []
-    for block in _blocks(tasks, [8 * np.count_nonzero(rows) * len(features)
+    for block in _blocks(tasks, [4 * np.count_nonzero(rows) * len(features)
                                  for _, rows, features in tasks], [0] * len(tasks)):
         problems = [_pair_problem(X[rows], labels[rows], pair, features)
                     for pair, rows, features in block]
@@ -416,12 +407,12 @@ def train_logistic(X: np.ndarray, labels: np.ndarray, pair: tuple[int, int],
     return _train_pairs(X, labels, [(tuple(pair), rows, feature_indices)], hyper)[0]
 
 
-def check_val_rows(pairs: list, val_y: np.ndarray) -> None:
-    """Raise a ValueError naming the first pair with no validation rows (no accuracy)."""
-    present = set(np.unique(val_y).tolist())
+def check_pair_rows(pairs: list, labels: np.ndarray, part="validation", key="val_count"):
+    """Raise a ValueError naming the first pair with no rows among the part's labels."""
+    present = set(labels.tolist())  # np.unique would import numpy.ma
     for pair in (p for p in pairs if not present & set(p)):
-        raise ValueError(f"pair {tuple(pair)} has no validation rows; raise "
-                         f"split.val_count (now {len(val_y)})")
+        raise ValueError(f"pair {tuple(pair)} has no {part} rows; raise "
+                         f"split.{key} (now {len(labels)})")
 
 
 def sbs_select(pairs: list, train_x: np.ndarray, train_y: np.ndarray,
@@ -443,7 +434,8 @@ def sbs_select(pairs: list, train_x: np.ndarray, train_y: np.ndarray,
     with return_record its (subset, trail), a trail being (feature index
     array, recorded accuracy) pairs.
     """
-    check_val_rows(pairs, val_y)
+    check_pair_rows(pairs, train_y, "training", "train_count")
+    check_pair_rows(pairs, val_y)
     folded = [_fold(X[: spec.candidate_rows], y[: spec.candidate_rows], hyper, np.float32)
               for X, y in (filter_pair(train_x, train_y, pair) for pair in pairs)]
     val = [(np.asfortranarray(X), y, np.count_nonzero(y < 0))
@@ -505,12 +497,12 @@ def build_ovo(train_x: np.ndarray, train_y: np.ndarray,
               hyper: TrainHyper = TrainHyper(),
               sbs: SBSSpec | None = None) -> OvOModel:
     """Train all 45 pairwise classifiers, optionally with feature selection."""
-    present = set(np.unique(train_y).tolist())
+    present = set(train_y.tolist())
     if present != set(range(10)):
         raise ValueError(f"training set must contain all 10 digits, has {sorted(present)}")
     features = [np.arange(train_x.shape[1]) for _ in range(45)]
     if sbs is not None and sbs.enabled:
-        check_val_rows(all_pairs(), val_y)
+        check_pair_rows(all_pairs(), val_y)
         features = [f for block in sbs_blocks(train_y, sbs, train_x.shape[1])
                     for f in sbs_select(block, train_x, train_y, val_x, val_y, hyper, sbs)]
     return OvOModel(_train_pairs(train_x, train_y, [

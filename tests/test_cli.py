@@ -8,6 +8,8 @@ import pathlib
 import pkgutil
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -655,6 +657,16 @@ class TestRunAll:
         report = json.loads((out / "report.json").read_text())
         assert report["metrics"]["analog"]["accuracy"] == metrics["accuracy"]
 
+    def test_run_all_does_not_import_numpy_ma(self, workdir):
+        # np.unique imports numpy.ma (~11 ms) through np.ma.is_masked; no stage
+        # may reach it. A fresh interpreter, since pytest's may have imported it.
+        code = ("import sys; from senseline import cli; rc = cli.main(sys.argv[1:]); "
+                "print(rc, 'numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(senseline.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code, "run-all", "-c", str(workdir["config"]),
+                               "--mode", "analog"], env=env, capture_output=True, text=True)
+        assert done.stdout.splitlines()[-1] == "0 False", done.stderr
+
     def test_outputs_embed_config_hash(self, workdir):
         run(["run-all", "-c", workdir["config"], "--no-sbs"])
         out = workdir["tmp"] / "out"
@@ -827,6 +839,27 @@ class TestConfigErrors:
         assert run([command, "-c", workdir["config"]]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and "classifier 3: feature_indices[1]" in err
+
+    def test_trace_samples_over_the_bound_exit_4_at_config_load(self, workdir, monkeypatch,
+                                                                  capsys):
+        # 10**8 steps: 10 analog trace digits would record 4.5e10 samples.
+        # The config is rejected before any data is read or any trace allocated.
+        monkeypatch.setattr(dataset, "load_idx", lambda *a: pytest.fail("data was read"))
+        line = {"t_classify": 1e-3, "dt": 1e-11}
+        bad = workdir["tmp"] / "long_traces.json"
+        bad.write_text(json.dumps(dict(workdir["doc"], line=line,
+                                       evaluate={"mode": "analog", "trace_digits": 10})))
+        assert run(["simulate", "-c", bad]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "line.t_classify" in err and "evaluate.trace_digits" in err
+        # Without traces any step count loads: the integrator is closed-form.
+        for evaluate in ({"mode": "analog", "trace_digits": 0},
+                         {"mode": "digital-quantized", "trace_digits": 10}):
+            assert config_from_dict({"line": line, "evaluate": evaluate}).line.n_steps == 10 ** 8
+        # At the default 200 steps the bound of 10**7 samples is 1,105 trace digits.
+        config_from_dict({"evaluate": {"mode": "analog", "trace_digits": 1105}})
+        with pytest.raises(ValueError, match="evaluate.trace_digits = 1106"):
+            config_from_dict({"evaluate": {"mode": "analog", "trace_digits": 1106}})
 
     def test_missing_config_file(self, capsys):
         assert run(["prepare", "-c", "/nonexistent/config.json"]) == cli.EXIT_CONFIG

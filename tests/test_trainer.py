@@ -19,6 +19,10 @@ from senseline.trainer import (
     predict_margin,
     tally_votes,
 )
+from senseline.quantizer import weight_levels
+
+# float32 rounding, as a bound relative to the largest entry: 16 float32 ulps.
+F32_ROUNDING = 16 * np.finfo(np.float32).eps
 
 
 def toy_classifier(pair=(0, 1), weights=(1.0, 1.0), features=(0, 1)):
@@ -92,7 +96,8 @@ class TestGradient:
 
     def test_descend_epochs_are_gradient_steps(self):
         # Ties acceptance C8's checked gradient to training: each lockstep
-        # epoch of a pair is w <- w - lr * logistic_grad(w), to rounding.
+        # epoch of a pair is w <- w - lr * logistic_grad(w), to float32
+        # rounding (the products run in float32; measured 1.8e-7 of max|step|).
         rng = np.random.default_rng(11)
         hyper = TrainHyper(learning_rate=0.3, max_epochs=1, grad_tol=0.0, l2_lambda=0.05)
         rows, problems = [], []
@@ -106,7 +111,8 @@ class TestGradient:
         for (X, y), w1, w2 in zip(rows, first, second):
             for w_old, w_new in ((np.zeros_like(w1), w1), (w1, w2)):
                 step = w_old - hyper.learning_rate * logistic_grad(w_old, X, y, hyper.l2_lambda)[0]
-                np.testing.assert_allclose(w_new, step, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(w_new, step, rtol=0,
+                                           atol=F32_ROUNDING * np.abs(step).max())
         assert not np.array_equal(first[0], second[0])
 
     def test_gd_masked_epoch_is_a_gradient_step(self):
@@ -186,7 +192,8 @@ class TestTrainLogistic:
 
     def test_masked_batch_matches_individual_training(self, synth_features):
         # Row c of the batched trainer equals a separate model trained
-        # without feature c (grad_tol 0 disables early stopping).
+        # without feature c by the float64 per-pair descent (grad_tol 0
+        # disables early stopping).
         (tx, ty), _, _ = synth_features
         hyper = TrainHyper(max_epochs=40, grad_tol=0.0)
         pair = (2, 5)
@@ -201,25 +208,26 @@ class TestTrainLogistic:
         labels = ty[mask_rows][:300]
         for c in (0, 4, 9):
             feats = [f for f in range(k) if f != c]
-            ref = trainer.train_logistic(Xp, labels, pair, feats, hyper)
-            np.testing.assert_allclose(np.delete(W[c], c), ref.weights, rtol=1e-10, atol=1e-12)
+            ref, _, _ = train_logistic_reference(Xp, labels, pair, feats, hyper)
+            np.testing.assert_allclose(np.delete(W[c], c), ref, rtol=1e-10, atol=1e-12)
 
 
 def train_logistic_reference(X, labels, pair, feature_indices, hyper):
-    """The per-pair loop the lockstep trainer replaced: (weights, epochs stepped).
+    """The float64 per-pair descent the lockstep trainer replaced: (weights, epochs stepped, path).
 
-    X and labels hold the pair's rows only.
+    X and labels hold the pair's rows only. path[e] is the weights after e
+    steps, for e up to one step past the stop.
     """
     Xs = X[:, feature_indices]
     y = np.where(labels == pair[0], 1.0, -1.0)
-    w = np.zeros(len(feature_indices))
+    path = [np.zeros(len(feature_indices))]
     with np.errstate(over="ignore"):
-        for epoch in range(hyper.max_epochs):
-            grad_w, _ = logistic_grad(w, Xs, y, hyper.l2_lambda)
-            if np.max(np.abs(grad_w)) < hyper.grad_tol:
-                return w, epoch
-            w = w - hyper.learning_rate * grad_w
-    return w, hyper.max_epochs
+        while True:
+            grad_w, _ = logistic_grad(path[-1], Xs, y, hyper.l2_lambda)
+            stop = len(path) - 1 == hyper.max_epochs or np.max(np.abs(grad_w)) < hyper.grad_tol
+            path.append(path[-1] - hyper.learning_rate * grad_w)
+            if stop:
+                return path[-2], len(path) - 2, path
 
 
 def sigmoid_neg_two_branch(u):
@@ -292,22 +300,31 @@ def gd_masked_problem(k, n, layout):
 
 
 class TestKernelMatchesReference:
-    """The sigmoid is bit-identical to the two-branch form; the candidate-training
-    kernel equals the direct form up to rounding (float64 data) or to float32
-    rounding (float32 data), and eliminates exactly as it does."""
+    """The three-pass sigmoid matches the two-branch form to rounding; the
+    candidate-training kernel equals the direct form up to rounding (float64
+    data) or to float32 rounding (float32 data), and eliminates exactly as it does."""
 
-    def test_sigmoid_single_pass_equals_two_branch(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_three_pass_matches_two_branch(self, dtype):
+        # Within a few ulps of the two-branch form, in place, in u's dtype;
+        # exact at +-0 and +-inf, NaN for NaN, and 0 (not a subnormal) where
+        # exp(u) overflows, with no warning under the trainers' errstate.
         u = np.array([0.0, -0.0, 1e-310, -1e-310, 745.0, -745.0, np.inf, -np.inf,
                       np.nan, -np.nan, 1e-20, -1e-20, 36.0, -36.0])
         u = np.concatenate([u, np.random.default_rng(8).normal(scale=40.0, size=5001)])
+        u = u.astype(dtype)
+        got = u.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = trainer._sigmoid_neg(u)
-            ref = sigmoid_neg_two_branch(u)
-            in_place = u.copy()
-            trainer._sigmoid_neg(in_place, out=in_place)
-        assert_bits_equal(got, ref)
-        assert_bits_equal(in_place, ref)
+            with np.errstate(over="ignore"):
+                assert trainer._sigma_neg(got) is got
+            # logistic_grad sets the errstate itself: margins of +-1e4 warn nothing.
+            logistic_grad(np.array([1e4]), np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, sigmoid_neg_two_branch(u.astype(np.float64)),
+                                   rtol=4 * np.finfo(dtype).eps, atol=np.finfo(dtype).tiny)
+        assert got[[0, 1, 6, 7]].tolist() == [0.5, 0.5, 0.0, 1.0]
+        assert np.isnan(got[[8, 9]]).all() and got[4] == 0.0
 
     # Ids end in "-False", the no-intercept value of an axis these cases had while the
     # kernel could also train an intercept; each surviving case keeps its id.
@@ -370,21 +387,33 @@ class TestKernelMatchesReference:
                 assert acc == ref_acc, pair
 
 
+def lockstep_tasks(ty, features):
+    """One (pair, rows, feature indices) task per pair: all 64 features, or seeded subsets."""
+    rng = np.random.default_rng(9)
+    tasks = []
+    for pair in trainer.all_pairs():
+        k = 64 if features == "full" else int(rng.integers(1, 65))
+        tasks.append((pair, (ty == pair[0]) | (ty == pair[1]), np.sort(rng.permutation(64)[:k])))
+    return tasks
+
+
 class TestLockstepTrainer:
-    """Every pair trained in lockstep equals the same pair trained alone, bit for bit."""
+    """The final training equals the float64 per-pair descent up to float32
+    rounding, with the same freeze epochs and the same weight levels, and a
+    pair trains bit for bit the same in a block as alone."""
 
     @pytest.mark.parametrize("grad_tol", [0.0, 2e-2])
     # "-False" in the ids: see test_gd_masked_equals_reference.
     @pytest.mark.parametrize("features", ["full", "subsets"], ids=["full-False", "subsets-False"])
     def test_all_pairs_equal_reference(self, synth_features, features, grad_tol):
+        # Each pair's weights lie within 1e-6 of max(max|w|, 1) of the
+        # reference's and farther than that from the reference's one epoch
+        # before or after, so each pair froze at the reference's epoch.
+        # Measured: at most 4.2e-8, and 3.2e-9 on a one-feature pair whose
+        # weight, 2.3e-3, sums rows that nearly cancel; neighbours >= 3.7e-5.
         (tx, ty), (vx, vy), _ = synth_features
         hyper = TrainHyper(max_epochs=60, grad_tol=grad_tol)
-        rng = np.random.default_rng(9)
-        tasks = []
-        for pair in trainer.all_pairs():
-            rows = (ty == pair[0]) | (ty == pair[1])
-            k = 64 if features == "full" else int(rng.integers(1, 65))
-            tasks.append((pair, rows, np.sort(rng.permutation(64)[:k])))
+        tasks = lockstep_tasks(ty, features)
         if features == "full":
             got = trainer.build_ovo(tx, ty, vx, vy, hyper, sbs=None).classifiers
         else:
@@ -392,14 +421,46 @@ class TestLockstepTrainer:
             got = trainer._train_pairs(tx, ty, tasks, hyper)
         stopped = []
         for c, (pair, rows, feats) in zip(got, tasks):
-            w, epochs = train_logistic_reference(tx[rows], ty[rows], pair, feats, hyper)
+            w, epochs, path = train_logistic_reference(tx[rows], ty[rows], pair, feats, hyper)
             assert c.class_pair == pair
             assert np.array_equal(c.feature_indices, feats)
-            assert_bits_equal(c.weights, w)
+            tol = 1e-6 * max(np.abs(w).max(), 1.0)
+            assert np.abs(c.weights - w).max() <= tol, pair
+            for other in path[max(epochs - 1, 0):epochs] + path[epochs + 1:]:
+                assert np.abs(c.weights - other).max() > tol, pair
+            if w.any():
+                assert np.array_equal(weight_levels(c), weight_levels(w)), pair
+            else:  # frozen before its first step
+                assert not c.weights.any()
             stopped.append(epochs)
         if grad_tol:  # pairs freeze at different epochs, and some run to the end
             assert len(set(stopped) - {hyper.max_epochs}) >= 2
             assert hyper.max_epochs in stopped
+
+    @pytest.mark.parametrize("features", ["full", "subsets"])
+    def test_block_equals_each_pair_alone(self, synth_features, features, monkeypatch):
+        (tx, ty), _, _ = synth_features
+        hyper = TrainHyper(max_epochs=60, grad_tol=2e-2)
+        tasks = lockstep_tasks(ty, features)
+        sizes, descend = [], trainer._descend
+        monkeypatch.setattr(trainer, "_descend",
+                            lambda problems, h: sizes.append(len(problems)) or descend(problems, h))
+        block = trainer._train_pairs(tx, ty, tasks, hyper)
+        assert max(sizes) > 1
+        for c, task in zip(block, tasks):
+            [alone] = trainer._train_pairs(tx, ty, [task], hyper)
+            assert_bits_equal(c.weights, alone.weights)
+
+    def test_float64_weights_keep_small_updates(self, synth_features):
+        # At learning rate 1e-5, epoch 3,000 moves the weights by ~1/3,000 of
+        # their size, near float32's resolution; the float64 weights add the
+        # moves up. Measured error: 2.8e-8 of max|w|; float32 weights gave 2.7e-6.
+        (tx, ty), _, _ = synth_features
+        hyper = TrainHyper(learning_rate=1e-5, max_epochs=3000, grad_tol=0.0)
+        pair, rows = (2, 7), np.isin(ty, (2, 7))
+        [c] = trainer._train_pairs(tx, ty, [(pair, rows, np.arange(64))], hyper)
+        w, _, _ = train_logistic_reference(tx[rows], ty[rows], pair, np.arange(64), hyper)
+        np.testing.assert_allclose(c.weights, w, rtol=0, atol=2e-7 * np.abs(w).max())
 
     def test_one_diverging_pair_is_named_without_warnings(self, synth_features):
         # Pair 3-8 alone trains on a column of 1e307, whose gradient overflows;
@@ -532,6 +593,15 @@ class TestBlocks:
         with pytest.raises(ValueError, match="equal candidate row counts"):
             trainer.sbs_select([(0, 1), (2, 3)], tx, ty, vx, vy, TrainHyper(),
                                SBSSpec(candidate_rows=None))
+
+    def test_pair_without_training_rows_rejected(self, synth_features, monkeypatch):
+        # Its rows would be scaled by lr/0 (was a bare ZeroDivisionError); no training runs.
+        (tx, ty), (vx, vy), _ = synth_features
+        keep = ~np.isin(ty, (2, 3))
+        monkeypatch.setattr(trainer, "_gd_masked", lambda *a, **kw: pytest.fail("training ran"))
+        with pytest.raises(ValueError, match=r"pair \(2, 3\) has no training rows; "
+                                             r"raise split.train_count"):
+            trainer.sbs_select([(0, 1), (2, 3)], tx[keep], ty[keep], vx, vy)
 
     def test_pair_without_validation_rows_rejected(self, synth_features, monkeypatch):
         # Its accuracy would be 0/0; no training runs.

@@ -3,6 +3,7 @@
     python tests/trails.py --budgets bench 11 12 13
     python tests/trails.py --budgets default 7 8 9 10 11
     python tests/trails.py --digest --budgets bench 11 12 13
+    python tests/trails.py --final --budgets bench 11 12 13
 
 For each corpus seed it renders tests/synth.py's corpus and splits its
 training pool as the budgets say:
@@ -23,6 +24,17 @@ several minutes.
 With --digest it runs no reference and prints, per seed, one SHA-256 over
 the 45 pairs' removal orders, recorded accuracies (as float.hex) and picks,
 so that two source trees can be checked for bit-identical selection.
+
+With --final it compares the final training instead: trainer._train_pairs
+(float32 products, float64 weights) against test_trainer's float64
+per-pair descent, train_logistic_reference, on the 45 pairs with all
+features (as `train` trains them) and with the subsets selection picks (as
+`select` does). Per seed and feature set it prints whether the compiled L
+is identical and how many of its levels differ, the largest |dw| / max|w|
+of any classifier, how many pairs froze at the reference's epoch, and the
+seconds each side took. A pair's freeze epoch is the reference epoch whose
+weights lie nearest its own: one step moves weights far more than float32
+rounding does. Exits 1 if any L or freeze epoch differs.
 """
 
 from __future__ import annotations
@@ -40,9 +52,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import synth  # noqa: E402
-from senseline import dataset, trainer  # noqa: E402
-from senseline.trainer import SBSSpec, TrainHyper  # noqa: E402
-from test_trainer import sbs_record_reference  # noqa: E402
+from senseline import dataset, system, trainer  # noqa: E402
+from senseline.trainer import BinaryClassifier, OvOModel, SBSSpec, TrainHyper  # noqa: E402
+from test_trainer import sbs_record_reference, train_logistic_reference  # noqa: E402
 from workloads import SIZES  # noqa: E402
 
 
@@ -111,13 +123,54 @@ def compare_seed(budget: str, seed: int) -> dict:
             "select_s": round(select_s, 2), "reference_s": round(reference_s, 2)}
 
 
+def compare_final_training(tx, ty, hyper, subsets) -> dict:
+    """The final training of the 45 pairs on the given feature subsets, against the reference."""
+    tasks = [(pair, (ty == pair[0]) | (ty == pair[1]), f)
+             for pair, f in zip(trainer.all_pairs(), subsets)]
+    t0 = time.perf_counter()
+    got = trainer._train_pairs(tx, ty, tasks, hyper)
+    train_s, reference_s = time.perf_counter() - t0, 0.0
+    reference, paths, same_epochs, worst = [], [], 0, 0.0
+    for c, (pair, rows, f) in zip(got, tasks):
+        t0 = time.perf_counter()
+        w, epochs, path = train_logistic_reference(tx[rows], ty[rows], pair, f, hyper)
+        reference_s += time.perf_counter() - t0
+        paths.append(path)
+        reference.append(BinaryClassifier(pair, f, w))
+        same_epochs += int(np.argmin([np.abs(c.weights - p).max() for p in path])) == epochs
+        worst = max(worst, float(np.abs(c.weights - w).max() / np.abs(w).max()))
+    L, L_ref = (system.assemble(OvOModel(m)).L for m in (got, reference))
+    return {"identical_L": bool(np.array_equal(L, L_ref)),
+            "differing_levels": int(np.count_nonzero(L != L_ref)),
+            "max_rel_dw": worst, "same_freeze_epochs": same_epochs, "pairs": 45,
+            "frozen_before_max_epochs": sum(len(p) - 2 < hyper.max_epochs for p in paths),
+            "train_s": round(train_s, 3), "reference_s": round(reference_s, 3)}
+
+
+def compare_final(budget: str, seed: int) -> dict:
+    """compare_final_training on all features and on the selected subsets of one seed."""
+    ((tx, ty), _), hyper, _, selected, _ = select_seed(budget, seed)
+    return {name: compare_final_training(tx, ty, hyper, subsets) for name, subsets in
+            (("all", [np.arange(tx.shape[1])] * 45), ("selected", [s for s, _ in selected]))}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--budgets", choices=("bench", "default"), default="bench")
     parser.add_argument("--digest", action="store_true",
                         help="print each seed's trail digest instead of comparing")
+    parser.add_argument("--final", action="store_true",
+                        help="compare the final training with its float64 reference instead")
     parser.add_argument("seeds", type=int, nargs="+")
     args = parser.parse_args(argv)
+    if args.final:
+        final = {}
+        for seed in args.seeds:
+            final[str(seed)] = compare_final(args.budgets, seed)
+            print(f"seed {seed}: {json.dumps(final[str(seed)])}", file=sys.stderr, flush=True)
+        print(json.dumps({"budgets": args.budgets, "final": final}, indent=1))
+        return 1 if any(not r["identical_L"] or r["same_freeze_epochs"] != r["pairs"]
+                        for f in final.values() for r in f.values()) else 0
     if args.digest:
         digests = {str(seed): trail_digest(select_seed(args.budgets, seed)[3])
                    for seed in args.seeds}
