@@ -402,6 +402,9 @@ def cmd_run_all(cfg: RunConfig) -> int:
     writes the mode's metrics, so the standalone
     `quantize` and `evaluate` stages are not repeated here.
     """
+    if cfg.sbs.enabled and cfg.feature_space != 64:
+        raise ValueError(f"feature_space {cfg.feature_space} with sbs.enabled: feature selection "
+                         "expects the 64-feature downsampled space; pass --no-sbs")
     for fn in (cmd_prepare, cmd_train):
         fn(cfg)
     if cfg.sbs.enabled:

@@ -15,7 +15,6 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -128,16 +127,6 @@ def _decode_idx(path, data: bytes, magic: int, n_dims: int, what: str) -> np.nda
     if got > size:
         raise IdxFormatError(f"{path}: {got - size} bytes after the {what}")
     return np.frombuffer(data, dtype=np.uint8, count=size, offset=header).reshape(shape)
-
-
-def read_idx_images(path) -> np.ndarray:
-    """Parse an IDX image file into a (n, rows, cols) uint8 array."""
-    return _decode_idx(path, Path(path).read_bytes(), *_IMAGE_FORMAT)
-
-
-def read_idx_labels(path) -> np.ndarray:
-    """Parse an IDX label file into a (n,) uint8 array."""
-    return _decode_idx(path, Path(path).read_bytes(), *_LABEL_FORMAT)
 
 
 # The last pair load_idx decoded: the training pool that prepare, train and

@@ -222,22 +222,11 @@ def filter_pair(X: np.ndarray, labels: np.ndarray, pair: tuple[int, int]):
     return X[mask], y
 
 
-def _fold(X: np.ndarray, y: np.ndarray, hyper: TrainHyper, dtype=np.float64):
-    """_gd_masked's data for rows X with +/-1 labels y: (Xy, Xyc) = (y*X, y*X * lr/n).
-
-    Both are of dtype and keep X's memory order. Folding y into the rows is
-    exact: y = +/-1 only flips signs. Each is rounded to dtype once, from float64.
-    """
-    Xy = X * y[:, None]
-    Xyc = Xy * (hyper.learning_rate / len(y))
-    return Xy.astype(dtype, copy=False), Xyc.astype(dtype, copy=False)
-
-
-def _gd_masked(Xy: np.ndarray, Xyc: np.ndarray, W: np.ndarray, mask: np.ndarray,
+def _gd_masked(Xy: np.ndarray, W: np.ndarray, mask: np.ndarray,
                hyper: TrainHyper, epochs: int) -> np.ndarray:
     """Train a batch of linear-logistic models simultaneously, in place.
 
-    Xy and Xyc are _fold's data for the training rows, (n, k) or a (..., n, k)
+    Xy is _pair_problem's y * X of the training rows, (n, k) or a (..., n, k)
     stack. Row c of W (float64, C-contiguous, (..., C, k)) is one model and is
     updated in place; entries where mask (C, k) is False must be zero on
     entry and stay zero, which makes row c equivalent to a model trained
@@ -245,7 +234,8 @@ def _gd_masked(Xy: np.ndarray, Xyc: np.ndarray, W: np.ndarray, mask: np.ndarray,
 
     Each epoch is the full-batch step W <- (W - lr*(l2*W - M/n)) * mask with
     M = (y * sigma(-y * (X @ W.T))).T @ X, re-associated as
-    W <- W*(1 - lr*l2) + (sigma(-(Xy @ W.T)).T @ Xyc) * mask with _sigma_neg:
+    W <- W*(1 - lr*l2) + (sigma(-(Xy @ W.T)).T @ Xy) * step with _sigma_neg,
+    where step = mask * (lr/n) in the data's dtype, formed once per call:
     nine numpy calls for the whole stack. That equals the direct form up to
     rounding, not bit for bit; each slice of a stack gets the BLAS call it
     would get alone, so it trains bit for bit as alone.
@@ -258,12 +248,13 @@ def _gd_masked(Xy: np.ndarray, Xyc: np.ndarray, W: np.ndarray, mask: np.ndarray,
     Wp, G = np.empty(W.shape, Xy.dtype), np.empty(W.shape, Xy.dtype)  # W in the data's dtype
     V = np.empty(W.shape[:-2] + (Xy.shape[-2], W.shape[-2]), Xy.dtype)  # margins, then sigma(-u)
     with np.errstate(over="ignore", invalid="ignore"):
+        step = (mask * (hyper.learning_rate / Xy.shape[-2])).astype(Xy.dtype)
         for _ in range(epochs):
             np.copyto(Wp, W)
             np.matmul(Xy, Wp.swapaxes(-1, -2), out=V)
             _sigma_neg(V)
-            np.matmul(V.swapaxes(-1, -2), Xyc, out=G)
-            G *= mask
+            np.matmul(V.swapaxes(-1, -2), Xy, out=G)
+            G *= step
             W *= decay
             W += G
     return W
@@ -388,8 +379,10 @@ def _train_pairs(X: np.ndarray, labels: np.ndarray, tasks: list,
                 raise TrainingDivergedError(
                     f"pair {pair}: weights became non-finite; lower the learning rate")
             # Xy = y * X, so with labels 1 the margins are the label-signed
-            # ones and the loss is the same.
-            if not np.isfinite(logistic_loss(w, Xy, 1.0, hyper.l2_lambda)):
+            # ones and the loss is the same; too-large weights make it inf or NaN.
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = logistic_loss(w, Xy, 1.0, hyper.l2_lambda)
+            if not np.isfinite(loss):
                 raise TrainingDivergedError(f"pair {pair}: final loss is non-finite")
             classifiers.append(BinaryClassifier(pair, features, w.copy()))
     return classifiers
@@ -415,6 +408,19 @@ def check_pair_rows(pairs: list, labels: np.ndarray, part="validation", key="val
                          f"split.{key} (now {len(labels)})")
 
 
+def _candidate_rows(train_y: np.ndarray, pair: tuple[int, int], spec: SBSSpec) -> np.ndarray:
+    """Indices of the pair's first spec.candidate_rows training rows; a ValueError
+    names the pair if they hold one digit only, on which elimination cannot rank."""
+    rows = np.flatnonzero((train_y == pair[0]) | (train_y == pair[1]))
+    capped = rows[: spec.candidate_rows]
+    if len(set(train_y[capped].tolist())) == 1:
+        key, now = (("sbs.candidate_rows", spec.candidate_rows) if len(capped) < len(rows)
+                    else ("split.train_count", len(train_y)))
+        raise ValueError(f"pair {tuple(pair)}: its first {len(capped)} training rows hold one "
+                         f"digit; raise {key} (now {now})")
+    return capped
+
+
 def sbs_select(pairs: list, train_x: np.ndarray, train_y: np.ndarray,
                val_x: np.ndarray, val_y: np.ndarray,
                hyper: TrainHyper = TrainHyper(), spec: SBSSpec = SBSSpec(),
@@ -425,29 +431,30 @@ def sbs_select(pairs: list, train_x: np.ndarray, train_y: np.ndarray,
     (that feature removed), records the validation accuracy of the best
     candidate (ties break toward the lowest feature index) and drops its
     feature. The pair's subset is the smallest recorded one whose accuracy
-    is at least best-seen minus spec.tolerance. The pairs' candidate row
-    counts must be equal (see sbs_blocks): their folded rows are one float32
-    (B, n, d) stack of Fortran-ordered slices, so each pair's trail is bit
-    for bit its trail alone (see _gd_masked). A round removes the eliminated
-    column in place, for the next round's leading [..., :k] view. Accuracy
-    is an exact hit count over n_val. Returns each pair's sorted subset, or
-    with return_record its (subset, trail), a trail being (feature index
-    array, recorded accuracy) pairs.
+    is at least best-seen minus spec.tolerance. The pairs' candidate rows
+    must be equal in number (see sbs_blocks) and hold both digits of their
+    pair. _pair_problem folds them, as for the final training, into one
+    float32 (B, n, d) stack of Fortran-ordered slices, so each pair's trail
+    is bit for bit its trail alone (see _gd_masked). A round removes the
+    eliminated column in place, for the next round's leading [..., :k] view.
+    Accuracy is an exact hit count over n_val. Returns each pair's sorted
+    subset, or with return_record its (subset, trail), a trail being
+    (feature index array, recorded accuracy) pairs.
     """
     check_pair_rows(pairs, train_y, "training", "train_count")
     check_pair_rows(pairs, val_y)
-    folded = [_fold(X[: spec.candidate_rows], y[: spec.candidate_rows], hyper, np.float32)
-              for X, y in (filter_pair(train_x, train_y, pair) for pair in pairs)]
+    B, d = len(pairs), train_x.shape[1]
+    rows = [_candidate_rows(train_y, pair, spec) for pair in pairs]
+    folded = [_pair_problem(train_x[r], train_y[r], p, range(d))[1] for p, r in zip(pairs, rows)]
     val = [(np.asfortranarray(X), y, np.count_nonzero(y < 0))
            for X, y in (filter_pair(val_x, val_y, pair) for pair in pairs)]
-    (B, d), n = (len(pairs), train_x.shape[1]), len(folded[0][0])
-    if any(len(Xy) != n for Xy, _ in folded):
+    if len({len(Xy) for Xy in folded}) > 1:
         raise ValueError("the pairs of a block must have equal candidate row counts")
-    Xy, Xyc = (np.ascontiguousarray([f[i].T for f in folded]).swapaxes(1, 2) for i in range(2))
+    Xy = np.ascontiguousarray([f.T for f in folded]).swapaxes(1, 2)
     weights, keep, active = np.empty(B * d * d), ~np.eye(d, dtype=bool), np.tile(range(d), (B, 1))
 
     def descend(W, mask, epochs):
-        _gd_masked(Xy[..., :W.shape[-1]], Xyc[..., :W.shape[-1]], W, mask, hyper, epochs)
+        _gd_masked(Xy[..., :W.shape[-1]], W, mask, hyper, epochs)
         for pair in (p for p, ok in zip(pairs, np.isfinite(W).all(axis=(1, 2))) if not ok):
             raise TrainingDivergedError(f"pair {pair}: weights became non-finite; "
                                         "lower the learning rate")
@@ -466,7 +473,7 @@ def sbs_select(pairs: list, train_x: np.ndarray, train_y: np.ndarray,
             hits = n_neg + y @ (Xv[:, :k] @ W[b].T >= 0)  # +1 rows hit at >= 0, -1 below
             j = int(np.argmax(hits))
             parent[b, :k] = W[b, j]
-            for X in (parent[b], active[b], Xy[b], Xyc[b], Xv):
+            for X in (parent[b], active[b], Xy[b], Xv):
                 _drop_column(X, j, k)
             records[b].append((active[b, : k - 1].copy(), float(hits[j] / len(y))))
     return [(pick_subset(r, spec), r) if return_record else pick_subset(r, spec) for r in records]
@@ -512,9 +519,9 @@ def build_ovo(train_x: np.ndarray, train_y: np.ndarray,
 
 def sbs_blocks(train_y: np.ndarray, spec: SBSSpec, d: int) -> list[list]:
     """The 45 pairs in sbs_select's blocks: runs of consecutive pairs with equal
-    candidate row counts n whose float32 data (n x d twice a pair) fits _BLOCK_BYTES."""
-    rows = [min(np.count_nonzero((train_y == a) | (train_y == b)),
-                spec.candidate_rows or len(train_y)) for a, b in all_pairs()]
+    candidate row counts n whose float32 data and margins (n x d each a pair) fit
+    _BLOCK_BYTES. A ValueError names the first pair whose candidate rows hold one digit."""
+    rows = [len(_candidate_rows(train_y, pair, spec)) for pair in all_pairs()]
     return _blocks(all_pairs(), [8 * n * d for n in rows], rows)
 
 

@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,40 @@ class TestSelect:
                              rf"split.val_count \(now {val_count}\)", err), err
         assert {name: (out / name).read_bytes() for name in before} == before
         assert not (out / "model_sbs.json").exists()
+
+    def test_candidate_rows_of_one_digit_exit_4_before_selection(self, workdir, monkeypatch,
+                                                                 capsys):
+        # One candidate row holds one digit: `select` eliminated on it and exited 0
+        # with ~1 feature a pair. The error names the first such pair and the key.
+        assert run(["train", "-c", workdir["config"]]) == 0
+        doc = dict(workdir["doc"], sbs=dict(workdir["doc"]["sbs"], candidate_rows=1))
+        path = workdir["tmp"] / "one_row.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(trainer, "_gd_masked", lambda *a, **kw: pytest.fail("selection ran"))
+        assert run(["select", "-c", path]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.search(r"pair \(0, 1\): its first 1 training rows hold one digit; raise "
+                         r"sbs.candidate_rows \(now 1\)", err), err
+        assert "empty" not in err
+        assert not (workdir["tmp"] / "out" / "model_sbs.json").exists()
+
+    @pytest.mark.parametrize("hyper,codes,message", [
+        # Elimination's step lr/n overflows float32: `select` warned "overflow
+        # encountered in cast" before naming the pair.
+        ({"learning_rate": 1e42, "max_epochs": 1}, [0, cli.EXIT_COMPUTE], "weights became"),
+        # The weights are finite but their loss is not: `train` warned from the check.
+        ({"learning_rate": 1e300, "l2_lambda": 0, "max_epochs": 1}, [cli.EXIT_COMPUTE],
+         "final loss is non-finite"),
+    ], ids=["select", "train"])
+    def test_overflowing_learning_rate_exits_3_without_warnings(self, workdir, capsys, hyper,
+                                                                codes, message):
+        path = workdir["tmp"] / "overflow.json"
+        path.write_text(json.dumps(dict(workdir["doc"], hyper=hyper)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [run([stage, "-c", path]) for stage in ("train", "select")[:len(codes)]]
+        assert got == codes
+        assert message in capsys.readouterr().err
 
     def test_select_reduces_features(self, workdir):
         run(["train", "-c", workdir["config"]])
@@ -656,6 +691,16 @@ class TestRunAll:
         assert np.sum(metrics["confusion"]) == 60
         report = json.loads((out / "report.json").read_text())
         assert report["metrics"]["analog"]["accuracy"] == metrics["accuracy"]
+
+    def test_run_all_full_resolution_with_selection_exits_4_before_prepare(self, workdir,
+                                                                          capsys):
+        # Selection needs the 64-feature space: run-all prepared and trained at
+        # 784 features before `select` rejected them.
+        assert run(["run-all", "-c", workdir["config"], "--feature-space", 784]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "feature_space 784" in err and "sbs.enabled" in err and "--no-sbs" in err
+        for name in ("prepare.json", "model.json"):
+            assert not (workdir["tmp"] / "out" / name).exists(), name
 
     def test_run_all_does_not_import_numpy_ma(self, workdir):
         # np.unique imports numpy.ma (~11 ms) through np.ma.is_masked; no stage

@@ -34,13 +34,13 @@ class TestLoadIdx:
         path = tmp_path / "bad-images"
         synth.write_idx_images(path, images, magic=0x1234)
         with pytest.raises(IdxFormatError, match="magic"):
-            dataset.read_idx_images(path)
+            dataset._decode_idx(path, path.read_bytes(), *dataset._IMAGE_FORMAT)
 
     def test_label_magic_rejected_for_images(self, tmp_path):
         images, labels = synth.make_corpus(10, seed=0)
         img_path, lab_path = synth.write_idx_pair(tmp_path, images, labels, "x")
         with pytest.raises(IdxFormatError, match="magic"):
-            dataset.read_idx_images(lab_path)
+            dataset._decode_idx(lab_path, Path(lab_path).read_bytes(), *dataset._IMAGE_FORMAT)
 
     def test_truncated_payload(self, tmp_path):
         images, labels = synth.make_corpus(10, seed=0)
@@ -49,7 +49,7 @@ class TestLoadIdx:
         raw = path.read_bytes()
         path.write_bytes(raw[:-100])
         with pytest.raises(IdxFormatError, match="truncated"):
-            dataset.read_idx_images(path)
+            dataset._decode_idx(path, path.read_bytes(), *dataset._IMAGE_FORMAT)
 
     def test_gzip_flipped_byte_fails_crc(self, tmp_path):
         images, _ = synth.make_corpus(20, seed=0)
@@ -59,7 +59,7 @@ class TestLoadIdx:
         raw[len(raw) // 2] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(IdxFormatError, match="gzip"):
-            dataset.read_idx_images(path)
+            dataset._decode_idx(path, path.read_bytes(), *dataset._IMAGE_FORMAT)
 
     def test_gzip_truncated_to_half(self, tmp_path):
         images, _ = synth.make_corpus(20, seed=0)
@@ -68,7 +68,7 @@ class TestLoadIdx:
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) // 2])
         with pytest.raises(IdxFormatError, match="gzip"):
-            dataset.read_idx_images(path)
+            dataset._decode_idx(path, path.read_bytes(), *dataset._IMAGE_FORMAT)
 
     def test_bytes_after_payload_rejected(self, tmp_path):
         _, labels = synth.make_corpus(20, seed=0)
@@ -76,7 +76,7 @@ class TestLoadIdx:
         synth.write_idx_labels(path, labels)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(IdxFormatError, match="1 bytes after"):
-            dataset.read_idx_labels(path)
+            dataset._decode_idx(path, path.read_bytes(), *dataset._LABEL_FORMAT)
 
     def test_count_mismatch(self, tmp_path):
         images, labels = synth.make_corpus(20, seed=0)

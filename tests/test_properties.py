@@ -15,12 +15,8 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 import synth  # noqa: E402
 from senseline import line_sim  # noqa: E402
-from senseline.dataset import (  # noqa: E402
-    CountMismatchError,
-    IdxFormatError,
-    read_idx_images,
-    read_idx_labels,
-)
+from senseline import dataset  # noqa: E402
+from senseline.dataset import CountMismatchError, IdxFormatError  # noqa: E402
 from senseline.device import DeviceParams  # noqa: E402
 from senseline.line_sim import LineTiming, simulate_batch, simulate_digit  # noqa: E402
 from senseline.quantizer import QuantSpec  # noqa: E402
@@ -223,7 +219,7 @@ def idx_files(scratch_dir):
 
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(["images", "labels"]), compress=st.booleans(), data=st.data())
-def test_corrupt_idx_raises_only_format_errors(scratch_dir, idx_files, kind, compress, data):
+def test_corrupt_idx_raises_only_format_errors(idx_files, kind, compress, data):
     # A random truncation or byte flip. A raw file may load changed values; a
     # gzip file's CRC and length guard it, so it loads its original or fails.
     raw, original = idx_files[kind, compress]
@@ -233,11 +229,9 @@ def test_corrupt_idx_raises_only_format_errors(scratch_dir, idx_files, kind, com
         bad = bytearray(raw)
         bad[data.draw(st.integers(0, len(raw) - 1), label="position")] ^= \
             data.draw(st.integers(1, 255), label="xor mask")
-    path = scratch_dir / "fuzzed"
-    path.write_bytes(bytes(bad))
-    read = read_idx_images if kind == "images" else read_idx_labels
+    fmt = dataset._IMAGE_FORMAT if kind == "images" else dataset._LABEL_FORMAT
     try:
-        loaded = read(path)
+        loaded = dataset._decode_idx("fuzzed", bytes(bad), *fmt)
     except (IdxFormatError, CountMismatchError):
         return
     if compress:

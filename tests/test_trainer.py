@@ -123,7 +123,7 @@ class TestGradient:
         mask = rng.random((3, 5)) > 0.3
         W0 = rng.normal(size=(3, 5)) * mask
         hyper = TrainHyper(learning_rate=0.3, l2_lambda=0.05)
-        W1 = trainer._gd_masked(*trainer._fold(X, y, hyper), W0.copy(), mask, hyper, epochs=1)
+        W1 = trainer._gd_masked(X * y[:, None], W0.copy(), mask, hyper, epochs=1)
         for w0, w1, keep in zip(W0, W1, mask):
             step = w0 - hyper.learning_rate * logistic_grad(w0, X, y, hyper.l2_lambda)[0]
             np.testing.assert_allclose(w1, step * keep, rtol=1e-12, atol=1e-15)
@@ -202,8 +202,7 @@ class TestTrainLogistic:
         k = 10
         mask = ~np.eye(k, dtype=bool)
         W = np.zeros((k, k))
-        Xy, Xyc = trainer._fold(Xp, yp, hyper)
-        assert trainer._gd_masked(Xy, Xyc, W, mask, hyper, 40) is W  # in place
+        assert trainer._gd_masked(Xp * yp[:, None], W, mask, hyper, 40) is W  # in place
         mask_rows = (ty == pair[0]) | (ty == pair[1])
         labels = ty[mask_rows][:300]
         for c in (0, 4, 9):
@@ -333,7 +332,7 @@ class TestKernelMatchesReference:
     def test_gd_masked_equals_reference(self, k, n, layout):
         X, y, hyper, parent = gd_masked_problem(k, n, layout)
         for mask in (np.ones((1, k), dtype=bool), ~np.eye(k, dtype=bool)):
-            W = trainer._gd_masked(*trainer._fold(X, y, hyper), parent * mask, mask, hyper, 12)
+            W = trainer._gd_masked(X * y[:, None], parent * mask, mask, hyper, 12)
             ref = gd_masked_reference(X, y, np.tile(parent, (len(mask), 1)), mask, hyper, 12)
             np.testing.assert_allclose(W, ref, rtol=1e-10, atol=1e-12)
             assert np.all(W[~mask] == 0.0)
@@ -345,10 +344,9 @@ class TestKernelMatchesReference:
         # float64 weights. Tolerance: 5e-4 relative to max(|ref|, 1e-3); the
         # worst case measured over these cases is 6.5e-5.
         X, y, hyper, parent = gd_masked_problem(k, n, layout)
-        Xy, Xyc = trainer._fold(X, y, hyper, np.float32)
-        assert Xy.dtype == Xyc.dtype == np.float32
+        Xy = (X * y[:, None]).astype(np.float32)
         for mask in (np.ones((1, k), dtype=bool), ~np.eye(k, dtype=bool)):
-            W = trainer._gd_masked(Xy, Xyc, parent * mask, mask, hyper, 12)
+            W = trainer._gd_masked(Xy, parent * mask, mask, hyper, 12)
             ref = gd_masked_reference(X, y, np.tile(parent, (len(mask), 1)), mask, hyper, 12)
             assert W.dtype == np.float64
             np.testing.assert_allclose(W, ref, rtol=5e-4, atol=5e-7)
@@ -362,8 +360,7 @@ class TestKernelMatchesReference:
         hyper = TrainHyper(learning_rate=1e-5, l2_lambda=1e-3)
         mask = ~np.eye(64, dtype=bool)
         W0 = parent * mask
-        W = trainer._gd_masked(*trainer._fold(X, y, hyper, np.float32), W0.copy(), mask,
-                               hyper, 12)
+        W = trainer._gd_masked((X * y[:, None]).astype(np.float32), W0.copy(), mask, hyper, 12)
         ref_moved = gd_masked_reference(X, y, np.tile(parent, (64, 1)), mask, hyper, 12) - W0
         np.testing.assert_allclose(W - W0, ref_moved, rtol=0,
                                    atol=1e-4 * np.abs(ref_moved).max())
@@ -602,6 +599,27 @@ class TestBlocks:
         with pytest.raises(ValueError, match=r"pair \(2, 3\) has no training rows; "
                                              r"raise split.train_count"):
             trainer.sbs_select([(0, 1), (2, 3)], tx[keep], ty[keep], vx, vy)
+
+    def test_candidate_rows_of_one_digit_rejected(self, synth_features, monkeypatch):
+        # At one candidate row a pair eliminated on one digit's row and kept ~1
+        # feature. Selection and build_ovo reject it before any training.
+        (tx, ty), (vx, vy), _ = synth_features
+        spec = SBSSpec(candidate_rows=1)
+        for name in ("_gd_masked", "_train_pairs"):
+            monkeypatch.setattr(trainer, name, lambda *a, **kw: pytest.fail("training ran"))
+        for first, call in (("2, 3", lambda: trainer.sbs_select([(2, 3)], tx, ty, vx, vy,
+                                                                 spec=spec)),
+                            ("0, 1", lambda: trainer.build_ovo(tx, ty, vx, vy, sbs=spec))):
+            with pytest.raises(ValueError, match=rf"pair \({first}\): its first 1 training rows "
+                                                 r"hold one digit; raise sbs.candidate_rows "
+                                                 r"\(now 1\)"):
+                call()
+        # Below the cap, all of the pair's rows hold one digit: the split is at fault.
+        keep = ty != 3
+        with pytest.raises(ValueError, match=rf"pair \(2, 3\): its first "
+                                             rf"{np.count_nonzero(ty == 2)} training rows hold one "
+                                             rf"digit; raise split.train_count \(now {keep.sum()}\)"):
+            trainer.sbs_select([(2, 3)], tx[keep], ty[keep], vx, vy)
 
     def test_pair_without_validation_rows_rejected(self, synth_features, monkeypatch):
         # Its accuracy would be 0/0; no training runs.
