@@ -7,7 +7,7 @@ ambipolar device array -> transient sensing-line simulation and metrics.
 
 from .dataset import GridSpec, LabeledImageSet, SplitSpec, downsample, load_idx, normalize
 from .device import DeviceParams, channel_current, region_of
-from .line_sim import ClassificationTrace, LineTiming, simulate_batch, simulate_digit
+from .line_sim import LineTiming, simulate_batch
 from .quantizer import QuantSpec, level_to_vbg, level_to_vtg, quantize_unit, weight_levels
 from .system import (
     MetricsReport,

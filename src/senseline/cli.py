@@ -23,7 +23,7 @@ import numpy as np
 from . import dataset, system, trainer
 from .config import RunConfig, config_from_dict, config_hash
 from .dataset import CountMismatchError, IdxFormatError
-from .line_sim import simulate_digit
+from .line_sim import simulate_batch
 from .quantizer import quantize_unit
 from .trainer import TrainingDivergedError, tally_votes
 
@@ -290,16 +290,15 @@ def _evaluate(cfg: RunConfig, sysc: system.SystemConfig, test) -> system.Metrics
     return report
 
 
-def _trace_rows(i: int, pairs, line_traces) -> str:
+def _trace_rows(i: int, pairs, times, voltages) -> str:
     """One digit's traces.csv rows, as csv.writer writes them (no quoting, \\r\\n ends).
 
-    Every line of a digit shares one time axis, so it is formatted once;
-    `%.6f` of a float is `f"{v:.6f}"`.
+    times is the formatted time axis that every line shares, voltages the
+    digit's (n_steps + 1, lines) record; `%.6f` of a float is `f"{v:.6f}"`.
     """
-    times = [f"{t:.3e}" for t in line_traces[0][:, 0].tolist()]
     rows = []
-    for (a, b), tr in zip(pairs, line_traces):
-        rows += map(f"{i},{a}-{b},%s,%.6f\r\n".__mod__, zip(times, tr[:, 1].tolist()))
+    for (a, b), v in zip(pairs, voltages.T.tolist()):
+        rows += map(f"{i},{a}-{b},%s,%.6f\r\n".__mod__, zip(times, v))
     return "".join(rows)
 
 
@@ -313,18 +312,22 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
     records = []
     if mode == "analog":
-        trace_digits = []
-        for i in range(n_trace):
-            rec = simulate_digit(sysc, levels=test_levels[i], record_traces=True)
-            records.append({"index": i, "true_label": int(test_y[i]),
-                            "predicted": rec.predicted, "tally": rec.tally.tolist(),
-                            "votes": rec.votes.tolist(), "energy_j": rec.energy})
-            trace_digits.append(_trace_rows(i, sysc.pairs, rec.line_traces))
+        if n_trace:  # one traced call for every trace digit, and their shared time axis
+            res = simulate_batch(sysc, levels=test_levels[:n_trace], record_traces=True)
+            t = np.arange(sysc.timing.n_steps + 1) * sysc.timing.dt
+            times = [f"{v:.3e}" for v in t.tolist()]
         with open(_out(cfg, "traces.csv"), "w", newline="") as tf:
             tf.write(f"# config_hash={config_hash(cfg)}\n")
             csv.writer(tf).writerow(["digit_index", "pair", "t_seconds", "v_sen"])
-            tf.writelines(trace_digits)
+            for i in range(n_trace):
+                records.append({"index": i, "true_label": int(test_y[i]),
+                                "predicted": int(res.predictions[i]),
+                                "tally": res.tallies[i].tolist(), "votes": res.votes[i].tolist(),
+                                "energy_j": float(res.energies[i])})
+                tf.write(_trace_rows(i, sysc.pairs, times, res.line_traces[:, i]))
     else:
+        # An earlier analog run's traces would not match these records.
+        pathlib.Path(cfg.out_dir, "traces.csv").unlink(missing_ok=True)
         X, levels = _head(n_trace, test_x, test_levels)
         votes = system.digital_votes(sysc, X, mode, levels=levels)
         tallies, preds = tally_votes(sysc.pairs, votes)

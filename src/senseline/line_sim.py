@@ -46,9 +46,9 @@ down current d min(x / D, 1) sums to N d dt for D <= V/2, and to
 d dt (N - m + (m V/2 + g (m - sum_{k<m} b^k)) / D) for D > V/2. A rising
 line draws the up charge from VDD, a falling or tied one the down charge
 (N p dt for D <= V/2: its inflow never leaves its clamp). simulate_batch
-evaluates the last step for blocks of rows; simulate_digit evaluates the
-same expressions at every step, so a trace ends on the batch final bit
-for bit.
+evaluates the last step for blocks of rows and, when asked to record
+traces, the same expressions at every step, so a trace ends on its row's
+final bit for bit.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ if TYPE_CHECKING:
     from .system import SystemConfig
 
 # Digits evaluated together. Each of a block's elementwise temporaries is
-# 45 x rows float64, so the working set stays small whatever the batch size.
+# 45 x rows float64 ((n_steps + 1) x 45 x rows while recording traces), so
+# the working set stays small whatever the batch size.
 BLOCK_ROWS = 512
 
 
@@ -115,8 +116,8 @@ def check_euler_stability(s: SystemConfig):
     """Reject an analog simulation whose explicit-Euler step can overshoot.
 
     Every line's euler_factor, taken at its summed device drives
-    sum |L| / max_level, must lie in (0, 1] (NaN does not). Both simulators
-    call this; digital evaluation does not step the lines.
+    sum |L| / max_level, must lie in (0, 1] (NaN does not). simulate_batch
+    calls this; digital evaluation does not step the lines.
     """
     drive_sum = np.abs(s.L).sum(axis=0) / s.quant.max_level
     factor = euler_factor(s.timing, s.params, drive_sum)
@@ -128,18 +129,6 @@ def check_euler_stability(s: SystemConfig):
                          "lower line.dt or raise line.c_line")
 
 
-@dataclass
-class ClassificationTrace:
-    """Outcome of pushing one digit through all 45 lines."""
-
-    votes: np.ndarray           # (45,) of +/-1, classifier order
-    tally: np.ndarray           # (10,) votes per class, sums to 45
-    predicted: int
-    energy: float               # joules, MAC array + line precharge only
-    line_finals: np.ndarray     # (45,) final line voltages
-    line_traces: list[np.ndarray] | None = None
-
-
 def precharge_energy(timing: LineTiming, vdd: float) -> float:
     # Worst-case refill of one line's half-swing each cycle.
     return timing.c_line * (vdd / 2) ** 2
@@ -147,11 +136,16 @@ def precharge_energy(timing: LineTiming, vdd: float) -> float:
 
 @dataclass
 class BatchResult:
-    votes: np.ndarray        # (n, 45)
-    tallies: np.ndarray      # (n, 10)
+    """Outcome of pushing n digits through every line, in classifier order."""
+
+    votes: np.ndarray        # (n, 45) of +/-1
+    tallies: np.ndarray      # (n, 10) votes per class, each row sums to 45
     predictions: np.ndarray  # (n,)
-    energies: np.ndarray     # (n,)
-    line_finals: np.ndarray  # (n, 45)
+    energies: np.ndarray     # (n,) joules, MAC array + line precharge only
+    line_finals: np.ndarray  # (n, 45) final line voltages
+    # (n_steps + 1, n, 45) line voltages at t = j * dt from the release of
+    # the precharge at vdd/2, or None unless traces were recorded.
+    line_traces: np.ndarray | None = None
 
 
 def feature_levels(s: SystemConfig, X=None, levels=None) -> np.ndarray:
@@ -236,55 +230,49 @@ def _lines(s: SystemConfig, levels: np.ndarray, record: bool):
     return finals, q, voltages
 
 
-def _result(s: SystemConfig, finals: np.ndarray, charge: np.ndarray) -> BatchResult:
+def _result(s: SystemConfig, finals: np.ndarray, charge: np.ndarray,
+            traces: np.ndarray | None) -> BatchResult:
     """Votes, tallies and energies of (n, lines) final voltages and (n,) total charges."""
     vdd = s.quant.vdd
     votes = np.where(finals >= vdd / 2, 1, -1)
     tallies, preds = tally_votes(s.pairs, votes)
     e_pre = sum(precharge_energy(s.timing, vdd) for _ in s.pairs)
     return BatchResult(votes=votes, tallies=tallies, predictions=preds,
-                       energies=vdd * charge + e_pre, line_finals=finals)
+                       energies=vdd * charge + e_pre, line_finals=finals, line_traces=traces)
 
 
 def simulate_batch(s: SystemConfig, X: np.ndarray | None = None, *,
-                   levels: np.ndarray | None = None) -> BatchResult:
+                   levels: np.ndarray | None = None, record_traces: bool = False) -> BatchResult:
     """Transient-evaluate a batch over all lines: normalized inputs X, or their feature levels.
 
-    Row i equals simulate_digit on the same input bit for bit. Raises the
-    ValueError of check_euler_stability for an unstable array, and that of
-    feature_levels for inputs it rejects.
+    A row's results do not depend on the other rows or on BLOCK_ROWS. With
+    record_traces, line_traces holds every step of every row's lines, and
+    each trace ends on its line_finals bit for bit. Deterministic. Raises
+    the ValueError of check_euler_stability for an unstable array, and that
+    of feature_levels for inputs it rejects.
     """
     check_euler_stability(s)
     levels = np.atleast_2d(feature_levels(s, X, levels))
     finals = np.empty((len(levels), len(s.pairs)))
     charge = np.empty(len(levels))
+    traces = np.empty((s.timing.n_steps + 1, *finals.shape)) if record_traces else None
     for lo in range(0, len(levels), BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
-        finals[rows], q, _ = _lines(s, levels[rows], record=False)
-        # C-ordered, so a row's lines add in the same pairwise order as one digit's.
+        finals[rows], q, voltages = _lines(s, levels[rows], record_traces)
+        if record_traces:
+            traces[:, rows] = voltages
+        # Each row's lines add along a contiguous row, whatever the block.
         charge[rows] = q.sum(axis=1)
-    return _result(s, finals, charge)
+    return _result(s, finals, charge, traces)
 
 
 def simulate_digit(s: SystemConfig, x: np.ndarray | None = None, record_traces: bool = False,
-                   *, levels: np.ndarray | None = None) -> ClassificationTrace:
-    """Classify one input through every line: a normalized x, or its feature levels.
+                   *, levels: np.ndarray | None = None) -> BatchResult:
+    """The one-row simulate_batch of one input: a normalized x, or its feature levels.
 
-    With record_traces, line_traces[k] is line k's (n_steps + 1, 2) record
-    of columns t, v_sen, sampled at t = j * dt from the release of the
-    precharge at vdd/2. Deterministic.
+    No pipeline stage calls it; perfbench/spans.py still looks the name up.
     """
     row = feature_levels(s, x, levels)
     if row.ndim != 1:
         raise ValueError(f"expected a ({s.L.shape[0]},) feature vector, got shape {row.shape}")
-    check_euler_stability(s)
-    finals, q, voltages = _lines(s, row[None, :], record_traces)
-    res = _result(s, finals, q.sum(axis=1))
-    traces = None
-    if record_traces:
-        t = np.arange(s.timing.n_steps + 1) * s.timing.dt
-        traces = [np.column_stack([t, voltages[:, 0, k]]) for k in range(len(s.pairs))]
-    return ClassificationTrace(votes=res.votes[0], tally=res.tallies[0],
-                               predicted=int(res.predictions[0]),
-                               energy=float(res.energies[0]),
-                               line_finals=res.line_finals[0], line_traces=traces)
+    return simulate_batch(s, levels=row[None, :], record_traces=record_traces)

@@ -20,7 +20,7 @@ from conftest import PROCESS_CACHES, clear_process_caches
 from outdiff import out_dir_diff
 from senseline import cli, dataset, system, trainer
 from senseline.config import config_from_dict, config_hash
-from senseline.line_sim import LineTiming, simulate_digit
+from senseline.line_sim import LineTiming, simulate_batch
 from senseline.quantizer import QuantSpec, quantize_unit
 
 
@@ -229,6 +229,17 @@ class TestPipelineArtifacts:
         assert not (out / "traces.csv").exists()
         assert (out / "metrics_digital-float.json").exists()
 
+    @pytest.mark.parametrize("mode", ["digital-quantized", "digital-float"])
+    def test_digital_simulate_deletes_analog_traces(self, trained, mode):
+        # The analog run's traces would otherwise sit next to records of
+        # another mode and config.
+        out = trained["tmp"] / "out"
+        assert run(["simulate", "-c", trained["config"], "--mode", "analog"]) == 0
+        assert (out / "traces.csv").exists()
+        assert run(["simulate", "-c", trained["config"], "--mode", mode]) == 0
+        assert json.loads((out / "digit_records.json").read_text())["mode"] == mode
+        assert not (out / "traces.csv").exists()
+
     def test_simulate_analog_traces_and_metrics(self, trained):
         assert run(["simulate", "-c", trained["config"], "--mode", "analog"]) == 0
         out = trained["tmp"] / "out"
@@ -310,7 +321,10 @@ class TestTraceBytes:
         test_x, _ = cli._load_test_features(cfg)
         n = cfg.evaluate.trace_digits
         assert n >= 2
-        traces = [simulate_digit(sysc, x, record_traces=True).line_traces for x in test_x[:n]]
+        t = np.arange(cfg.line.n_steps + 1) * cfg.line.dt
+        traces = [[np.column_stack([t, v]) for v in
+                   simulate_batch(sysc, x[None, :], record_traces=True).line_traces[:, 0].T]
+                  for x in test_x[:n]]
         expected = csv_writer_traces(config_hash(cfg), sysc.pairs, dict(enumerate(traces)))
         assert (workdir["tmp"] / "out" / "traces.csv").read_bytes() == expected
 
@@ -319,7 +333,8 @@ class TestTraceBytes:
         v = np.array([1.5, 3.0, 2.9999996, 3.0000004, 0.0, -0.0, 4e-7, -4e-7, 1.5000005])
         line_traces = [np.column_stack([t, v]), np.column_stack([t, v[::-1]])]
         pairs = [(0, 1), (8, 9)]
-        rows = cli._trace_rows(7, pairs, line_traces).encode()
+        times = [f"{x:.3e}" for x in t]
+        rows = cli._trace_rows(7, pairs, times, np.column_stack([v, v[::-1]])).encode()
         header = b"# config_hash=h\ndigit_index,pair,t_seconds,v_sen\r\n"
         assert header + rows == csv_writer_traces("h", pairs, {7: line_traces})
         assert rows.count(b"\r\n") == 18

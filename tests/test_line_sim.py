@@ -84,10 +84,13 @@ def run_line(line, levels):
     """One traced cycle of a single line at the given feature levels.
 
     levels / 31 are the features that quantize back to exactly these levels.
-    Returns (final voltage, vote, energy, (n_steps + 1, 2) trace of t, v).
+    Returns (final voltage, vote, energy, (n_steps + 1, 2) trace of t, v),
+    with t = j * dt.
     """
-    rec = simulate_digit(line, levels / Q.max_level, record_traces=True)
-    return rec.line_finals[0], rec.votes[0], rec.energy, rec.line_traces[0]
+    res = simulate_batch(line, levels[None, :] / Q.max_level, record_traces=True)
+    t = np.arange(line.timing.n_steps + 1) * line.timing.dt
+    trace = np.column_stack([t, res.line_traces[:, 0, 0]])
+    return res.line_finals[0, 0], res.votes[0, 0], res.energies[0], trace
 
 
 class TestPrecharge:
@@ -349,13 +352,13 @@ class TestLinearShortcut:
     def test_last_step_jumps_past_the_rail(self):
         # Ten 0.16 V steps from 1.5 V at v_dsat 10 mV would leave the lines
         # at 2.94 V and 0.06 V after nine, still linear, and overshoot the
-        # rails on the tenth. The guard rejects such a step in both
-        # simulators.
+        # rails on the tenth. The guard rejects such a step, with or without
+        # traces.
         line = self.two_lines(0.16, v_dsat=0.01, t_classify=1e-10)
         with pytest.raises(ValueError, match="unstable Euler step on line 0-1"):
             simulate_batch(line, levels_all(31)[None, :] / Q.max_level)
         with pytest.raises(ValueError, match="unstable Euler step on line 0-1"):
-            simulate_digit(line, levels_all(31) / Q.max_level, record_traces=True)
+            simulate_batch(line, levels_all(31)[None, :] / Q.max_level, record_traces=True)
 
     @pytest.mark.parametrize("v_dsat", [1.5, 2.0, 3.0])
     def test_v_dsat_at_least_half_vdd_takes_no_shortcut(self, v_dsat):
@@ -413,17 +416,17 @@ class TestLevelInputs:
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert np.array_equal(quantized_margins(synth_system, X),
                               quantized_margins(synth_system, levels=levels))
-        x = simulate_digit(synth_system, X[0], record_traces=True)
-        y = simulate_digit(synth_system, record_traces=True, levels=levels[0])
-        assert x.energy == y.energy and np.array_equal(x.line_finals, y.line_finals)
-        assert all(np.array_equal(u, v) for u, v in zip(x.line_traces, y.line_traces))
+        x = simulate_batch(synth_system, X[:1], record_traces=True)
+        y = simulate_batch(synth_system, record_traces=True, levels=levels[:1])
+        assert x.energies == y.energies and np.array_equal(x.line_finals, y.line_finals)
+        assert np.array_equal(x.line_traces, y.line_traces)
 
     @pytest.mark.parametrize("call", [
         lambda s, a: simulate_batch(s, a / Q.max_level),
         lambda s, a: simulate_batch(s, levels=a),
         lambda s, a: quantized_margins(s, a / Q.max_level),
         lambda s, a: quantized_margins(s, levels=a),
-        lambda s, a: simulate_digit(s, levels=a[0]),
+        lambda s, a: simulate_batch(s, levels=a[0]),
     ], ids=["batch", "batch-levels", "margins", "margins-levels", "digit-levels"])
     def test_width_other_than_the_arrays_names_both(self, synth_system, call):
         with pytest.raises(ValueError, match=r"\(n, 64\) inputs .* got shape \((5, )?63,?\)"):
@@ -445,36 +448,51 @@ class TestLevelInputs:
 
 
 class TestSimulateDigit:
+    """One digit's row of simulate_batch, with and without its traces."""
+
     def test_tally_partition_and_cap(self, synth_system, synth_features):
         _, _, (sx, _) = synth_features
-        rec = simulate_digit(synth_system, sx[0])
-        assert rec.tally.sum() == 45
-        assert rec.tally.max() <= 9
-        assert rec.votes.shape == (45,)
+        rec = simulate_batch(synth_system, sx[:1])
+        assert rec.tallies[0].sum() == 45
+        assert rec.tallies[0].max() <= 9
+        assert rec.votes[0].shape == (45,)
 
     def test_deterministic(self, synth_system, synth_features):
         _, _, (sx, _) = synth_features
-        a = simulate_digit(synth_system, sx[1])
-        b = simulate_digit(synth_system, sx[1])
+        a = simulate_batch(synth_system, sx[1:2])
+        b = simulate_batch(synth_system, sx[1:2])
         assert np.array_equal(a.line_finals, b.line_finals)
-        assert a.energy == b.energy
-        assert a.predicted == b.predicted
+        assert a.energies == b.energies
+        assert a.predictions == b.predictions
 
     def test_input_shape_checked(self, synth_system):
         with pytest.raises(ValueError, match="64"):
-            simulate_digit(synth_system, np.zeros(63))
+            simulate_batch(synth_system, np.zeros(63))
 
     def test_traced_row_equals_batch_row(self, synth_system, synth_features):
         _, _, (sx, _) = synth_features
         batch = simulate_batch(synth_system, sx[:3])
         for i in range(3):
-            rec = simulate_digit(synth_system, sx[i], record_traces=True)
-            assert np.array_equal(rec.votes, batch.votes[i])
-            assert np.array_equal(rec.tally, batch.tallies[i])
-            assert rec.predicted == batch.predictions[i]
-            assert np.array_equal(rec.line_finals, batch.line_finals[i])
-            assert rec.energy == batch.energies[i]
-            assert np.array_equal([tr[-1, 1] for tr in rec.line_traces], batch.line_finals[i])
+            rec = simulate_batch(synth_system, sx[i:i + 1], record_traces=True)
+            assert np.array_equal(rec.votes[0], batch.votes[i])
+            assert np.array_equal(rec.tallies[0], batch.tallies[i])
+            assert rec.predictions[0] == batch.predictions[i]
+            assert np.array_equal(rec.line_finals[0], batch.line_finals[i])
+            assert rec.energies[0] == batch.energies[i]
+            assert np.array_equal(rec.line_traces[-1, 0], batch.line_finals[i])
+
+    def test_simulate_digit_is_row_0_of_the_batch(self, synth_system, synth_features):
+        _, _, (sx, _) = synth_features
+        batch = simulate_batch(synth_system, sx[:1], record_traces=True)
+        for rec in (simulate_digit(synth_system, sx[0], record_traces=True),
+                    simulate_digit(synth_system, record_traces=True,
+                                   levels=quantize_unit(sx[0], Q))):
+            for field in ("votes", "tallies", "predictions", "energies", "line_finals",
+                          "line_traces"):
+                assert np.array_equal(getattr(rec, field), getattr(batch, field))
+        assert simulate_digit(synth_system, sx[0]).line_traces is None
+        with pytest.raises(ValueError, match=r"\(64,\) feature vector"):
+            simulate_digit(synth_system, sx[:2])
 
     def test_row_blocks_do_not_change_results(self, synth_system, synth_features, monkeypatch):
         _, _, (sx, _) = synth_features
@@ -483,20 +501,33 @@ class TestSimulateDigit:
         blocked = simulate_batch(synth_system, sx[:10])
         assert np.array_equal(blocked.line_finals, whole.line_finals)
         assert np.array_equal(blocked.energies, whole.energies)
-        rec = simulate_digit(synth_system, sx[9], record_traces=True)
-        assert np.array_equal(rec.line_finals, blocked.line_finals[9])
-        assert rec.energy == blocked.energies[9]
+        rec = simulate_batch(synth_system, sx[9:10], record_traces=True)
+        assert np.array_equal(rec.line_finals[0], blocked.line_finals[9])
+        assert rec.energies[0] == blocked.energies[9]
+
+    def test_traces_stitch_across_row_blocks(self, synth_system, synth_features,
+                                             monkeypatch):
+        # Blocks of 4 rows fill 10 rows' traces in three pieces, the last
+        # one short; each row's trace is its own one-row call's.
+        _, _, (sx, _) = synth_features
+        rows = [simulate_batch(synth_system, sx[i:i + 1], record_traces=True) for i in range(10)]
+        monkeypatch.setattr(line_sim, "BLOCK_ROWS", 4)
+        blocked = simulate_batch(synth_system, sx[:10], record_traces=True)
+        assert blocked.line_traces.shape == (synth_system.timing.n_steps + 1, 10, 45)
+        assert np.array_equal(blocked.line_traces,
+                              np.concatenate([r.line_traces for r in rows], axis=1))
+        assert np.array_equal(blocked.line_traces[-1], blocked.line_finals)
+        assert np.array_equal(blocked.energies, [r.energies[0] for r in rows])
 
     def test_trace_shape_origin_and_time_grid(self, synth_system, synth_features):
+        # The time axis, t = j * dt, is formatted by `simulate` (test_cli
+        # TestTraceBytes); the record holds the voltages at those times.
         _, _, (sx, _) = synth_features
-        rec = simulate_digit(synth_system, sx[0], record_traces=True)
+        rec = simulate_batch(synth_system, sx[:1], record_traces=True)
         base = synth_system.timing
-        assert len(rec.line_traces) == len(synth_system.pairs)
-        for tr in rec.line_traces:
-            assert tr.shape == (base.n_steps + 1, 2)
-            assert tuple(tr[0]) == (0.0, Q.vdd / 2)
-            assert np.array_equal(tr[:, 0], np.arange(base.n_steps + 1) * base.dt)
-        assert simulate_digit(synth_system, sx[0]).line_traces is None
+        assert rec.line_traces.shape == (base.n_steps + 1, 1, len(synth_system.pairs))
+        assert np.all(rec.line_traces[0] == Q.vdd / 2)
+        assert simulate_batch(synth_system, sx[:1]).line_traces is None
 
 
 class TestLineConfig:

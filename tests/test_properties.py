@@ -18,7 +18,7 @@ from senseline import line_sim  # noqa: E402
 from senseline import dataset  # noqa: E402
 from senseline.dataset import CountMismatchError, IdxFormatError  # noqa: E402
 from senseline.device import DeviceParams  # noqa: E402
-from senseline.line_sim import LineTiming, simulate_batch, simulate_digit  # noqa: E402
+from senseline.line_sim import LineTiming, simulate_batch  # noqa: E402
 from senseline.quantizer import QuantSpec  # noqa: E402
 from senseline.system import (  # noqa: E402
     N_FEATURES,
@@ -165,14 +165,14 @@ def test_closed_form_votes_and_traces(case):
     res = simulate_batch(s, X)
     assert np.array_equal(res.votes, np.where(quantized_margins(s, X) >= 0, 1, -1))
     for i, x in enumerate(X):
-        rec = simulate_digit(s, x, record_traces=True)
-        v = np.array([trace[:, 1] for trace in rec.line_traces])
+        rec = simulate_batch(s, x[None, :], record_traces=True)
+        v = rec.line_traces[:, 0].T
         assert np.all(v[:, 0] == Q.vdd / 2)
         assert np.all((v >= 0) & (v <= Q.vdd))
         dv = np.diff(v, axis=1)
         assert np.all(np.all(dv >= 0, axis=1) | np.all(dv <= 0, axis=1))
         assert np.array_equal(v[:, -1], res.line_finals[i])
-        assert rec.energy == res.energies[i]
+        assert rec.energies[0] == res.energies[i]
 
 
 @st.composite
