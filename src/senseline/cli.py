@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import dataset, system, trainer
+from . import dataset, line_sim, system, trainer
 from .config import RunConfig, config_from_dict, config_hash
 from .dataset import CountMismatchError, IdxFormatError
 from .line_sim import simulate_batch
@@ -51,11 +51,11 @@ def _write_json(path, doc: dict):
 
 
 def _check_paths(cfg: RunConfig, keys):
-    paths = dataclasses.asdict(cfg.data)
     for key in keys:
-        if not os.path.isfile(paths[key]):
-            problem = "is not a regular file" if os.path.exists(paths[key]) else "not found"
-            raise FileNotFoundError(f"data file for '{key}' {problem}: {paths[key]}")
+        path = getattr(cfg.data, key)
+        if not os.path.isfile(path):
+            problem = "is not a regular file" if os.path.exists(path) else "not found"
+            raise FileNotFoundError(f"data file for '{key}' {problem}: {path}")
 
 
 def _pixels_of(cfg: RunConfig, s: dataset.LabeledImageSet) -> np.ndarray:
@@ -121,21 +121,32 @@ def _test_levels(cfg: RunConfig):
 
 
 def _test_inputs(cfg: RunConfig):
-    """(X, levels, labels) of the test split for the configured mode.
+    """The compiled array at cfg's parameters and (X, products, labels) of the test split.
 
     digital-float votes on the normalized features X; the other modes on the
-    feature levels. The input a mode does not use is None.
+    array's (P, N) level products of the test split's feature levels. The
+    input a mode does not use is None.
     """
+    sysc = _assemble(cfg)
     if cfg.evaluate.mode == "digital-float":
         X, labels = _load_test_features(cfg)
-        return X, None, labels
+        return sysc, (X, None, labels)
     levels, labels = _test_levels(cfg)
-    return None, levels, labels
+
+    def compute():
+        products = line_sim.level_products(sysc, levels)
+        for a in products:
+            a.flags.writeable = False
+        return products
+
+    return sysc, (None, _test_products.keyed((_compiled.key, _test_split.key), compute), labels)
 
 
-def _head(n, *arrays):
-    """The first n rows (all for None) of each array; None stays None."""
-    return tuple(None if a is None else a[:n] for a in arrays)
+def _head(n, test):
+    """The first n digits (all for None) of (X, products, labels); None stays None."""
+    X, products, labels = test
+    return (None if X is None else X[:n],
+            None if products is None else tuple(a[:n] for a in products), labels[:n])
 
 
 # What `select` writes from model.json; `train` deletes them as stale.
@@ -248,6 +259,11 @@ def cmd_quantize(cfg: RunConfig) -> int:
 # its own device and line parameters, sharing the one read-only L.
 _compiled = trainer.LastParse()
 
+# The compiled array's level products over the test split, which depend on
+# nothing but L and the levels: reused while _compiled and _test_split hold
+# the values they were computed from, whatever the line and device points.
+_test_products = trainer.LastParse()
+
 
 def _compile(cfg: RunConfig):
     """The model file's array at cfg's parameters, and a memoized thunk of its device lines."""
@@ -283,8 +299,8 @@ def cmd_build(cfg: RunConfig) -> int:
 def _evaluate(cfg: RunConfig, sysc: system.SystemConfig, test) -> system.MetricsReport:
     """Evaluate the configured mode on the first `subset` test digits; write its metrics."""
     mode = cfg.evaluate.mode
-    X, levels, labels = _head(cfg.evaluate.subset, *test)
-    report = system.evaluate(sysc, X, labels, mode=mode, levels=levels)
+    X, products, labels = _head(cfg.evaluate.subset, test)
+    report = system.evaluate(sysc, X, labels, mode=mode, products=products)
     _write_json(_out(cfg, f"metrics_{mode}.json"), dict(
         report.to_dict(), metadata={"config_hash": config_hash(cfg), "created": _now()}))
     return report
@@ -304,16 +320,16 @@ def _trace_rows(i: int, pairs, times, voltages) -> str:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     """Per-digit vote records (and transient traces in analog mode) + metrics."""
-    sysc = _assemble(cfg)
-    test = _test_inputs(cfg)
-    test_x, test_levels, test_y = test
+    sysc, test = _test_inputs(cfg)
+    test_y = test[2]
     mode = cfg.evaluate.mode
     n_trace = min(cfg.evaluate.trace_digits, len(test_y))
+    X, products, _ = _head(n_trace, test)
 
     records = []
     if mode == "analog":
         if n_trace:  # one traced call for every trace digit, and their shared time axis
-            res = simulate_batch(sysc, levels=test_levels[:n_trace], record_traces=True)
+            res = simulate_batch(sysc, products=products, record_traces=True)
             t = np.arange(sysc.timing.n_steps + 1) * sysc.timing.dt
             times = [f"{v:.3e}" for v in t.tolist()]
         with open(_out(cfg, "traces.csv"), "w", newline="") as tf:
@@ -328,8 +344,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     else:
         # An earlier analog run's traces would not match these records.
         pathlib.Path(cfg.out_dir, "traces.csv").unlink(missing_ok=True)
-        X, levels = _head(n_trace, test_x, test_levels)
-        votes = system.digital_votes(sysc, X, mode, levels=levels)
+        votes = system.digital_votes(sysc, X, mode, products=products)
         tallies, preds = tally_votes(sysc.pairs, votes)
         for i in range(n_trace):
             rec = {"index": i, "true_label": int(test_y[i]), "predicted": int(preds[i]),
@@ -354,8 +369,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     """Metrics JSON for the configured mode."""
-    sysc = _assemble(cfg)
-    report = _evaluate(cfg, sysc, _test_inputs(cfg))
+    report = _evaluate(cfg, *_test_inputs(cfg))
     print(f"evaluate [{cfg.evaluate.mode}]: accuracy {report.accuracy:.4f} "
           f"over {report.n_evaluated} digits")
     return 0

@@ -14,7 +14,11 @@ a device of weight level w at feature level x drives i_on * x * w /
 max_level**2, so each side is that unit times an integer level product,
 which one float64 gemm per polarity computes exactly in any summation
 order (every partial sum is an integer below 2**53): p - n is exactly 0 at
-a zero integer margin and has the margin's sign elsewhere.
+a zero integer margin and has the margin's sign elsewhere. level_products
+keeps those products in a narrow unsigned type, and the integer margins
+(system.quantized_margins) are their difference, so a caller that holds
+them, as a sweep over line and device points does for its model and test
+split, computes them once.
 
 The line follows explicit Euler over the N = t_classify / dt steps of the
 classify phase: a step adds i_in * dt to the charge q drawn from VDD, with
@@ -40,7 +44,9 @@ steps in its start regime (m = N if it never leaves it):
   V - D + s, and s < D (u - d) / u as r u < D; a both-triode x_m is below
   V/2 + g, which is at most x* if it is at least D.
 
-Powers are exp(k log1p(-rho)), precise when rho is tiny. For the charge,
+Powers are exp(k log1p(-rho)), precise when rho is tiny. The upper-regime
+tail is evaluated only at the lines that leave their start regime (m < N).
+For the charge,
 c (x_N - V/2) is the up charge less the down charge in x's frame, and the
 down current d min(x / D, 1) sums to N d dt for D <= V/2, and to
 d dt (N - m + (m V/2 + g (m - sum_{k<m} b^k)) / D) for D > V/2. A rising
@@ -48,7 +54,8 @@ line draws the up charge from VDD, a falling or tied one the down charge
 (N p dt for D <= V/2: its inflow never leaves its clamp). simulate_batch
 evaluates the last step for blocks of rows and, when asked to record
 traces, the same expressions at every step, so a trace ends on its row's
-final bit for bit.
+final bit for bit; a recording block holds as many rows as TRACE_BLOCK_BYTES
+allows.
 """
 
 from __future__ import annotations
@@ -67,9 +74,11 @@ if TYPE_CHECKING:
     from .system import SystemConfig
 
 # Digits evaluated together. Each of a block's elementwise temporaries is
-# 45 x rows float64 ((n_steps + 1) x 45 x rows while recording traces), so
-# the working set stays small whatever the batch size.
+# 45 x rows float64, so the working set stays small whatever the batch size.
 BLOCK_ROWS = 512
+# Bytes of each (n_steps + 1) x 45 x rows float64 temporary while recording
+# traces: a block holds as many rows as fit, and at least one.
+TRACE_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -170,21 +179,56 @@ def feature_levels(s: SystemConfig, X=None, levels=None) -> np.ndarray:
     return arr
 
 
-def _drive_sums(s: SystemConfig, levels: np.ndarray):
-    """(p_sum, n_sum), each (n, lines): every line's p- and n-side drive currents.
+def level_products(s: SystemConfig, levels: np.ndarray):
+    """(P, N), each (n, lines): the integer level products levels @ max(+-L, 0).
 
-    i_on / max_level**2 times levels @ max(+-L, 0) for (n, features) integer
-    feature levels. The gemms are exact (see the module docstring), so a
-    row's sums never depend on the other rows of the batch.
+    levels are (n, features) integer feature levels. Each block of
+    BLOCK_ROWS rows takes one float64 gemm per polarity, exact in any
+    summation order (every partial sum is an integer below 2**53, see
+    check_exact_sums), so a row's products never depend on the other rows.
+    They are stored in the narrowest unsigned type that holds features *
+    max_level**2: uint16 at 5 bits and 64 features.
     """
-    levels = levels.astype(np.float64)
+    n_features, n_lines = s.L.shape
+    dtype = np.min_scalar_type(n_features * s.quant.max_level ** 2)
+    sides = [np.maximum(sign * s.L, 0).astype(np.float64) for sign in (1, -1)]
+    products = tuple(np.empty((len(levels), n_lines), dtype) for _ in sides)
+    for lo in range(0, len(levels), BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        block = levels[rows].astype(np.float64)
+        for out, side in zip(products, sides):
+            out[rows] = block @ side
+    return products
+
+
+def products_of(s: SystemConfig, X, levels, products):
+    """The (P, N) level products of normalized inputs X, of feature levels, or as given.
+
+    Give exactly one (a TypeError otherwise); X and levels are checked by
+    feature_levels, and given products must be two (n, lines) arrays of
+    unsigned integers.
+    """
+    if products is None:
+        return level_products(s, np.atleast_2d(feature_levels(s, X, levels)))
+    if X is not None or levels is not None:
+        raise TypeError("give exactly one of X, levels and products")
+    P, N = products
+    if not (P.shape == N.shape and P.ndim == 2 and P.shape[1] == len(s.pairs)
+            and P.dtype.kind == N.dtype.kind == "u"):
+        raise ValueError(f"level products must be two (n, {len(s.pairs)}) unsigned integer "
+                         f"arrays, got {P.dtype}{P.shape} and {N.dtype}{N.shape}")
+    return P, N
+
+
+def _drive_sums(s: SystemConfig, P: np.ndarray, N: np.ndarray):
+    """(p, n): every line's p- and n-side drive currents, i_on / max_level**2
+    times the level products P and N, in float64."""
     unit = s.params.i_on / s.quant.max_level ** 2
-    return tuple(levels @ np.maximum(sign * s.L, 0).astype(np.float64) * unit
-                 for sign in (1, -1))
+    return tuple(np.multiply(side, unit, dtype=np.float64) for side in (P, N))
 
 
-def _lines(s: SystemConfig, levels: np.ndarray, record: bool):
-    """(finals, q, voltages) of every line for (rows, features) feature levels.
+def _lines(s: SystemConfig, P: np.ndarray, N: np.ndarray, record: bool):
+    """(finals, q, voltages) of every line for (rows, lines) level products P and N.
 
     finals and q are (rows, lines): the voltage after the last step and the
     charge drawn from VDD, by the closed form of the module docstring.
@@ -192,49 +236,67 @@ def _lines(s: SystemConfig, levels: np.ndarray, record: bool):
     vdd/2, or None unless `record`. Every expression is elementwise, so a
     row's results do not depend on the other rows.
     """
-    p, n = _drive_sums(s, levels)
+    p, n = (side.ravel() for side in _drive_sums(s, P, N))
     vdd, v_dsat, c_line, dt = s.quant.vdd, s.params.v_dsat, s.timing.c_line, s.timing.dt
     half, r, n_steps = vdd / 2, dt / c_line, s.timing.n_steps
-    u, d = np.maximum(p, n), np.minimum(p, n)
-    # m is NaN for a line that never leaves its start regime (fmin drops it),
-    # and a driveless line divides by zero in branches np.where discards.
+    d, diff = np.minimum(p, n), p - n  # diff < 0 on a falling line, +0 on a tied one
+    # The tail lines leave their start regime after m < n_steps steps, so
+    # u > d there. A tied or driveless line divides by zero, and its m is
+    # NaN or inf (fmin drops a NaN): it is no tail line.
     with np.errstate(divide="ignore", invalid="ignore"):
         if v_dsat <= half:
-            step = r * (u - d)
-            m = np.fmin(np.floor((half - v_dsat) / step) + 1, n_steps)
+            # u - d is |p - n| bit for bit, and floor(y) + 1 < n_steps
+            # exactly when y < n_steps - 1, so m is formed at the tail only.
+            step = r * np.abs(diff)
+            steps_in = (half - v_dsat) / step
+            tail = np.flatnonzero(steps_in < n_steps - 1)
+            m_t = np.floor(steps_in[tail]) + 1
             down = n_steps * dt * d
 
-            def start(k):
-                return half + k * step
+            def start(k, at=...):
+                return half + k * step[at]
         else:
+            u = np.maximum(p, n)
             log_b = np.log1p(-r * (u + d) / v_dsat)
             g = np.where(u + d > 0, vdd * (u - d) / (2 * (u + d)), 0.0)
             m = np.fmin(np.ceil(np.log1p((half - v_dsat) / g) / log_b), n_steps)
             geo = np.where(log_b < 0, np.expm1(m * log_b) / np.expm1(log_b), m)
             down = dt * d * (n_steps - m + (m * half + g * (m - geo)) / v_dsat)
+            tail = np.flatnonzero(m < n_steps)
+            m_t = m[tail]
 
-            def start(k):
-                return half - g * np.expm1(k * log_b)
-        x_m = start(m)
-        log_a = np.log1p(-r * u / v_dsat)
-        x_fix = vdd - v_dsat * d / u
+            def start(k, at=...):
+                return half - g[at] * np.expm1(k * log_b[at])
+    # The upper-regime tail's terms, at the tail lines only.
+    u_t = np.maximum(p[tail], n[tail])
+    x_m = start(m_t, tail)
+    log_a = np.log1p(-r * u_t / v_dsat)
+    x_fix = vdd - v_dsat * d[tail] / u_t
 
-        def voltage(k):
-            x = np.where(k <= m, start(k),
-                         x_fix + (x_m - x_fix) * np.exp(np.maximum(k - m, 0) * log_a))
-            return np.where(p >= n, x, vdd - x)
+    def voltage(ks):
+        """(len(ks), rows * lines) voltages after each of the int64 step counts ks."""
+        k = ks[:, None]
+        x = start(k)
+        upper = x_fix + (x_m - x_fix) * np.exp(np.maximum(k - m_t, 0) * log_a)
+        x[:, tail] = np.where(k > m_t, upper, x[:, tail])
+        # half <= x <= vdd, so x - half is exact and half - (x - half) is
+        # vdd - x rounded once: v is x on a rising line, vdd - x on a falling one.
+        x -= half
+        return half + np.copysign(x, diff)
 
-    finals = voltage(n_steps)
+    finals = voltage(np.array([n_steps]))[0]
     q = down + c_line * np.maximum(finals - half, 0.0)
-    voltages = voltage(np.arange(n_steps + 1)[:, None, None]) if record else None
-    return finals, q, voltages
+    voltages = voltage(np.arange(n_steps + 1)).reshape(-1, *P.shape) if record else None
+    return finals.reshape(P.shape), q.reshape(P.shape), voltages
 
 
 def _result(s: SystemConfig, finals: np.ndarray, charge: np.ndarray,
             traces: np.ndarray | None) -> BatchResult:
     """Votes, tallies and energies of (n, lines) final voltages and (n,) total charges."""
     vdd = s.quant.vdd
-    votes = np.where(finals >= vdd / 2, 1, -1)
+    # int64 +/-1 votes; the 1 comes off in place, so no second (n, lines) array.
+    votes = 2 * (finals >= vdd / 2)
+    votes -= 1
     tallies, preds = tally_votes(s.pairs, votes)
     e_pre = sum(precharge_energy(s.timing, vdd) for _ in s.pairs)
     return BatchResult(votes=votes, tallies=tallies, predictions=preds,
@@ -242,23 +304,28 @@ def _result(s: SystemConfig, finals: np.ndarray, charge: np.ndarray,
 
 
 def simulate_batch(s: SystemConfig, X: np.ndarray | None = None, *,
-                   levels: np.ndarray | None = None, record_traces: bool = False) -> BatchResult:
-    """Transient-evaluate a batch over all lines: normalized inputs X, or their feature levels.
+                   levels: np.ndarray | None = None, products=None,
+                   record_traces: bool = False) -> BatchResult:
+    """Transient-evaluate a batch over all lines.
 
-    A row's results do not depend on the other rows or on BLOCK_ROWS. With
-    record_traces, line_traces holds every step of every row's lines, and
-    each trace ends on its line_finals bit for bit. Deterministic. Raises
-    the ValueError of check_euler_stability for an unstable array, and that
-    of feature_levels for inputs it rejects.
+    Give normalized inputs X, their feature levels, or those levels' (P, N)
+    level_products. A row's results do not depend on the other rows or on
+    the block size. With record_traces, line_traces holds every step of
+    every row's lines, and each trace ends on its line_finals bit for bit.
+    Deterministic. Raises the ValueError of check_euler_stability for an
+    unstable array, and that of products_of for inputs it rejects.
     """
     check_euler_stability(s)
-    levels = np.atleast_2d(feature_levels(s, X, levels))
-    finals = np.empty((len(levels), len(s.pairs)))
-    charge = np.empty(len(levels))
-    traces = np.empty((s.timing.n_steps + 1, *finals.shape)) if record_traces else None
-    for lo in range(0, len(levels), BLOCK_ROWS):
-        rows = slice(lo, lo + BLOCK_ROWS)
-        finals[rows], q, voltages = _lines(s, levels[rows], record_traces)
+    P, N = products_of(s, X, levels, products)
+    finals = np.empty(P.shape)
+    charge = np.empty(len(P))
+    traces, block = None, BLOCK_ROWS
+    if record_traces:
+        traces = np.empty((s.timing.n_steps + 1, *finals.shape))
+        block = max(1, TRACE_BLOCK_BYTES // (traces.shape[0] * traces.shape[2] * 8))
+    for lo in range(0, len(P), block):
+        rows = slice(lo, lo + block)
+        finals[rows], q, voltages = _lines(s, P[rows], N[rows], record_traces)
         if record_traces:
             traces[:, rows] = voltages
         # Each row's lines add along a contiguous row, whatever the block.

@@ -142,26 +142,27 @@ def emit_netlist(s: SystemConfig, path, lines: str | None = None):
 
 
 def quantized_margins(s: SystemConfig, X: np.ndarray | None = None, *,
-                      levels: np.ndarray | None = None) -> np.ndarray:
+                      levels: np.ndarray | None = None, products=None) -> np.ndarray:
     """Integer decision margins of the quantized array, sign-exact.
 
     margin[:, k] = sum over line k's devices of +/- w_level * x_level, with
-    + for p-type and - for n-type: levels @ L, for normalized inputs X or
-    their feature levels (line_sim.feature_levels). This is the digital
-    oracle the analog lines are checked against. The float64 gemm is exact,
-    as in the line simulator's drive sums.
+    + for p-type and - for n-type: levels @ L, for normalized inputs X,
+    their feature levels (line_sim.feature_levels) or those levels' (P, N)
+    line_sim.level_products. This is the digital oracle the analog lines
+    are checked against: P - N in int64, the same exact products that the
+    line simulator's drive sums scale.
     """
-    levels = np.atleast_2d(line_sim.feature_levels(s, X, levels)).astype(np.float64)
-    return (levels @ s.L.astype(np.float64)).astype(np.int64)
+    P, N = line_sim.products_of(s, X, levels, products)
+    return np.subtract(P, N, dtype=np.int64)
 
 
 def digital_votes(s: SystemConfig, X: np.ndarray | None, mode: str, *,
-                  levels: np.ndarray | None = None) -> np.ndarray:
+                  levels: np.ndarray | None = None, products=None) -> np.ndarray:
     """(n, 45) +/-1 pair votes of a digital mode, in the system's line order.
 
     digital-float votes with the retained real-weight model on normalized
     inputs X, and digital-quantized with the signs of the integer margins
-    of X or of their feature levels.
+    of X, of their feature levels or of those levels' level products.
     """
     if mode == "digital-float":
         if s.model is None:
@@ -169,7 +170,10 @@ def digital_votes(s: SystemConfig, X: np.ndarray | None, mode: str, *,
         if X is None:
             raise ValueError("digital-float votes on normalized inputs, not feature levels")
         return pair_votes(s.model, X)
-    return np.where(quantized_margins(s, X, levels=levels) >= 0, 1, -1)
+    # int64 +/-1 votes; the 1 comes off in place, so no second (n, 45) array.
+    votes = 2 * (quantized_margins(s, X, levels=levels, products=products) >= 0)
+    votes -= 1
+    return votes
 
 
 @dataclass
@@ -202,24 +206,25 @@ class MetricsReport:
 
 def evaluate(s: SystemConfig, X: np.ndarray | None, labels: np.ndarray,
              mode: str = "digital-quantized", *,
-             levels: np.ndarray | None = None) -> MetricsReport:
-    """Run the chosen pipeline over a test set and collect all metrics.
+             levels: np.ndarray | None = None, products=None) -> MetricsReport:
+    """Run the chosen pipeline over a labelled test set and collect all metrics.
 
     digital-float uses the retained real-weight model on normalized inputs
     X; digital-quantized evaluates the integer margins of the assembled
-    array and analog runs the transient simulation, on X or on their
-    feature levels.
+    array and analog runs the transient simulation, on X, on their feature
+    levels or on those levels' (P, N) line_sim.level_products.
     """
-    n = len(X if levels is None else levels)
+    n = len(labels)
     if n == 0:
         raise ValueError("test set is empty")
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
     if mode == "analog":
-        result = line_sim.simulate_batch(s, X, levels=levels)
+        result = line_sim.simulate_batch(s, X, levels=levels, products=products)
         preds, energy = result.predictions, float(np.mean(result.energies))
     else:
-        _, preds = tally_votes(s.pairs, digital_votes(s, X, mode, levels=levels))
+        _, preds = tally_votes(s.pairs, digital_votes(s, X, mode, levels=levels,
+                                                      products=products))
         energy = None
     accuracy, confusion = score_predictions(preds, labels)
 

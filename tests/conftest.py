@@ -1,4 +1,6 @@
+import importlib.util
 import os
+import pathlib
 
 import pytest
 
@@ -96,7 +98,8 @@ def synth_system(synth_model) -> system.SystemConfig:
 
 
 # Every value the pipeline reuses within a process, by module and name.
-PROCESS_CACHES = ((dataset, "_last_pair"), (cli, "_test_split"), (cli, "_compiled"))
+PROCESS_CACHES = ((dataset, "_last_pair"), (cli, "_test_split"), (cli, "_compiled"),
+                  (cli, "_test_products"))
 
 
 def clear_process_caches(monkeypatch):
@@ -113,3 +116,12 @@ def idx_dir(tmp_path):
     test_paths = synth.write_idx_pair(tmp_path, images[500:], labels[500:], "t10k",
                                       compress=True)
     return {"dir": tmp_path, "train": train_paths, "test": test_paths}
+
+
+def sweep_points():
+    """The line_sweep benchmark's (c_line, dt, v_dsat, i_on) points, read from perfbench."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SWEEP_POINTS

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 import senseline
-from conftest import PROCESS_CACHES, clear_process_caches
+from conftest import PROCESS_CACHES, clear_process_caches, sweep_points
 from outdiff import out_dir_diff
-from senseline import cli, dataset, system, trainer
+from senseline import cli, dataset, line_sim, system, trainer
 from senseline.config import config_from_dict, config_hash
 from senseline.line_sim import LineTiming, simulate_batch
 from senseline.quantizer import QuantSpec, quantize_unit
@@ -458,15 +458,6 @@ class TestParseCount:
                     arr[0] = 1
 
 
-def _sweep_points():
-    """The line_sweep benchmark's (c_line, dt, v_dsat, i_on) points."""
-    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.SWEEP_POINTS
-
-
 def _rewrite_keeping_stat(path, data: bytes):
     st = os.stat(path)
     assert len(data) == st.st_size
@@ -477,7 +468,7 @@ def _rewrite_keeping_stat(path, data: bytes):
 class TestSweepReuse:
     """Line and device points of one model compile it once and write what cold runs write."""
 
-    POINTS = _sweep_points()
+    POINTS = sweep_points()
 
     @staticmethod
     def _point_configs(workdir, k, point):
@@ -580,6 +571,71 @@ class TestSweepReuse:
         six_bits = dataclasses.replace(cfg, quant=QuantSpec(bits=6, step_volts=0.02))
         assert np.array_equal(cli._assemble(six_bits).L,
                               system.assemble(trainer.load_model(path), six_bits.quant).L)
+
+
+class TestProductCount:
+    """The array's level products over the test split are computed once per model and
+    test split, and again after a same-size rewrite of either."""
+
+    @pytest.fixture()
+    def sweep(self, workdir, monkeypatch):
+        """Configs of two sweep points and every level_products call, after `train`.
+
+        The test split is read from the raw training IDX pair, so that a test
+        image byte can be flipped in place.
+        """
+        clear_process_caches(monkeypatch)
+        data = workdir["doc"]["data"]
+        data.update(test_images=data["train_images"], test_labels=data["train_labels"])
+        workdir["config"].write_text(json.dumps(workdir["doc"]))
+        assert run(["train", "-c", workdir["config"], "--no-sbs"]) == 0
+        calls, products = [], line_sim.level_products
+        monkeypatch.setattr(line_sim, "level_products",
+                            lambda s, levels: calls.append(len(levels)) or products(s, levels))
+        points = [TestSweepReuse._point_configs(workdir, k, point)
+                  for k, point in enumerate(sweep_points()[:2])]
+        return points, calls
+
+    @staticmethod
+    def _run_point(workdir, paths, tag):
+        """build, simulate and evaluate at one point; a copy of the out_dir after them."""
+        analog, quant = paths
+        for stage, path in (("build", analog), ("simulate", analog), ("evaluate", quant)):
+            assert run([stage, "-c", path]) == 0
+        snapshot = workdir["tmp"] / tag
+        shutil.copytree(workdir["tmp"] / "out", snapshot)
+        return snapshot
+
+    def test_two_points_compute_the_products_once(self, workdir, sweep):
+        points, calls = sweep
+        for k, paths in enumerate(points):
+            self._run_point(workdir, paths, f"point{k}")
+        assert calls == [100]
+        quant = config_from_dict(json.loads(points[1][1].read_text()))
+        _, (_, products, _) = cli._test_inputs(quant)
+        assert calls == [100]
+        for a in products:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1
+
+    @pytest.mark.parametrize("which", ["model", "test_images"])
+    def test_same_size_rewrite_recomputes(self, workdir, sweep, monkeypatch, which):
+        points, calls = sweep
+        self._run_point(workdir, points[0], "before")
+        if which == "model":
+            path = workdir["tmp"] / "out" / "model.json"
+            doc = json.loads(path.read_text())
+            doc["classifiers"][0]["weights"].reverse()
+            _rewrite_keeping_stat(path, (json.dumps(doc, indent=1) + "\n").encode())
+        else:  # the first test digit's first grid pixel, (2, 2)
+            path = workdir["doc"]["data"]["test_images"]
+            raw = bytearray(pathlib.Path(path).read_bytes())
+            raw[16 + 2 * 28 + 2] ^= 0xFF
+            _rewrite_keeping_stat(path, bytes(raw))
+        warm = self._run_point(workdir, points[1], "warm")
+        assert calls == [100, 100]
+        clear_process_caches(monkeypatch)
+        assert out_dir_diff(warm, self._run_point(workdir, points[1], "cold")) == []
 
 
 class TestTestSplitReuse:

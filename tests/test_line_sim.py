@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import sweep_points
 from senseline import line_sim
 from senseline.device import DeviceParams, channel_current, make_instance
 from senseline.line_sim import (
@@ -17,6 +18,8 @@ from senseline.quantizer import (
     quantize_unit,
 )
 from senseline.system import SystemConfig, quantized_margins
+from senseline.trainer import all_pairs
+from test_trainer import assert_bits_equal
 
 Q = QuantSpec()
 P = DeviceParams()
@@ -54,6 +57,53 @@ def integrate_reference(s, X):
         v = np.clip(v + (i_in - i_out) * scale, 0.0, vdd)
     e_pre = sum(precharge_energy(timing, vdd) for _ in s.pairs)
     return v, vdd * q.sum(axis=1) + e_pre
+
+
+def lines_reference(s, levels, record):
+    """(finals, q, voltages) of (rows, features) feature levels, every regime at every entry.
+
+    The closed form of the line_sim docstring in its plainest form: the
+    drive sums from one float64 gemm per polarity, the upper-regime tail
+    evaluated at every entry and picked with np.where, and the falling
+    lines' vdd - x picked with np.where. _lines must reproduce it bit for
+    bit.
+    """
+    levels = levels.astype(np.float64)
+    unit = s.params.i_on / s.quant.max_level ** 2
+    p, n = (levels @ np.maximum(sign * s.L, 0).astype(np.float64) * unit for sign in (1, -1))
+    vdd, v_dsat, c_line, dt = s.quant.vdd, s.params.v_dsat, s.timing.c_line, s.timing.dt
+    half, r, n_steps = vdd / 2, dt / c_line, s.timing.n_steps
+    u, d = np.maximum(p, n), np.minimum(p, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if v_dsat <= half:
+            step = r * (u - d)
+            m = np.fmin(np.floor((half - v_dsat) / step) + 1, n_steps)
+            down = n_steps * dt * d
+
+            def start(k):
+                return half + k * step
+        else:
+            log_b = np.log1p(-r * (u + d) / v_dsat)
+            g = np.where(u + d > 0, vdd * (u - d) / (2 * (u + d)), 0.0)
+            m = np.fmin(np.ceil(np.log1p((half - v_dsat) / g) / log_b), n_steps)
+            geo = np.where(log_b < 0, np.expm1(m * log_b) / np.expm1(log_b), m)
+            down = dt * d * (n_steps - m + (m * half + g * (m - geo)) / v_dsat)
+
+            def start(k):
+                return half - g * np.expm1(k * log_b)
+        x_m = start(m)
+        log_a = np.log1p(-r * u / v_dsat)
+        x_fix = vdd - v_dsat * d / u
+
+        def voltage(k):
+            x = np.where(k <= m, start(k),
+                         x_fix + (x_m - x_fix) * np.exp(np.maximum(k - m, 0) * log_a))
+            return np.where(p >= n, x, vdd - x)
+
+    finals = voltage(n_steps)
+    q = down + c_line * np.maximum(finals - half, 0.0)
+    voltages = voltage(np.arange(n_steps + 1)[:, None, None]) if record else None
+    return finals, q, voltages
 
 
 def assert_matches_reference(s, X):
@@ -153,7 +203,7 @@ class TestDriveSums:
                              for wi in range(1, q.levels)] for xi in range(q.levels)])
         L = np.arange(1, q.levels)[None, :] * (1 if dtype == "P" else -1)
         line = SystemConfig([(0, 1)] * L.shape[1], L, q, P)
-        p_sum, n_sum = line_sim._drive_sums(line, x)
+        p_sum, n_sum = line_sim._drive_sums(line, *line_sim.level_products(line, x))
         drive = p_sum if dtype == "P" else n_sum
         assert not np.any(p_sum if dtype == "N" else n_sum)
         expected = P.i_on * (x / q.max_level) * (w / q.max_level)
@@ -403,6 +453,142 @@ class TestLinearShortcut:
             simulate_batch(line, np.tile(levels_all(31) / Q.max_level, (3, 1)))
 
 
+class TestClosedFormBits:
+    """_lines on level products against lines_reference, bit for bit.
+
+    The upper-regime tail is evaluated only where a line leaves its start
+    regime, the falling lines' select and the votes are formed otherwise,
+    and none of it may move a bit of the finals, charges, energies, votes
+    or traces.
+    """
+
+    @staticmethod
+    def assert_reference_bits(s, levels):
+        """_lines and simulate_batch give lines_reference's bits; returns its finals."""
+        finals, q, voltages = lines_reference(s, levels, record=True)
+        got = line_sim._lines(s, *line_sim.level_products(s, levels), True)
+        for a, b in zip(got, (finals, q, voltages)):
+            assert_bits_equal(a, b)
+        res = simulate_batch(s, levels=levels, record_traces=True)
+        vdd = s.quant.vdd
+        e_pre = sum(precharge_energy(s.timing, vdd) for _ in s.pairs)
+        assert_bits_equal(res.line_finals, finals)
+        assert_bits_equal(res.line_traces, voltages)
+        assert_bits_equal(res.energies, vdd * q.sum(axis=1) + e_pre)
+        assert res.votes.dtype == np.int64
+        assert np.array_equal(res.votes, np.where(finals >= vdd / 2, 1, -1))
+        return finals
+
+    @staticmethod
+    def random_array(rng, v_dsat, timing=LineTiming(), n_lines=12, rows=40):
+        """(system, levels): a random array whose worst-case Euler factor lies in
+        (0.05, 0.95), each line's devices p-type with its own probability, so
+        lines range from balanced to one-sided. Line 0 has no devices, line 1
+        ties on every row (12 x 3j against 18 x 2j) and row 0 has every
+        feature at level 0."""
+        sign = np.where(rng.random((64, n_lines)) < rng.random(n_lines), 1, -1)
+        L = sign * rng.integers(1, 32, size=(64, n_lines)) * (rng.random((64, n_lines)) < 0.3)
+        L[:, :2] = 0
+        L[:2, 1] = 12, -18
+        levels = rng.integers(0, 32, size=(rows, 64))
+        j = rng.integers(0, 11, size=rows)
+        levels[:, 0], levels[:, 1] = 3 * j, 2 * j
+        levels[0] = 0
+        drive = np.abs(L).sum(axis=0).max() / Q.max_level
+        i_on = rng.uniform(0.05, 0.95) * timing.c_line * v_dsat / (timing.dt * drive)
+        return SystemConfig(all_pairs()[:n_lines], L, Q, DeviceParams(i_on=i_on, v_dsat=v_dsat),
+                            timing), levels
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("v_dsat", [0.2, 0.9, Q.vdd / 2, 2.0, 3.0])
+    def test_random_arrays(self, v_dsat, seed):
+        # At and below vdd/2 the start regime is linear, above it both-triode;
+        # the lines leave it at data-dependent steps, or never.
+        s, levels = self.random_array(np.random.default_rng(seed), v_dsat)
+        finals = self.assert_reference_bits(s, levels)
+        assert np.all(finals[:, :2] == Q.vdd / 2) and np.all(finals[0] == Q.vdd / 2)
+        left = np.maximum(finals, Q.vdd - finals) > max(v_dsat, Q.vdd - v_dsat)
+        if v_dsat < 3.0:  # at v_dsat = vdd no line can leave both-triode
+            assert 0 < left.sum() < left.size
+
+    @pytest.mark.parametrize("point", sweep_points())
+    def test_sweep_points(self, point):
+        # perfbench's line_sweep points, on a dense array at each point's
+        # line and device, as they are: every point is stable for any
+        # 64-feature array.
+        c_line, dt, v_dsat, i_on = point
+        rng = np.random.default_rng(7)
+        L = rng.integers(-31, 32, size=(64, 45))
+        s = SystemConfig(all_pairs(), L, Q, DeviceParams(i_on=i_on, v_dsat=v_dsat),
+                         LineTiming(c_line=c_line, dt=dt, t_classify=2e-9))
+        self.assert_reference_bits(s, rng.integers(0, 32, size=(30, 64)))
+
+    def test_lines_that_leave_at_every_step(self):
+        # TestLinearShortcut's two lines, crossing out of the linear regime
+        # at each step count in turn, and one row that never drives them.
+        n_steps = LineTiming().n_steps
+        for k in range(8, n_steps + 2):
+            line = TestLinearShortcut.two_lines(1.3 / (k - 0.5))
+            self.assert_reference_bits(line, np.vstack([levels_all(31), levels_all(0)]))
+
+
+class TestLevelProducts:
+    """The exact integer products that feed both the drive sums and the margins."""
+
+    @pytest.mark.parametrize("bits,n_features,dtype", [
+        (5, 64, np.uint16), (8, 784, np.uint32), (23, 64, np.uint64)])
+    def test_narrowest_exact_type_at_the_exact_sum_edges(self, bits, n_features, dtype):
+        # A full-scale line of each polarity reaches features * max_level**2,
+        # which the next narrower unsigned type cannot hold.
+        q = QuantSpec(bits=bits, step_volts=1e-9)
+        rng = np.random.default_rng(bits)
+        L = rng.integers(-q.max_level, q.max_level + 1, size=(n_features, 4))
+        L[:, 0], L[:, 1] = q.max_level, -q.max_level
+        s = SystemConfig(all_pairs()[:4], L, q)
+        levels = rng.integers(0, q.max_level + 1, size=(5, n_features))
+        levels[0] = q.max_level
+        P, N = line_sim.level_products(s, levels)
+        top = n_features * q.max_level ** 2
+        narrower = np.dtype(dtype).itemsize // 2
+        assert P.dtype == N.dtype == dtype
+        assert np.iinfo(dtype).max >= top > np.iinfo(f"u{narrower}").max
+        assert (P[0, 0], N[0, 1]) == (top, top)
+        expected = levels @ L
+        assert expected.dtype == np.int64
+        assert np.array_equal(P.astype(np.int64) - N.astype(np.int64), expected)
+        assert np.array_equal(quantized_margins(s, levels=levels), expected)
+        assert np.array_equal(quantized_margins(s, products=(P, N)), expected)
+
+    def test_given_products_give_the_levels_results(self, synth_system, synth_features):
+        _, _, (sx, _) = synth_features
+        levels = quantize_unit(sx[:600], Q).astype(np.uint8)
+        products = line_sim.level_products(synth_system, levels)
+        a = simulate_batch(synth_system, levels=levels)
+        b = simulate_batch(synth_system, products=products)
+        for field in ("votes", "tallies", "predictions", "energies", "line_finals"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+    @pytest.mark.parametrize("products,message", [
+        (lambda P, N: (P.astype(np.int64), N.astype(np.int64)), "unsigned"),
+        (lambda P, N: (P, N[:, :3]), r"\(n, 45\)"),
+        (lambda P, N: (P[0], N[0]), r"\(n, 45\)"),
+    ], ids=["signed", "width", "one-row"])
+    def test_malformed_products_rejected(self, synth_system, products, message):
+        P, N = line_sim.level_products(synth_system, np.ones((3, 64), np.uint8))
+        with pytest.raises(ValueError, match=message):
+            simulate_batch(synth_system, products=products(P, N))
+        with pytest.raises(ValueError, match=message):
+            quantized_margins(synth_system, products=products(P, N))
+
+    def test_products_with_another_input_rejected(self, synth_system):
+        levels = np.ones((3, 64), np.uint8)
+        products = line_sim.level_products(synth_system, levels)
+        with pytest.raises(TypeError, match="exactly one"):
+            simulate_batch(synth_system, levels=levels, products=products)
+        with pytest.raises(TypeError, match="exactly one"):
+            quantized_margins(synth_system, levels / Q.max_level, products=products)
+
+
 class TestLevelInputs:
     """The simulators and the integer oracle take feature levels as well as normalized inputs."""
 
@@ -505,19 +691,44 @@ class TestSimulateDigit:
         assert np.array_equal(rec.line_finals[0], blocked.line_finals[9])
         assert rec.energies[0] == blocked.energies[9]
 
+    @staticmethod
+    def row_bytes(s):
+        """Bytes of one row of a recording block's (n_steps + 1) x lines float64 temporaries."""
+        return (s.timing.n_steps + 1) * len(s.pairs) * 8
+
     def test_traces_stitch_across_row_blocks(self, synth_system, synth_features,
                                              monkeypatch):
         # Blocks of 4 rows fill 10 rows' traces in three pieces, the last
         # one short; each row's trace is its own one-row call's.
         _, _, (sx, _) = synth_features
         rows = [simulate_batch(synth_system, sx[i:i + 1], record_traces=True) for i in range(10)]
-        monkeypatch.setattr(line_sim, "BLOCK_ROWS", 4)
+        monkeypatch.setattr(line_sim, "TRACE_BLOCK_BYTES", 5 * self.row_bytes(synth_system) - 1)
         blocked = simulate_batch(synth_system, sx[:10], record_traces=True)
         assert blocked.line_traces.shape == (synth_system.timing.n_steps + 1, 10, 45)
         assert np.array_equal(blocked.line_traces,
                               np.concatenate([r.line_traces for r in rows], axis=1))
         assert np.array_equal(blocked.line_traces[-1], blocked.line_finals)
         assert np.array_equal(blocked.energies, [r.energies[0] for r in rows])
+
+    @pytest.mark.parametrize("budget_rows,blocks", [(3, [3, 3, 3, 1]), (0.5, [1] * 10),
+                                                    (2000, [10])])
+    def test_recording_blocks_are_sized_by_bytes(self, synth_system, synth_features,
+                                                 monkeypatch, budget_rows, blocks):
+        # A recording block holds as many rows as TRACE_BLOCK_BYTES allows,
+        # and at least one, whatever BLOCK_ROWS says; unrecorded blocks keep
+        # BLOCK_ROWS.
+        _, _, (sx, _) = synth_features
+        sizes, lines = [], line_sim._lines
+        monkeypatch.setattr(line_sim, "_lines", lambda s, P, N, record: sizes.append(len(P))
+                            or lines(s, P, N, record))
+        monkeypatch.setattr(line_sim, "TRACE_BLOCK_BYTES",
+                            int(budget_rows * self.row_bytes(synth_system)))
+        monkeypatch.setattr(line_sim, "BLOCK_ROWS", 4)
+        simulate_batch(synth_system, sx[:10], record_traces=True)
+        assert sizes == blocks
+        sizes.clear()
+        simulate_batch(synth_system, sx[:10])
+        assert sizes == [4, 4, 2]
 
     def test_trace_shape_origin_and_time_grid(self, synth_system, synth_features):
         # The time axis, t = j * dt, is formatted by `simulate` (test_cli

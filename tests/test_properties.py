@@ -91,7 +91,8 @@ def test_drive_sums_carry_the_exact_margin_sign(case):
     L, levels = case
     margins = levels @ L
     assert margins[0, 0] == 0
-    p_sum, n_sum = line_sim._drive_sums(system_of(L), levels)
+    s = system_of(L)
+    p_sum, n_sum = line_sim._drive_sums(s, *line_sim.level_products(s, levels))
     assert np.array_equal(np.sign(p_sum - n_sum), np.sign(margins))
 
 
