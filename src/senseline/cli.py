@@ -50,49 +50,62 @@ def _write_json(path, doc: dict):
         f.write("\n")
 
 
+def _is_file(path, what: str) -> bool:
+    """Whether path exists; a data error naming `what` if it is not a regular file.
+
+    Checked before the file is opened, so a directory or FIFO fails here
+    instead of raising or blocking in the read.
+    """
+    if not os.path.exists(path):
+        return False
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"{what} is not a regular file: {path}")
+    return True
+
+
 def _check_paths(cfg: RunConfig, keys):
     for key in keys:
         path = getattr(cfg.data, key)
-        if not os.path.isfile(path):
-            problem = "is not a regular file" if os.path.exists(path) else "not found"
-            raise FileNotFoundError(f"data file for '{key}' {problem}: {path}")
+        if not _is_file(path, f"data file for '{key}'"):
+            raise FileNotFoundError(f"data file for '{key}' not found: {path}")
 
 
-def _pixels_of(cfg: RunConfig, s: dataset.LabeledImageSet) -> np.ndarray:
-    """(n, feature_space) uint8 pixels: the grid's at 64 features, all of them at 784."""
-    pixels = s.images.reshape(len(s), -1)
-    return dataset.downsample(pixels, cfg.grid) if cfg.feature_space == 64 else pixels
+def _grid(cfg: RunConfig) -> dataset.GridSpec | None:
+    """The grid whose pixels the feature space holds: cfg.grid at 64 features, None at 784."""
+    return cfg.grid if cfg.feature_space == 64 else None
 
 
-def _features_of(cfg: RunConfig, s: dataset.LabeledImageSet):
-    """(n, feature_space) float64 pixels scaled to [0, 1], and the labels as ints.
+def _features_of(s: dataset.LabeledImageSet):
+    """(n, pixels) float64 pixels scaled to [0, 1], and the labels as ints.
 
-    At 64 features the grid pixels are selected from the uint8 images before
-    scaling. Selection and p/255 are both elementwise, so this equals
-    downsample(normalize(s)) bit for bit without the (n, 784) float matrix.
+    A set of grid pixels (dataset.grid_pixels) is selected from the uint8
+    images before scaling. Selection and p/255 are both elementwise, so its
+    features equal downsample(normalize(decoded set)) bit for bit without
+    the (n, 784) float matrix.
     """
-    return _pixels_of(cfg, s) / 255.0, s.labels.astype(int)
+    return s.images.reshape(len(s), -1) / 255.0, s.labels.astype(int)
 
 
 def _load_train_val_features(cfg: RunConfig):
     """Features of the train and val splits, each pair with validation rows; no test pool."""
     _check_paths(cfg, ("train_images", "train_labels"))
-    train_pool = dataset.load_idx(cfg.data.train_images, cfg.data.train_labels)
+    train_pool = dataset.load_idx(cfg.data.train_images, cfg.data.train_labels, _grid(cfg))
     train, val = dataset.split_train_val(train_pool, cfg.split)
     trainer.check_pair_rows(trainer.all_pairs(), val.labels)
-    return _features_of(cfg, train), _features_of(cfg, val)
+    return _features_of(train), _features_of(val)
 
 
 def _load_test_features(cfg: RunConfig):
     """Features of the test split alone; the training pool is not read."""
     _check_paths(cfg, ("test_images", "test_labels"))
-    test_pool = dataset.load_idx(cfg.data.test_images, cfg.data.test_labels)
-    return _features_of(cfg, dataset.select_test(test_pool, cfg.split))
+    test_pool = dataset.load_idx(cfg.data.test_images, cfg.data.test_labels, _grid(cfg))
+    return _features_of(dataset.select_test(test_pool, cfg.split))
 
 
 # The test split as feature levels, reused while the test IDX bytes and every
-# setting the levels depend on match. Only these small integer levels stay
-# resident: float test features are built only for digital-float votes.
+# setting the levels depend on match. Beside the held IDX bytes, only these
+# small integer levels stay resident: float test features are built only for
+# digital-float votes.
 _test_split = trainer.LastParse()
 
 
@@ -108,10 +121,10 @@ def _test_levels(cfg: RunConfig):
 
     def parse(image_bytes, label_bytes):
         pool = dataset.decode_idx_pair(*paths, image_bytes, label_bytes)
-        test = dataset.select_test(pool, cfg.split)
+        test = dataset.grid_pixels(dataset.select_test(pool, cfg.split), _grid(cfg))
         table = quantize_unit(np.arange(256) / 255.0, cfg.quant)
         levels = table.astype(np.uint8 if cfg.quant.max_level < 256 else np.int64)
-        levels = levels[_pixels_of(cfg, test)]
+        levels = levels[test.images.reshape(len(test), -1)]
         labels = test.labels.astype(int)
         levels.flags.writeable = labels.flags.writeable = False
         return levels, labels
@@ -158,7 +171,7 @@ def _model_path(cfg: RunConfig) -> str:
     candidates = ["model_sbs.json", "model.json"] if cfg.sbs.enabled else ["model.json"]
     for name in candidates:
         path = os.path.join(cfg.out_dir, name)
-        if os.path.exists(path):
+        if _is_file(path, "trained model"):
             return path
     raise FileNotFoundError(
         f"no trained model in {cfg.out_dir} (expected one of {candidates}); run `train` first"
@@ -169,7 +182,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
     """Validate the dataset files, report split statistics and keep the test split's levels."""
     _check_paths(cfg, ("train_images", "train_labels", "test_images", "test_labels"))
     _, test_labels = _test_levels(cfg)
-    train_pool = dataset.load_idx(cfg.data.train_images, cfg.data.train_labels)
+    train_pool = dataset.load_idx(cfg.data.train_images, cfg.data.train_labels, _grid(cfg))
     train, val = dataset.split_train_val(train_pool, cfg.split)
     labels = {"train": train.labels, "val": val.labels, "test": test_labels}
     doc = {
@@ -213,7 +226,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_select(cfg: RunConfig) -> int:
     """Backward feature selection per pair; writes the reduced model."""
     base_path = os.path.join(cfg.out_dir, "model.json")
-    if not os.path.exists(base_path):
+    if not _is_file(base_path, "trained model"):
         raise FileNotFoundError(f"trained model not found: {base_path}; run `train` first")
     if cfg.feature_space != 64:
         raise ValueError("feature selection expects the 64-feature downsampled space")
@@ -262,6 +275,7 @@ _compiled = trainer.LastParse()
 # The compiled array's level products over the test split, which depend on
 # nothing but L and the levels: reused while _compiled and _test_split hold
 # the values they were computed from, whatever the line and device points.
+# Its key holds those slots' own key objects, so a hit compares by identity.
 _test_products = trainer.LastParse()
 
 
@@ -380,7 +394,7 @@ def cmd_report(cfg: RunConfig) -> int:
     doc = {"metadata": {"config_hash": config_hash(cfg), "created": _now()}}
     for name in ("system.json", "sbs_report.json", "train_report.json"):
         path = os.path.join(cfg.out_dir, name)
-        if os.path.exists(path):
+        if _is_file(path, "report input"):
             with open(path) as f:
                 section = json.load(f)
             section.pop("metadata", None)
@@ -388,7 +402,7 @@ def cmd_report(cfg: RunConfig) -> int:
     metrics = {}
     for mode in system.EVAL_MODES:
         path = os.path.join(cfg.out_dir, f"metrics_{mode}.json")
-        if os.path.exists(path):
+        if _is_file(path, "report input"):
             with open(path) as f:
                 m = json.load(f)
             m.pop("confusion", None)

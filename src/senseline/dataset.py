@@ -3,13 +3,13 @@
 Reads the IDX binary container format, normalizes pixels to [0, 1],
 downsamples 28x28 images to an 8x8 pixel-selection grid, and produces
 deterministic train/validation/test splits. All arrays are numpy; image
-sets are immutable after loading, so load_idx can hand its last decoded
-pair to every caller that reads the same bytes.
+sets are immutable after loading, so load_idx can hand its last pair to
+every caller that reads the same bytes: with a grid, it keeps only the
+grid's pixels of the pair, not the 28x28 decode.
 """
 
 from __future__ import annotations
 
-import functools
 import gzip
 import math
 import struct
@@ -129,8 +129,8 @@ def _decode_idx(path, data: bytes, magic: int, n_dims: int, what: str) -> np.nda
     return np.frombuffer(data, dtype=np.uint8, count=size, offset=header).reshape(shape)
 
 
-# The last pair load_idx decoded: the training pool that prepare, train and
-# select read in turn.
+# The last pair load_idx decoded, as its grid pixels when given a grid: the
+# training pool that prepare, train and select read in turn.
 _last_pair = LastParse()
 
 
@@ -149,14 +149,32 @@ def decode_idx_pair(images_path, labels_path, image_bytes: bytes,
     return LabeledImageSet(images, labels)
 
 
-def load_idx(images_path, labels_path) -> LabeledImageSet:
+def grid_pixels(s: LabeledImageSet, grid: GridSpec | None) -> LabeledImageSet:
+    """The read-only set of s's grid pixels, (n, 8, 8) images; s itself for no grid.
+
+    images[k, i, j] is pixel (row_indices[i], col_indices[j]) of image k, so
+    a flattened image is downsample() of the flattened 28x28 one.
+    """
+    if grid is None:
+        return s
+    images = s.images[:, np.asarray(grid.row_indices)[:, None], np.asarray(grid.col_indices)]
+    images.flags.writeable = False
+    return LabeledImageSet(images, s.labels)
+
+
+def load_idx(images_path, labels_path, grid: GridSpec | None = None) -> LabeledImageSet:
     """Load a matched image/label IDX file pair, cross-checking counts.
 
-    Both files are read on every call. When their bytes equal those of the
-    last pair decoded, that pair's (read-only) set is returned again.
+    With a grid, the set holds only the grid's (n, 8, 8) pixels of each
+    image (see grid_pixels). The files are checked on every call: while
+    their bytes and the grid equal those of the last pair loaded, that
+    pair's (read-only) set is returned again.
     """
-    return _last_pair.load((images_path, labels_path),
-                           functools.partial(decode_idx_pair, images_path, labels_path))
+    def parse(image_bytes, label_bytes):
+        return grid_pixels(decode_idx_pair(images_path, labels_path, image_bytes, label_bytes),
+                           grid)
+
+    return _last_pair.load((images_path, labels_path), parse, grid)
 
 
 def normalize(s: LabeledImageSet) -> np.ndarray:

@@ -16,11 +16,11 @@ recorded accuracy stays within a tolerance of the best subset seen.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
 import numbers
+import os
 import pathlib
 import warnings
 from dataclasses import dataclass
@@ -639,21 +639,28 @@ def model_from_dict(d: dict) -> OvOModel:
 class LastParse:
     """The last value parsed, reused while its key matches.
 
-    `load` keys on the SHA-256 of files' content, never path, mtime or
-    size, which a same-size rewrite within one timestamp tick keeps. The
-    digest, not the bytes, is kept: a copy of a large input file would stay
-    resident. `keyed` takes the key as given, such as other slots' keys for
-    a value derived from theirs. Hits share the value: make it immutable.
+    `load` keys on the files' own bytes and `extra`, never path, mtime or
+    size, which a same-size rewrite within one timestamp tick keeps. A
+    later call compares each file with the held bytes through one fixed
+    buffer, so a hit neither hashes nor allocates a file-sized copy; only
+    a miss reads the files whole. `keyed` takes the key as given, such as
+    other slots' keys for a value derived from theirs. Hits share the
+    value: make it immutable.
     """
 
     def __init__(self):
         self.key, self.value = None, None
 
     def load(self, paths, parse, *extra):
-        """parse(*contents) of the files, read on every call; reused while they and `extra` match."""
+        """parse(*contents) of the files, reused while their bytes and `extra` match."""
+        n = len(paths)
+        if self.key is not None and self.key[n:] == extra:
+            buf = bytearray(_CHUNK)
+            if all(_holds(p, held, buf) for p, held in zip(paths, self.key)):
+                return self.value
+        self.key = self.value = None  # the old bytes go before the new ones are read
         contents = tuple(pathlib.Path(p).read_bytes() for p in paths)
-        key = tuple(hashlib.sha256(c).digest() for c in contents) + extra
-        return self.keyed(key, lambda: parse(*contents))
+        return self.keyed(contents + extra, lambda: parse(*contents))
 
     def keyed(self, key, make):
         """make(), reused while `key` matches."""
@@ -661,6 +668,22 @@ class LastParse:
             self.key = self.value = None
             self.value, self.key = make(), key
         return self.value
+
+
+_CHUNK = 1 << 16  # bytes a hit reads at a time
+
+
+def _holds(path, data: bytes, buf: bytearray) -> bool:
+    """Whether the file at path holds exactly `data`, read into buf chunk by chunk."""
+    with open(path, "rb", buffering=0) as f:
+        if os.fstat(f.fileno()).st_size != len(data):
+            return False
+        view, offset = memoryview(buf), 0
+        while got := f.readinto(buf):
+            if not data.startswith(view[:got], offset):
+                return False
+            offset += got
+        return offset == len(data)
 
 
 def load_model(path) -> OvOModel:

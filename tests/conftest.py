@@ -76,7 +76,7 @@ def synth_splits():
 
 
 def _features64(s: dataset.LabeledImageSet):
-    return cli._features_of(RunConfig(), s)
+    return cli._features_of(dataset.grid_pixels(s, RunConfig().grid))
 
 
 @pytest.fixture(scope="session")
@@ -97,7 +97,10 @@ def synth_system(synth_model) -> system.SystemConfig:
     return system.assemble(synth_model)
 
 
-# Every value the pipeline reuses within a process, by module and name.
+# Every value the pipeline reuses within a process, by module and name: the
+# training pool (its grid pixels at 64 features), the test split's levels,
+# the compiled array and its level products over the test split. Each slot
+# holds its input files' bytes as its key.
 PROCESS_CACHES = ((dataset, "_last_pair"), (cli, "_test_split"), (cli, "_compiled"),
                   (cli, "_test_products"))
 

@@ -376,6 +376,71 @@ class TestDecodeCount:
         train_paths = [data["train_images"], data["train_labels"]]
         assert [p for p in decodes if p in train_paths] == train_paths
 
+    def test_grid_change_between_prepare_and_train_decodes_again(self, workdir, decodes,
+                                                                 monkeypatch):
+        grid = {"row_indices": [0, 3, 4, 10, 11, 20, 26, 27],
+                "col_indices": [1, 2, 7, 8, 13, 14, 22, 25]}
+        other = workdir["tmp"] / "other_grid.json"
+        other.write_text(json.dumps(dict(workdir["doc"], grid=grid)))
+        assert run(["prepare", "-c", workdir["config"]]) == 0
+        assert run(["train", "-c", other, "--no-sbs"]) == 0
+        data = workdir["doc"]["data"]
+        train_paths = [data["train_images"], data["train_labels"]]
+        assert [p for p in decodes if p in train_paths] == 2 * train_paths
+        warm = pathlib.Path(workdir["tmp"], "out", "model.json").read_bytes()
+        clear_process_caches(monkeypatch)
+        assert run(["train", "-c", other, "--no-sbs", "--out-dir", workdir["tmp"] / "cold"]) == 0
+        assert warm == pathlib.Path(workdir["tmp"], "cold", "model.json").read_bytes()
+
+
+class TestFeatureBits:
+    """The loaders' features equal downsample(normalize(decode)) of each split bit for bit."""
+
+    @pytest.mark.parametrize("space, grid", [
+        (64, dataset.GridSpec(row_indices=(0, 3, 4, 10, 11, 20, 26, 27),
+                              col_indices=(1, 2, 7, 8, 13, 14, 22, 25))),
+        (784, None),
+    ], ids=["64-other-grid", "784"])
+    def test_train_val_and_test_features(self, workdir, monkeypatch, space, grid):
+        clear_process_caches(monkeypatch)
+        cfg = config_from_dict(workdir["doc"])
+        cfg = dataclasses.replace(cfg, feature_space=space, grid=grid or cfg.grid)
+
+        def decoded(images, labels):
+            return dataset.decode_idx_pair(images, labels, pathlib.Path(images).read_bytes(),
+                                           pathlib.Path(labels).read_bytes())
+
+        def want(s):
+            X = dataset.normalize(s)
+            return (X if grid is None else dataset.downsample(X, grid)), s.labels.astype(int)
+
+        d = cfg.data
+        splits = dataset.split_train_val(decoded(d.train_images, d.train_labels), cfg.split)
+        test = dataset.select_test(decoded(d.test_images, d.test_labels), cfg.split)
+        for got, split in zip((*cli._load_train_val_features(cfg), cli._load_test_features(cfg)),
+                              (*splits, test)):
+            (X, y), (want_x, want_y) = got, want(split)
+            assert X.dtype == np.float64 and X.shape == (len(split), space)
+            assert np.array_equal(X.view(np.int64), want_x.view(np.int64))
+            assert np.array_equal(y, want_y)
+        levels, labels = cli._test_levels(cfg)
+        assert np.array_equal(levels, quantize_unit(want(test)[0], cfg.quant))
+
+
+class TestNonRegularInputs:
+    """A model or report input that is a directory is a data error naming it, not a traceback."""
+
+    @pytest.mark.parametrize("command, name", [
+        ("build", "model.json"), ("quantize", "model.json"), ("simulate", "model.json"),
+        ("evaluate", "model.json"), ("select", "model.json"), ("report", "system.json"),
+    ])
+    def test_directory_input_exits_2(self, workdir, capsys, command, name):
+        path = workdir["tmp"] / "out" / name
+        path.mkdir(parents=True)
+        assert run([command, "-c", workdir["config"]]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "not a regular file" in err and str(path) in err
+
 
 
 def test_every_process_cache_is_cleared_between_tests():

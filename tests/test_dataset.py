@@ -8,7 +8,6 @@ import pytest
 import synth
 from conftest import clear_process_caches, mnist_paths, requires_mnist
 from senseline import cli, dataset
-from senseline.config import RunConfig
 from senseline.dataset import (
     CountMismatchError,
     GridSpec,
@@ -91,6 +90,8 @@ class TestLoadIdx:
 class TestLoadCache:
     """load_idx reuses its last decoded pair only while both files' bytes match."""
 
+    grid = None  # the grid every load in this class passes
+
     @pytest.fixture(autouse=True)
     def decodes(self, monkeypatch):
         clear_process_caches(monkeypatch)
@@ -104,19 +105,22 @@ class TestLoadCache:
         monkeypatch.setattr(dataset, "_decode_idx", counting)
         return paths
 
+    def load(self, images_path, labels_path):
+        return dataset.load_idx(images_path, labels_path, self.grid)
+
     def test_unchanged_files_decode_once(self, idx_dir, tmp_path, decodes):
-        first = dataset.load_idx(*idx_dir["test"])
-        assert dataset.load_idx(*idx_dir["test"]) is first
+        first = self.load(*idx_dir["test"])
+        assert self.load(*idx_dir["test"]) is first
         # Equal bytes under other paths (and mtimes) are the same pair.
         copies = [shutil.copy(p, tmp_path / f"copy-{os.path.basename(p)}")
                   for p in idx_dir["test"]]
-        assert dataset.load_idx(*copies) is first
+        assert self.load(*copies) is first
         assert len(decodes) == 2
 
     def test_other_pair_replaces_the_entry(self, idx_dir, decodes):
-        test = dataset.load_idx(*idx_dir["test"])
-        train = dataset.load_idx(*idx_dir["train"])
-        assert dataset.load_idx(*idx_dir["test"]) is not test
+        test = self.load(*idx_dir["test"])
+        train = self.load(*idx_dir["train"])
+        assert self.load(*idx_dir["test"]) is not test
         assert len(train) == 500 and len(decodes) == 6
 
     def _rewrite_keeping_stat(self, path, data: bytes):
@@ -127,30 +131,31 @@ class TestLoadCache:
 
     def test_same_size_same_mtime_rewrite_is_read(self, idx_dir):
         img_path, lab_path = idx_dir["train"]
-        before = dataset.load_idx(img_path, lab_path)
-        images, _ = synth.make_corpus(500, seed=4)
+        before = self.load(img_path, lab_path)
+        images, labels = synth.make_corpus(500, seed=4)
         raw = bytearray(Path(img_path).read_bytes())
         raw[16:] = images.tobytes()
         self._rewrite_keeping_stat(img_path, bytes(raw))
-        after = dataset.load_idx(img_path, lab_path)
-        assert np.array_equal(after.images, images)
+        after = self.load(img_path, lab_path)
+        want = dataset.grid_pixels(LabeledImageSet(images, labels), self.grid).images
+        assert np.array_equal(after.images, want)
         assert not np.array_equal(after.images, before.images)
 
     def test_flipped_byte_in_cached_gz_raises(self, idx_dir):
         img_path, lab_path = idx_dir["test"]
-        dataset.load_idx(img_path, lab_path)
+        self.load(img_path, lab_path)
         raw = bytearray(Path(img_path).read_bytes())
         raw[len(raw) // 2] ^= 0xFF
         self._rewrite_keeping_stat(img_path, bytes(raw))
         with pytest.raises(IdxFormatError, match="gzip"):
-            dataset.load_idx(img_path, lab_path)
+            self.load(img_path, lab_path)
 
     def test_deleted_cached_file_raises(self, idx_dir):
         img_path, lab_path = idx_dir["test"]
-        dataset.load_idx(img_path, lab_path)
+        self.load(img_path, lab_path)
         os.remove(lab_path)
         with pytest.raises(FileNotFoundError):
-            dataset.load_idx(img_path, lab_path)
+            self.load(img_path, lab_path)
 
     def test_count_mismatch_raises_every_call(self, tmp_path):
         images, labels = synth.make_corpus(20, seed=0)
@@ -158,28 +163,53 @@ class TestLoadCache:
         synth.write_idx_labels(tmp_path / "labs", labels[:19])
         for _ in range(2):
             with pytest.raises(CountMismatchError):
-                dataset.load_idx(tmp_path / "imgs", tmp_path / "labs")
+                self.load(tmp_path / "imgs", tmp_path / "labs")
 
     @pytest.mark.parametrize("pair", ["train", "test"])  # raw and gzip
     def test_returned_arrays_read_only(self, idx_dir, pair):
-        s = dataset.load_idx(*idx_dir[pair])
+        s = self.load(*idx_dir[pair])
         for arr in (s.images, s.labels):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1
 
 
+OTHER_GRID = GridSpec(row_indices=(0, 3, 4, 10, 11, 20, 26, 27),
+                      col_indices=(1, 2, 7, 8, 13, 14, 22, 25))
+
+
+class TestGridLoadCache(TestLoadCache):
+    """The same reuse rules when load_idx keeps only a grid's pixels of the pair."""
+
+    grid = OTHER_GRID
+
+    @pytest.mark.parametrize("pair", ["train", "test"])  # raw and gzip
+    def test_keeps_only_the_grid_pixels(self, idx_dir, pair):
+        s = self.load(*idx_dir[pair])
+        decoded = dataset.decode_idx_pair(*idx_dir[pair],
+                                          *(Path(p).read_bytes() for p in idx_dir[pair]))
+        assert s.images.shape == (len(decoded), 8, 8) and s.images.nbytes == 64 * len(s)
+        want = dataset.downsample(decoded.images.reshape(len(s), -1), self.grid)
+        assert np.array_equal(s.images.reshape(len(s), -1), want)
+        assert np.array_equal(s.labels, decoded.labels)
+
+    @pytest.mark.parametrize("grid", [GridSpec(), None], ids=["default-grid", "no-grid"])
+    def test_other_grid_decodes_again(self, idx_dir, decodes, grid):
+        first = self.load(*idx_dir["train"])
+        other = dataset.load_idx(*idx_dir["train"], grid)
+        assert len(decodes) == 4
+        assert np.array_equal(other.images, dataset.grid_pixels(
+            dataset.load_idx(*idx_dir["train"]), grid).images)
+        assert not np.array_equal(other.images, first.images)
+
+
 class TestFeatures:
-    @pytest.mark.parametrize("grid", [
-        GridSpec(),
-        GridSpec(row_indices=(0, 3, 4, 10, 11, 20, 26, 27),
-                 col_indices=(1, 2, 7, 8, 13, 14, 22, 25)),
-    ])
+    @pytest.mark.parametrize("grid", [GridSpec(), OTHER_GRID])
     def test_64_path_is_downsampled_normalize_bit_for_bit(self, grid):
         rng = np.random.default_rng(21)
         images = rng.integers(0, 256, size=(300, 28, 28), dtype=np.uint8)
         s = LabeledImageSet(images, rng.integers(0, 10, size=300).astype(np.uint8))
-        X, y = cli._features_of(RunConfig(grid=grid), s)
+        X, y = cli._features_of(dataset.grid_pixels(s, grid))
         want = dataset.downsample(dataset.normalize(s), grid)
         assert X.dtype == want.dtype == np.float64 and X.shape == (300, 64)
         assert np.array_equal(X.view(np.int64), want.view(np.int64))

@@ -1,5 +1,9 @@
 import dataclasses
+import hashlib
 import json
+import os
+import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -803,3 +807,106 @@ class TestModelIO:
         cli._write_json(path, doc)
         with pytest.raises(ValueError, match=match):
             trainer.load_model(path)
+
+
+class TestLastParse:
+    """LastParse.load reuses its value only while every file holds the held bytes."""
+
+    SIZE = 3 * trainer._CHUNK + 123  # several whole chunks and a partial one
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        rng = np.random.default_rng(5)
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for i, p in enumerate(paths):
+            p.write_bytes(rng.integers(0, 256, self.SIZE + i, dtype=np.uint8).tobytes())
+        return paths
+
+    @pytest.fixture()
+    def slot(self):
+        """(load(*paths), parsed): each parse returns its count, so a hit returns an old one."""
+        slot, parsed = trainer.LastParse(), []
+        return (lambda *paths: slot.load(paths, lambda *c: parsed.append(c) or len(parsed)),
+                parsed)
+
+    def test_equal_copy_at_another_path_hits(self, files, tmp_path, slot):
+        load, parsed = slot
+        assert load(*files) == 1
+        copy = tmp_path / "copy.bin"
+        copy.write_bytes(files[0].read_bytes())
+        assert load(copy, files[1]) == 1 and len(parsed) == 1
+
+    def test_rename_over_with_equal_bytes_hits(self, files, tmp_path, slot):
+        load, parsed = slot
+        assert load(*files) == 1
+        other = tmp_path / "new.bin"
+        other.write_bytes(files[0].read_bytes())
+        os.replace(other, files[0])
+        assert load(*files) == 1 and len(parsed) == 1
+
+    @staticmethod
+    def _edit_keeping_mtime(path, edit):
+        st = os.stat(path)
+        data = bytearray(path.read_bytes())
+        edit(data)
+        path.write_bytes(bytes(data))
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+    def _flip(i):
+        def edit(data):
+            data[i] ^= 0x01
+        return edit
+
+    def _append(data):
+        data.append(data[-1])
+
+    def _cut(data):
+        del data[-1]
+
+    @pytest.mark.parametrize("edit", [_flip(0), _flip(-1), _flip(trainer._CHUNK + 7),
+                                      _append, _cut],
+                             ids=["first-byte-flipped", "last-byte-flipped",
+                                  "second-chunk-byte-flipped", "byte-appended", "byte-cut"])
+    def test_changed_bytes_with_the_old_mtime_miss(self, files, slot, edit):
+        load, parsed = slot
+        assert load(*files) == 1
+        self._edit_keeping_mtime(files[1], edit)
+        assert load(*files) == 2
+        assert parsed[1] == (files[0].read_bytes(), files[1].read_bytes())
+        assert load(*files) == 2
+
+    def test_parse_error_leaves_the_slot_empty(self, files):
+        slot, original = trainer.LastParse(), files[0].read_bytes()
+        slot.load(files, lambda *c: "first")
+        files[0].write_bytes(b"other")
+
+        def fail(*contents):
+            raise ValueError("bad file")
+
+        with pytest.raises(ValueError, match="bad file"):
+            slot.load(files, fail)
+        assert slot.key is None and slot.value is None
+        files[0].write_bytes(original)  # the old bytes again are parsed again
+        assert slot.load(files, lambda *c: "second") == "second"
+
+    def test_hit_neither_reads_whole_files_nor_hashes(self, files, slot, monkeypatch):
+        load, parsed = slot
+        assert load(*files) == 1
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on a hit")
+
+        monkeypatch.setattr(pathlib.Path, "read_bytes", forbidden)
+        for name, value in vars(hashlib).items():
+            if callable(value) and not name.startswith("__"):
+                monkeypatch.setattr(hashlib, name, forbidden)
+        tracemalloc.start()
+        try:
+            assert load(*files) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * trainer._CHUNK < self.SIZE
+        files[0].write_bytes(b"changed")
+        with pytest.raises(AssertionError, match="on a hit"):  # a miss reads through the patch
+            load(*files)
