@@ -37,11 +37,14 @@ def _now() -> str:
 
 
 def _out(cfg: RunConfig, name: str) -> str:
+    """out_dir/name, making out_dir; a data error if anything but a regular file is there."""
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise ValueError(f"out_dir {cfg.out_dir!r} is not a directory") from None
-    return os.path.join(cfg.out_dir, name)
+    path = os.path.join(cfg.out_dir, name)
+    _is_file(path, "output path")
+    return path
 
 
 def _write_json(path, doc: dict):
@@ -95,59 +98,46 @@ def _load_train_val_features(cfg: RunConfig):
     return _features_of(train), _features_of(val)
 
 
-def _load_test_features(cfg: RunConfig):
-    """Features of the test split alone; the training pool is not read."""
-    _check_paths(cfg, ("test_images", "test_labels"))
-    test_pool = dataset.load_idx(cfg.data.test_images, cfg.data.test_labels, _grid(cfg))
-    return _features_of(dataset.select_test(test_pool, cfg.split))
-
-
-# The test split as feature levels, reused while the test IDX bytes and every
-# setting the levels depend on match. Beside the held IDX bytes, only these
-# small integer levels stay resident: float test features are built only for
-# digital-float votes.
+# The test split as read-only (n, feature_space) uint8 pixels (the grid's at
+# 64 features) and int labels, reused while the test IDX bytes,
+# split.test_count, grid and feature_space match. Only these pixels stay
+# resident beside the held IDX bytes: digital-float scales them, and the
+# other modes quantize them once per compiled array, into _test_products.
 _test_split = trainer.LastParse()
 
 
-def _test_levels(cfg: RunConfig):
-    """The test split's read-only (n, feature_space) feature levels and int labels.
-
-    A pixel p's level is quantize_unit(p / 255), tabulated per byte value, so
-    the levels equal quantize_unit of _features_of bit for bit. They are
-    uint8 up to 8 quantizer bits.
-    """
+def _load_test_split(cfg: RunConfig):
+    """The test split's pixels and labels, kept in _test_split; the training pool is not read."""
     _check_paths(cfg, ("test_images", "test_labels"))
     paths = (cfg.data.test_images, cfg.data.test_labels)
 
     def parse(image_bytes, label_bytes):
-        pool = dataset.decode_idx_pair(*paths, image_bytes, label_bytes)
-        test = dataset.grid_pixels(dataset.select_test(pool, cfg.split), _grid(cfg))
-        table = quantize_unit(np.arange(256) / 255.0, cfg.quant)
-        levels = table.astype(np.uint8 if cfg.quant.max_level < 256 else np.int64)
-        levels = levels[test.images.reshape(len(test), -1)]
+        pool = dataset.decode_idx_pair(*paths, image_bytes, label_bytes, _grid(cfg))
+        test = dataset.select_test(pool, cfg.split)
         labels = test.labels.astype(int)
-        levels.flags.writeable = labels.flags.writeable = False
-        return levels, labels
+        labels.flags.writeable = False
+        return test.images.reshape(len(test), -1), labels
 
-    return _test_split.load(paths, parse, cfg.split.test_count, cfg.grid, cfg.feature_space,
-                            cfg.quant)
+    return _test_split.load(paths, parse, cfg.split.test_count, cfg.grid, cfg.feature_space)
 
 
 def _test_inputs(cfg: RunConfig):
     """The compiled array at cfg's parameters and (X, products, labels) of the test split.
 
-    digital-float votes on the normalized features X; the other modes on the
-    array's (P, N) level products of the test split's feature levels. The
-    input a mode does not use is None.
+    digital-float votes on the normalized features X (pixels / 255, as in
+    _features_of), the other modes on the array's (P, N) level products of
+    their levels quantize_unit(X), tabulated per byte value (uint8 up to 8
+    quantizer bits). The input a mode does not use is None.
     """
     sysc = _assemble(cfg)
+    pixels, labels = _load_test_split(cfg)
     if cfg.evaluate.mode == "digital-float":
-        X, labels = _load_test_features(cfg)
-        return sysc, (X, None, labels)
-    levels, labels = _test_levels(cfg)
+        return sysc, (pixels / 255.0, None, labels)
 
     def compute():
-        products = line_sim.level_products(sysc, levels)
+        table = quantize_unit(np.arange(256) / 255.0, cfg.quant)
+        table = table.astype(np.uint8 if cfg.quant.max_level < 256 else np.int64)
+        products = line_sim.level_products(sysc, table[pixels])
         for a in products:
             a.flags.writeable = False
         return products
@@ -179,9 +169,9 @@ def _model_path(cfg: RunConfig) -> str:
 
 
 def cmd_prepare(cfg: RunConfig) -> int:
-    """Validate the dataset files, report split statistics and keep the test split's levels."""
+    """Validate the dataset files, report split statistics and keep the test split."""
     _check_paths(cfg, ("train_images", "train_labels", "test_images", "test_labels"))
-    _, test_labels = _test_levels(cfg)
+    _, test_labels = _load_test_split(cfg)
     train_pool = dataset.load_idx(cfg.data.train_images, cfg.data.train_labels, _grid(cfg))
     train, val = dataset.split_train_val(train_pool, cfg.split)
     labels = {"train": train.labels, "val": val.labels, "test": test_labels}
@@ -205,14 +195,16 @@ def cmd_train(cfg: RunConfig) -> int:
     Deletes the outputs of an earlier `select`, which the new model makes stale.
     """
     (train_x, train_y), (val_x, val_y) = _load_train_val_features(cfg)
+    model_path, report_path = _out(cfg, "model.json"), _out(cfg, "train_report.json")
+    stale = [_out(cfg, name) for name in SELECT_ARTIFACTS]
     model = trainer.build_ovo(train_x, train_y, val_x, val_y, cfg.hyper, sbs=None)
-    _write_json(_out(cfg, "model.json"),
+    _write_json(model_path,
                 dict(trainer.model_to_dict(model), metadata={"config_hash": config_hash(cfg)}))
-    for name in SELECT_ARTIFACTS:
-        pathlib.Path(cfg.out_dir, name).unlink(missing_ok=True)
+    for path in stale:
+        pathlib.Path(path).unlink(missing_ok=True)
     pair_acc = trainer.per_pair_val_accuracy(model, val_x, val_y)
     val_acc, _, _ = trainer.evaluate_model(model, val_x, val_y)
-    _write_json(_out(cfg, "train_report.json"), {
+    _write_json(report_path, {
         "validation_accuracy": val_acc,
         "per_pair_validation_accuracy": {f"{a}-{b}": acc for (a, b), acc in pair_acc.items()},
         "feature_space": cfg.feature_space,
@@ -237,13 +229,14 @@ def cmd_select(cfg: RunConfig) -> int:
     except IndexError as e:
         raise ValueError(f"{base_path} does not fit the {cfg.feature_space}-feature space "
                          f"({e}); rerun `train`") from None
+    model_path, report_path = _out(cfg, "model_sbs.json"), _out(cfg, "sbs_report.json")
     model = trainer.build_ovo(train_x, train_y, val_x, val_y, cfg.hyper, sbs=cfg.sbs)
-    _write_json(_out(cfg, "model_sbs.json"),
+    _write_json(model_path,
                 dict(trainer.model_to_dict(model), metadata={"config_hash": config_hash(cfg)}))
 
     val_acc, _, _ = trainer.evaluate_model(model, val_x, val_y)
     mean_count = model.mean_feature_count()
-    _write_json(_out(cfg, "sbs_report.json"), {
+    _write_json(report_path, {
         "mean_selected_features": mean_count,
         "selected_features": {"%d-%d" % c.class_pair: len(c.feature_indices)
                               for c in model.classifiers},
@@ -273,9 +266,10 @@ def cmd_quantize(cfg: RunConfig) -> int:
 _compiled = trainer.LastParse()
 
 # The compiled array's level products over the test split, which depend on
-# nothing but L and the levels: reused while _compiled and _test_split hold
-# the values they were computed from, whatever the line and device points.
-# Its key holds those slots' own key objects, so a hit compares by identity.
+# nothing but L, the quantizer and the pixels: reused while _compiled (whose
+# key carries quant) and _test_split hold the values they were computed
+# from, whatever the line and device points. Its key holds those slots' own
+# key objects, so a hit compares by identity.
 _test_products = trainer.LastParse()
 
 
@@ -357,7 +351,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
                 tf.write(_trace_rows(i, sysc.pairs, times, res.line_traces[:, i]))
     else:
         # An earlier analog run's traces would not match these records.
-        pathlib.Path(cfg.out_dir, "traces.csv").unlink(missing_ok=True)
+        pathlib.Path(_out(cfg, "traces.csv")).unlink(missing_ok=True)
         votes = system.digital_votes(sysc, X, mode, products=products)
         tallies, preds = tally_votes(sysc.pairs, votes)
         for i in range(n_trace):

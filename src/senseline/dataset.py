@@ -10,6 +10,7 @@ grid's pixels of the pair, not the 28x28 decode.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import math
 import struct
@@ -134,11 +135,12 @@ def _decode_idx(path, data: bytes, magic: int, n_dims: int, what: str) -> np.nda
 _last_pair = LastParse()
 
 
-def decode_idx_pair(images_path, labels_path, image_bytes: bytes,
-                    label_bytes: bytes) -> LabeledImageSet:
+def decode_idx_pair(images_path, labels_path, image_bytes: bytes, label_bytes: bytes,
+                    grid: GridSpec | None = None) -> LabeledImageSet:
     """The read-only set of an image/label IDX pair's bytes, cross-checking counts.
 
-    The paths only name the files in error messages.
+    With a grid, the set holds only the grid's (n, 8, 8) pixels of each
+    image (see grid_pixels). The paths only name the files in error messages.
     """
     images = _decode_idx(images_path, image_bytes, *_IMAGE_FORMAT)
     labels = _decode_idx(labels_path, label_bytes, *_LABEL_FORMAT)
@@ -146,7 +148,7 @@ def decode_idx_pair(images_path, labels_path, image_bytes: bytes,
         raise CountMismatchError(
             f"{images_path} has {len(images)} images but {labels_path} has {len(labels)} labels"
         )
-    return LabeledImageSet(images, labels)
+    return grid_pixels(LabeledImageSet(images, labels), grid)
 
 
 def grid_pixels(s: LabeledImageSet, grid: GridSpec | None) -> LabeledImageSet:
@@ -163,17 +165,13 @@ def grid_pixels(s: LabeledImageSet, grid: GridSpec | None) -> LabeledImageSet:
 
 
 def load_idx(images_path, labels_path, grid: GridSpec | None = None) -> LabeledImageSet:
-    """Load a matched image/label IDX file pair, cross-checking counts.
+    """decode_idx_pair of a matched image/label IDX file pair at grid.
 
-    With a grid, the set holds only the grid's (n, 8, 8) pixels of each
-    image (see grid_pixels). The files are checked on every call: while
-    their bytes and the grid equal those of the last pair loaded, that
-    pair's (read-only) set is returned again.
+    The files are checked on every call: while their bytes and the grid
+    equal those of the last pair loaded, that pair's (read-only) set is
+    returned again.
     """
-    def parse(image_bytes, label_bytes):
-        return grid_pixels(decode_idx_pair(images_path, labels_path, image_bytes, label_bytes),
-                           grid)
-
+    parse = functools.partial(decode_idx_pair, images_path, labels_path, grid=grid)
     return _last_pair.load((images_path, labels_path), parse, grid)
 
 

@@ -16,9 +16,11 @@ which one float64 gemm per polarity computes exactly in any summation
 order (every partial sum is an integer below 2**53): p - n is exactly 0 at
 a zero integer margin and has the margin's sign elsewhere. level_products
 keeps those products in a narrow unsigned type, and the integer margins
-(system.quantized_margins) are their difference, so a caller that holds
-them, as a sweep over line and device points does for its model and test
-split, computes them once.
+(system.quantized_margins) are their difference. simulate_batch and the
+margins take either normalized inputs X, whose levels quantize_unit forms,
+or those (P, N) products, so a caller that holds them, as a sweep over
+line and device points does for its model and test split, computes them
+once.
 
 The line follows explicit Euler over the N = t_classify / dt steps of the
 classify phase: a step adds i_in * dt to the charge q drawn from VDD, with
@@ -157,28 +159,6 @@ class BatchResult:
     line_traces: np.ndarray | None = None
 
 
-def feature_levels(s: SystemConfig, X=None, levels=None) -> np.ndarray:
-    """The integer feature levels of normalized inputs X (quantize_unit), or `levels` checked.
-
-    Give exactly one (a TypeError otherwise), as one (features,) input or an
-    (n, features) batch for the array's feature count; levels must be
-    integers in [0, max_level]. Anything else is a ValueError.
-    """
-    if (X is None) == (levels is None):
-        raise TypeError("give exactly one of X and levels")
-    arr = np.asarray(X if levels is None else levels)
-    n_features = s.L.shape[0]
-    if arr.ndim not in (1, 2) or arr.shape[-1] != n_features:
-        raise ValueError(f"expected ({n_features},) or (n, {n_features}) inputs for the "
-                         f"{n_features}-feature array, got shape {arr.shape}")
-    if levels is None:
-        return quantize_unit(arr, s.quant)
-    if arr.dtype.kind not in "iu" or (arr.size and not 0 <= arr.min() <= arr.max()
-                                      <= s.quant.max_level):
-        raise ValueError(f"feature levels must be integers in [0, {s.quant.max_level}]")
-    return arr
-
-
 def level_products(s: SystemConfig, levels: np.ndarray):
     """(P, N), each (n, lines): the integer level products levels @ max(+-L, 0).
 
@@ -201,17 +181,22 @@ def level_products(s: SystemConfig, levels: np.ndarray):
     return products
 
 
-def products_of(s: SystemConfig, X, levels, products):
-    """The (P, N) level products of normalized inputs X, of feature levels, or as given.
+def products_of(s: SystemConfig, X, products):
+    """The (P, N) level products of normalized inputs X, or the products as given.
 
-    Give exactly one (a TypeError otherwise); X and levels are checked by
-    feature_levels, and given products must be two (n, lines) arrays of
-    unsigned integers.
+    Give exactly one (a TypeError otherwise): X as one (features,) input or
+    an (n, features) batch for the array's feature count, or products as
+    two (n, lines) arrays of unsigned integers. Anything else is a ValueError.
     """
+    if (X is None) == (products is None):
+        raise TypeError("give exactly one of X and products")
     if products is None:
-        return level_products(s, np.atleast_2d(feature_levels(s, X, levels)))
-    if X is not None or levels is not None:
-        raise TypeError("give exactly one of X, levels and products")
+        X = np.asarray(X)
+        n_features = s.L.shape[0]
+        if X.ndim not in (1, 2) or X.shape[-1] != n_features:
+            raise ValueError(f"expected ({n_features},) or (n, {n_features}) inputs for the "
+                             f"{n_features}-feature array, got shape {X.shape}")
+        return level_products(s, np.atleast_2d(quantize_unit(X, s.quant)))
     P, N = products
     if not (P.shape == N.shape and P.ndim == 2 and P.shape[1] == len(s.pairs)
             and P.dtype.kind == N.dtype.kind == "u"):
@@ -303,20 +288,19 @@ def _result(s: SystemConfig, finals: np.ndarray, charge: np.ndarray,
                        energies=vdd * charge + e_pre, line_finals=finals, line_traces=traces)
 
 
-def simulate_batch(s: SystemConfig, X: np.ndarray | None = None, *,
-                   levels: np.ndarray | None = None, products=None,
+def simulate_batch(s: SystemConfig, X: np.ndarray | None = None, *, products=None,
                    record_traces: bool = False) -> BatchResult:
     """Transient-evaluate a batch over all lines.
 
-    Give normalized inputs X, their feature levels, or those levels' (P, N)
-    level_products. A row's results do not depend on the other rows or on
-    the block size. With record_traces, line_traces holds every step of
-    every row's lines, and each trace ends on its line_finals bit for bit.
-    Deterministic. Raises the ValueError of check_euler_stability for an
-    unstable array, and that of products_of for inputs it rejects.
+    Give normalized inputs X or their (P, N) level_products. A row's results
+    do not depend on the other rows or on the block size. With
+    record_traces, line_traces holds every step of every row's lines, and
+    each trace ends on its line_finals bit for bit. Deterministic. Raises
+    the ValueError of check_euler_stability for an unstable array, and that
+    of products_of for inputs it rejects.
     """
     check_euler_stability(s)
-    P, N = products_of(s, X, levels, products)
+    P, N = products_of(s, X, products)
     finals = np.empty(P.shape)
     charge = np.empty(len(P))
     traces, block = None, BLOCK_ROWS
@@ -333,13 +317,11 @@ def simulate_batch(s: SystemConfig, X: np.ndarray | None = None, *,
     return _result(s, finals, charge, traces)
 
 
-def simulate_digit(s: SystemConfig, x: np.ndarray | None = None, record_traces: bool = False,
-                   *, levels: np.ndarray | None = None) -> BatchResult:
-    """The one-row simulate_batch of one input: a normalized x, or its feature levels.
+def simulate_digit(s: SystemConfig, x: np.ndarray, record_traces: bool = False) -> BatchResult:
+    """The one-row simulate_batch of one normalized input x.
 
     No pipeline stage calls it; perfbench/spans.py still looks the name up.
     """
-    row = feature_levels(s, x, levels)
-    if row.ndim != 1:
-        raise ValueError(f"expected a ({s.L.shape[0]},) feature vector, got shape {row.shape}")
-    return simulate_batch(s, levels=row[None, :], record_traces=record_traces)
+    if np.ndim(x) != 1:
+        raise ValueError(f"expected a ({s.L.shape[0]},) feature vector, got shape {np.shape(x)}")
+    return simulate_batch(s, x, record_traces=record_traces)

@@ -141,37 +141,35 @@ def emit_netlist(s: SystemConfig, path, lines: str | None = None):
         f.write(device_lines(s) if lines is None else lines)
 
 
-def quantized_margins(s: SystemConfig, X: np.ndarray | None = None, *,
-                      levels: np.ndarray | None = None, products=None) -> np.ndarray:
+def quantized_margins(s: SystemConfig, X: np.ndarray | None = None, *, products=None) -> np.ndarray:
     """Integer decision margins of the quantized array, sign-exact.
 
     margin[:, k] = sum over line k's devices of +/- w_level * x_level, with
-    + for p-type and - for n-type: levels @ L, for normalized inputs X,
-    their feature levels (line_sim.feature_levels) or those levels' (P, N)
-    line_sim.level_products. This is the digital oracle the analog lines
-    are checked against: P - N in int64, the same exact products that the
-    line simulator's drive sums scale.
+    + for p-type and - for n-type: levels @ L, for normalized inputs X or
+    their levels' (P, N) line_sim.level_products. This is the digital oracle
+    the analog lines are checked against: P - N in int64, the same exact
+    products that the line simulator's drive sums scale.
     """
-    P, N = line_sim.products_of(s, X, levels, products)
+    P, N = line_sim.products_of(s, X, products)
     return np.subtract(P, N, dtype=np.int64)
 
 
 def digital_votes(s: SystemConfig, X: np.ndarray | None, mode: str, *,
-                  levels: np.ndarray | None = None, products=None) -> np.ndarray:
+                  products=None) -> np.ndarray:
     """(n, 45) +/-1 pair votes of a digital mode, in the system's line order.
 
     digital-float votes with the retained real-weight model on normalized
     inputs X, and digital-quantized with the signs of the integer margins
-    of X, of their feature levels or of those levels' level products.
+    of X or of their levels' level products.
     """
     if mode == "digital-float":
         if s.model is None:
             raise ValueError("system carries no float model; assemble it from a trained model")
         if X is None:
-            raise ValueError("digital-float votes on normalized inputs, not feature levels")
+            raise ValueError("digital-float votes on normalized inputs, not level products")
         return pair_votes(s.model, X)
     # int64 +/-1 votes; the 1 comes off in place, so no second (n, 45) array.
-    votes = 2 * (quantized_margins(s, X, levels=levels, products=products) >= 0)
+    votes = 2 * (quantized_margins(s, X, products=products) >= 0)
     votes -= 1
     return votes
 
@@ -205,14 +203,13 @@ class MetricsReport:
 
 
 def evaluate(s: SystemConfig, X: np.ndarray | None, labels: np.ndarray,
-             mode: str = "digital-quantized", *,
-             levels: np.ndarray | None = None, products=None) -> MetricsReport:
+             mode: str = "digital-quantized", *, products=None) -> MetricsReport:
     """Run the chosen pipeline over a labelled test set and collect all metrics.
 
     digital-float uses the retained real-weight model on normalized inputs
     X; digital-quantized evaluates the integer margins of the assembled
-    array and analog runs the transient simulation, on X, on their feature
-    levels or on those levels' (P, N) line_sim.level_products.
+    array and analog runs the transient simulation, on X or on their
+    levels' (P, N) line_sim.level_products.
     """
     n = len(labels)
     if n == 0:
@@ -220,11 +217,10 @@ def evaluate(s: SystemConfig, X: np.ndarray | None, labels: np.ndarray,
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
     if mode == "analog":
-        result = line_sim.simulate_batch(s, X, levels=levels, products=products)
+        result = line_sim.simulate_batch(s, X, products=products)
         preds, energy = result.predictions, float(np.mean(result.energies))
     else:
-        _, preds = tally_votes(s.pairs, digital_votes(s, X, mode, levels=levels,
-                                                      products=products))
+        _, preds = tally_votes(s.pairs, digital_votes(s, X, mode, products=products))
         energy = None
     accuracy, confusion = score_predictions(preds, labels)
 

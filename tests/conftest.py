@@ -98,7 +98,7 @@ def synth_system(synth_model) -> system.SystemConfig:
 
 
 # Every value the pipeline reuses within a process, by module and name: the
-# training pool (its grid pixels at 64 features), the test split's levels,
+# training pool (its grid pixels at 64 features), the test split's pixels,
 # the compiled array and its level products over the test split. Each slot
 # holds its input files' bytes as its key.
 PROCESS_CACHES = ((dataset, "_last_pair"), (cli, "_test_split"), (cli, "_compiled"),

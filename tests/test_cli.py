@@ -55,6 +55,24 @@ def read_csv_rows(path):
     return rows[0], rows[1:]
 
 
+def decoded(images, labels):
+    """The set of an IDX pair, decoded afresh without any reuse slot."""
+    return dataset.decode_idx_pair(images, labels, pathlib.Path(images).read_bytes(),
+                                   pathlib.Path(labels).read_bytes())
+
+
+def features(s, grid):
+    """downsample(normalize(s)) at grid (every pixel for None) and the int labels."""
+    X = dataset.normalize(s)
+    return (X if grid is None else dataset.downsample(X, grid)), s.labels.astype(int)
+
+
+def decoded_test_features(cfg):
+    """features() of cfg's test split, decoded afresh."""
+    test = dataset.select_test(decoded(cfg.data.test_images, cfg.data.test_labels), cfg.split)
+    return features(test, cli._grid(cfg))
+
+
 class TestPrepareAndTrain:
     def test_prepare_writes_summary(self, workdir):
         assert run(["prepare", "-c", workdir["config"]]) == 0
@@ -318,7 +336,7 @@ class TestTraceBytes:
         doc["sbs"]["enabled"] = False
         cfg = config_from_dict(doc)
         sysc = cli._assemble(cfg)
-        test_x, _ = cli._load_test_features(cfg)
+        test_x, _ = decoded_test_features(cfg)
         n = cfg.evaluate.trace_digits
         assert n >= 2
         t = np.arange(cfg.line.n_steps + 1) * cfg.line.dt
@@ -353,21 +371,20 @@ class TestDecodeCount:
 
     @pytest.mark.parametrize("flags", [[], ["--no-sbs"]])
     def test_run_all_decodes_two_idx_pairs(self, workdir, decodes, flags):
-        # prepare decodes the test pool into feature levels that simulate reuses.
+        # prepare decodes the test pool into the pixels that simulate reuses.
         assert run(["run-all", "-c", workdir["config"]] + flags) == 0
         assert len(decodes) == 4
 
-    @pytest.mark.parametrize("mode", ["analog", "digital-quantized", "digital-float"])
-    def test_only_digital_float_decodes_the_test_pool_after_prepare(self, workdir, decodes,
-                                                                     mode):
+    @pytest.mark.parametrize("mode", system.EVAL_MODES)
+    def test_no_mode_decodes_after_prepare(self, workdir, decodes, mode):
+        # Every mode reads the test split that prepare kept, so the training
+        # pool prepare decoded stays for a later train.
         for stage in ("prepare", "train", "build"):
             assert run([stage, "-c", workdir["config"], "--no-sbs"]) == 0
         del decodes[:]
-        for stage in ("simulate", "evaluate"):
+        for stage in ("simulate", "evaluate", "train"):
             assert run([stage, "-c", workdir["config"], "--no-sbs", "--mode", mode]) == 0
-        data = workdir["doc"]["data"]
-        test_paths = [data["test_images"], data["test_labels"]]
-        assert decodes == (test_paths if mode == "digital-float" else [])
+        assert decodes == []
 
     def test_train_reuses_the_training_pool_prepare_decoded(self, workdir, decodes):
         assert run(["prepare", "-c", workdir["config"]]) == 0
@@ -405,26 +422,16 @@ class TestFeatureBits:
         clear_process_caches(monkeypatch)
         cfg = config_from_dict(workdir["doc"])
         cfg = dataclasses.replace(cfg, feature_space=space, grid=grid or cfg.grid)
-
-        def decoded(images, labels):
-            return dataset.decode_idx_pair(images, labels, pathlib.Path(images).read_bytes(),
-                                           pathlib.Path(labels).read_bytes())
-
-        def want(s):
-            X = dataset.normalize(s)
-            return (X if grid is None else dataset.downsample(X, grid)), s.labels.astype(int)
-
         d = cfg.data
         splits = dataset.split_train_val(decoded(d.train_images, d.train_labels), cfg.split)
-        test = dataset.select_test(decoded(d.test_images, d.test_labels), cfg.split)
-        for got, split in zip((*cli._load_train_val_features(cfg), cli._load_test_features(cfg)),
-                              (*splits, test)):
-            (X, y), (want_x, want_y) = got, want(split)
-            assert X.dtype == np.float64 and X.shape == (len(split), space)
+        pixels, labels = cli._load_test_split(cfg)
+        assert pixels.dtype == np.uint8 and not pixels.flags.writeable
+        got = (*cli._load_train_val_features(cfg), (pixels / 255.0, labels))
+        wanted = (*(features(split, grid) for split in splits), decoded_test_features(cfg))
+        for (X, y), (want_x, want_y) in zip(got, wanted):
+            assert X.dtype == np.float64 and X.shape == (len(want_y), space)
             assert np.array_equal(X.view(np.int64), want_x.view(np.int64))
             assert np.array_equal(y, want_y)
-        levels, labels = cli._test_levels(cfg)
-        assert np.array_equal(levels, quantize_unit(want(test)[0], cfg.quant))
 
 
 class TestNonRegularInputs:
@@ -441,6 +448,33 @@ class TestNonRegularInputs:
         err = capsys.readouterr().err
         assert "data error" in err and "not a regular file" in err and str(path) in err
 
+
+class TestNonRegularOutputs:
+    """An output path that is a directory is a data error naming it, raised before
+    the stage trains, writes or deletes anything."""
+
+    @pytest.mark.parametrize("command, name", [
+        ("prepare", "prepare.json"),
+        ("train", "model.json"), ("train", "train_report.json"), ("train", "model_sbs.json"),
+        ("select", "model_sbs.json"), ("select", "sbs_report.json"),
+        ("build", "netlist.txt"), ("build", "system.json"),
+        ("simulate", "traces.csv"), ("simulate --mode analog", "traces.csv"),
+        ("simulate", "digit_records.json"), ("simulate", "metrics_digital-quantized.json"),
+        ("evaluate", "metrics_digital-quantized.json"), ("report", "report.json"),
+    ])
+    def test_directory_output_exits_2(self, workdir, capsys, monkeypatch, command, name):
+        stage, *flags = command.split()
+        if stage not in ("prepare", "train", "report"):
+            assert run(["train", "-c", workdir["config"]]) == 0
+        trained, build_ovo = [], trainer.build_ovo
+        monkeypatch.setattr(trainer, "build_ovo",
+                            lambda *a, **k: trained.append(a) or build_ovo(*a, **k))
+        path = workdir["tmp"] / "out" / name
+        path.mkdir(parents=True)
+        assert run([stage, "-c", workdir["config"]] + flags) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "not a regular file" in err and str(path) in err
+        assert trained == [] and path.is_dir()
 
 
 def test_every_process_cache_is_cleared_between_tests():
@@ -596,7 +630,7 @@ class TestSweepReuse:
                 assert doc["metadata"]["config_hash"] == config_hash(cfg)
             # The energy of an array compiled afresh at this point's parameters.
             s = system.assemble(model, cfg.quant, cfg.device, cfg.line)
-            test_x, test_y = cli._load_test_features(cfg)
+            test_x, test_y = decoded_test_features(cfg)
             n = cfg.evaluate.subset
             expected = system.evaluate(s, test_x[:n], test_y[:n], mode="analog")
             metrics = json.loads((warm[k] / "metrics_analog.json").read_text())
@@ -704,17 +738,22 @@ class TestProductCount:
 
 
 class TestTestSplitReuse:
-    """The test split's feature levels are reused only while everything they depend on matches."""
+    """The test split's pixels and the array's level products over them are reused
+    only while everything they depend on matches."""
 
     @pytest.fixture()
-    def cfg(self, idx_dir, monkeypatch):
-        """A 100-digit test split read from raw (uncompressed) IDX files."""
+    def cfg(self, idx_dir, synth_model, monkeypatch):
+        """A 100-digit test split read from raw (uncompressed) IDX files, and a model."""
         clear_process_caches(monkeypatch)
         images, labels = idx_dir["train"]
+        out = idx_dir["dir"] / "out"
+        out.mkdir()
+        cli._write_json(out / "model.json", trainer.model_to_dict(synth_model))
         return config_from_dict({"data": {"train_images": str(images),
                                           "train_labels": str(labels),
                                           "test_images": str(images), "test_labels": str(labels)},
-                                 "split": {"test_count": 100}})
+                                 "split": {"test_count": 100}, "sbs": {"enabled": False},
+                                 "out_dir": str(out)})
 
     @pytest.fixture()
     def decodes(self, monkeypatch):
@@ -723,41 +762,59 @@ class TestTestSplitReuse:
                             lambda *a: calls.append(a[0]) or decode(*a))
         return calls
 
+    @pytest.fixture()
+    def levels(self, monkeypatch):
+        """The feature levels of every level_products call."""
+        calls, products = [], line_sim.level_products
+        monkeypatch.setattr(line_sim, "level_products",
+                            lambda s, levels: calls.append(levels) or products(s, levels))
+        return calls
+
     @staticmethod
-    def _expected(cfg):
-        """Quantized float test features, computed without the reused levels."""
-        X, y = cli._load_test_features(cfg)
-        return quantize_unit(X, cfg.quant), y
+    def assert_expected(cfg, test):
+        """test is (X, products, labels) of cfg's digital-quantized test inputs, computed
+        from quantized float test features without the reused values."""
+        X, y = decoded_test_features(cfg)
+        sysc = system.assemble(cli._assemble(cfg).model, cfg.quant, n_features=cfg.feature_space)
+        want = line_sim.level_products(sysc, quantize_unit(X, cfg.quant))
+        assert test[0] is None and np.array_equal(test[2], y)
+        for got, side in zip(test[1], want):
+            assert got.dtype == side.dtype and np.array_equal(got, side)
 
     @pytest.mark.parametrize("bits,dtype", [(5, np.uint8), (8, np.uint8), (9, np.int64)])
-    def test_levels_are_the_quantized_features(self, cfg, bits, dtype):
+    def test_levels_are_the_quantized_features(self, cfg, levels, bits, dtype):
         cfg = dataclasses.replace(cfg, quant=QuantSpec(bits=bits, step_volts=1.2 / 2 ** bits))
-        levels, labels = cli._test_levels(cfg)
-        expected, y = self._expected(cfg)
-        assert levels.dtype == dtype and np.array_equal(levels, expected)
-        assert np.array_equal(labels, y)
-        with pytest.raises(ValueError, match="read-only"):
-            levels[0, 0] = 1
+        _, test = cli._test_inputs(cfg)
+        [got] = levels
+        assert got.dtype == dtype
+        assert np.array_equal(got, quantize_unit(decoded_test_features(cfg)[0], cfg.quant))
+        self.assert_expected(cfg, test)
+        for a in (*test[1], *cli._load_test_split(cfg)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
 
-    @pytest.mark.parametrize("change", [
-        {"quant": QuantSpec(bits=6, step_volts=0.02)},
-        {"grid": dataset.GridSpec(row_indices=(1, 4, 8, 11, 15, 18, 22, 25))},
-        {"split": dataset.SplitSpec(test_count=50)},
-        {"feature_space": 784},
+    @pytest.mark.parametrize("change,decoded", [
+        ({"quant": QuantSpec(bits=6, step_volts=0.02)}, False),
+        ({"grid": dataset.GridSpec(row_indices=(1, 4, 8, 11, 15, 18, 22, 25))}, True),
+        ({"split": dataset.SplitSpec(test_count=50)}, True),
+        ({"feature_space": 784}, True),
     ], ids=["bits", "grid", "test_count", "feature_space"])
-    def test_a_changed_setting_recomputes(self, cfg, decodes, change):
-        first = cli._test_levels(cfg)
-        assert cli._test_levels(cfg) is first and len(decodes) == 1
+    def test_a_changed_setting_recomputes(self, cfg, decodes, levels, change, decoded):
+        # The pixels do not depend on the quantizer: a bits change decodes
+        # nothing, but its levels and products are formed again.
+        _, first = cli._test_inputs(cfg)
+        assert cli._test_inputs(cfg)[1][1] is first[1]
+        assert len(decodes) == 1 and len(levels) == 1
         changed = dataclasses.replace(cfg, **change)
-        levels, labels = cli._test_levels(changed)
-        assert len(decodes) == 2
-        expected, y = self._expected(changed)
-        assert np.array_equal(levels, expected) and np.array_equal(labels, y)
-        assert levels.shape != first[0].shape or not np.array_equal(levels, first[0])
+        _, test = cli._test_inputs(changed)
+        assert len(decodes) == 1 + decoded and len(levels) == 2
+        self.assert_expected(changed, test)
+        assert test[1][0].shape != first[1][0].shape or not np.array_equal(test[1][0],
+                                                                           first[1][0])
 
     @pytest.mark.parametrize("which", ["test_images", "test_labels"])
     def test_same_size_rewrite_of_the_test_idx_recomputes(self, cfg, decodes, which):
-        levels, labels = cli._test_levels(cfg)
+        pixels, labels = cli._load_test_split(cfg)
         path = getattr(cfg.data, which)
         raw = bytearray(pathlib.Path(path).read_bytes())
         if which == "test_images":  # the first digit's first grid pixel, (2, 2)
@@ -765,11 +822,11 @@ class TestTestSplitReuse:
         else:
             raw[8] = (raw[8] + 1) % 10
         _rewrite_keeping_stat(path, bytes(raw))
-        new_levels, new_labels = cli._test_levels(cfg)
+        new_pixels, new_labels = cli._load_test_split(cfg)
         assert len(decodes) == 2
-        expected, y = self._expected(cfg)
-        assert np.array_equal(new_levels, expected) and np.array_equal(new_labels, y)
-        changed = (new_levels[0, 0] != levels[0, 0] if which == "test_images"
+        X, y = decoded_test_features(cfg)
+        assert np.array_equal(new_pixels / 255.0, X) and np.array_equal(new_labels, y)
+        changed = (new_pixels[0, 0] != pixels[0, 0] if which == "test_images"
                    else new_labels[0] != labels[0])
         assert changed
 
@@ -793,6 +850,24 @@ class TestRunAll:
                         "--out-dir", out_dir]) == 0
         assert (out / "traces.csv").exists() and (out / "metrics_analog.json").exists()
         assert out_dir_diff(out, again) == []
+
+    def test_modes_after_run_all_write_what_cold_runs_write(self, workdir, monkeypatch):
+        # Each mode's simulate and evaluate reuse what run-all left in the
+        # process; with every process cache cleared they write the same bytes.
+        clear_process_caches(monkeypatch)
+        assert run(["run-all", "-c", workdir["config"], "--no-sbs"]) == 0
+        out = workdir["tmp"] / "out"
+        for mode in system.EVAL_MODES:
+            snapshots = []
+            for tag in ("warm", "cold"):
+                for name in ("digit_records.json", f"metrics_{mode}.json", "traces.csv"):
+                    (out / name).unlink(missing_ok=True)
+                for stage in ("simulate", "evaluate"):
+                    if tag == "cold":
+                        clear_process_caches(monkeypatch)
+                    assert run([stage, "-c", workdir["config"], "--no-sbs", "--mode", mode]) == 0
+                snapshots.append(shutil.copytree(out, workdir["tmp"] / f"{tag}-{mode}"))
+            assert out_dir_diff(*snapshots) == []
 
     def test_out_dir_diff_masks_only_created(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -466,10 +466,11 @@ class TestClosedFormBits:
     def assert_reference_bits(s, levels):
         """_lines and simulate_batch give lines_reference's bits; returns its finals."""
         finals, q, voltages = lines_reference(s, levels, record=True)
-        got = line_sim._lines(s, *line_sim.level_products(s, levels), True)
+        products = line_sim.level_products(s, levels)
+        got = line_sim._lines(s, *products, True)
         for a, b in zip(got, (finals, q, voltages)):
             assert_bits_equal(a, b)
-        res = simulate_batch(s, levels=levels, record_traces=True)
+        res = simulate_batch(s, products=products, record_traces=True)
         vdd = s.quant.vdd
         e_pre = sum(precharge_energy(s.timing, vdd) for _ in s.pairs)
         assert_bits_equal(res.line_finals, finals)
@@ -556,17 +557,24 @@ class TestLevelProducts:
         expected = levels @ L
         assert expected.dtype == np.int64
         assert np.array_equal(P.astype(np.int64) - N.astype(np.int64), expected)
-        assert np.array_equal(quantized_margins(s, levels=levels), expected)
         assert np.array_equal(quantized_margins(s, products=(P, N)), expected)
 
     def test_given_products_give_the_levels_results(self, synth_system, synth_features):
+        # The products of the inputs' levels give the inputs' results bit
+        # for bit, over more than one block of rows and with traces.
         _, _, (sx, _) = synth_features
-        levels = quantize_unit(sx[:600], Q).astype(np.uint8)
-        products = line_sim.level_products(synth_system, levels)
-        a = simulate_batch(synth_system, levels=levels)
-        b = simulate_batch(synth_system, products=products)
+        X = sx[:700]
+        products = line_sim.level_products(synth_system, quantize_unit(X, Q).astype(np.uint8))
+        a, b = simulate_batch(synth_system, X), simulate_batch(synth_system, products=products)
         for field in ("votes", "tallies", "predictions", "energies", "line_finals"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert np.array_equal(quantized_margins(synth_system, X),
+                              quantized_margins(synth_system, products=products))
+        x = simulate_batch(synth_system, X[:1], record_traces=True)
+        y = simulate_batch(synth_system, record_traces=True,
+                           products=tuple(side[:1] for side in products))
+        assert x.energies == y.energies and np.array_equal(x.line_finals, y.line_finals)
+        assert np.array_equal(x.line_traces, y.line_traces)
 
     @pytest.mark.parametrize("products,message", [
         (lambda P, N: (P.astype(np.int64), N.astype(np.int64)), "unsigned"),
@@ -584,53 +592,29 @@ class TestLevelProducts:
         levels = np.ones((3, 64), np.uint8)
         products = line_sim.level_products(synth_system, levels)
         with pytest.raises(TypeError, match="exactly one"):
-            simulate_batch(synth_system, levels=levels, products=products)
+            simulate_batch(synth_system, levels / Q.max_level, products=products)
         with pytest.raises(TypeError, match="exactly one"):
             quantized_margins(synth_system, levels / Q.max_level, products=products)
 
 
 class TestLevelInputs:
-    """The simulators and the integer oracle take feature levels as well as normalized inputs."""
-
-    def test_levels_give_the_float_inputs_results_bit_for_bit(self, synth_system,
-                                                               synth_features):
-        _, _, (sx, _) = synth_features
-        X = sx[:700]  # more than one block of rows
-        levels = quantize_unit(X, Q).astype(np.uint8)
-        a, b = simulate_batch(synth_system, X), simulate_batch(synth_system, levels=levels)
-        for field in ("votes", "tallies", "predictions", "energies", "line_finals"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
-        assert np.array_equal(quantized_margins(synth_system, X),
-                              quantized_margins(synth_system, levels=levels))
-        x = simulate_batch(synth_system, X[:1], record_traces=True)
-        y = simulate_batch(synth_system, record_traces=True, levels=levels[:1])
-        assert x.energies == y.energies and np.array_equal(x.line_finals, y.line_finals)
-        assert np.array_equal(x.line_traces, y.line_traces)
+    """The simulators and the integer oracle check their normalized inputs."""
 
     @pytest.mark.parametrize("call", [
         lambda s, a: simulate_batch(s, a / Q.max_level),
-        lambda s, a: simulate_batch(s, levels=a),
         lambda s, a: quantized_margins(s, a / Q.max_level),
-        lambda s, a: quantized_margins(s, levels=a),
-        lambda s, a: simulate_batch(s, levels=a[0]),
-    ], ids=["batch", "batch-levels", "margins", "margins-levels", "digit-levels"])
+        lambda s, a: simulate_batch(s, a[0] / Q.max_level),
+        lambda s, a: simulate_digit(s, a[0] / Q.max_level),
+    ], ids=["batch", "margins", "batch-one-row", "digit"])
     def test_width_other_than_the_arrays_names_both(self, synth_system, call):
         with pytest.raises(ValueError, match=r"\(n, 64\) inputs .* got shape \((5, )?63,?\)"):
             call(synth_system, np.ones((5, 63), dtype=np.int64))
-
-    @pytest.mark.parametrize("levels", [np.full((2, 64), 32), np.full((2, 64), -1),
-                                        np.full((2, 64), 3.0)], ids=["above", "below", "float"])
-    def test_levels_outside_the_quantizer_rejected(self, synth_system, levels):
-        with pytest.raises(ValueError, match=r"integers in \[0, 31\]"):
-            simulate_batch(synth_system, levels=levels)
-        with pytest.raises(ValueError, match=r"integers in \[0, 31\]"):
-            quantized_margins(synth_system, levels=levels)
 
     def test_exactly_one_input(self, synth_system):
         with pytest.raises(TypeError, match="exactly one"):
             simulate_batch(synth_system)
         with pytest.raises(TypeError, match="exactly one"):
-            simulate_batch(synth_system, np.zeros((1, 64)), levels=np.zeros((1, 64), np.uint8))
+            quantized_margins(synth_system)
 
 
 class TestSimulateDigit:
@@ -670,12 +654,10 @@ class TestSimulateDigit:
     def test_simulate_digit_is_row_0_of_the_batch(self, synth_system, synth_features):
         _, _, (sx, _) = synth_features
         batch = simulate_batch(synth_system, sx[:1], record_traces=True)
-        for rec in (simulate_digit(synth_system, sx[0], record_traces=True),
-                    simulate_digit(synth_system, record_traces=True,
-                                   levels=quantize_unit(sx[0], Q))):
-            for field in ("votes", "tallies", "predictions", "energies", "line_finals",
-                          "line_traces"):
-                assert np.array_equal(getattr(rec, field), getattr(batch, field))
+        rec = simulate_digit(synth_system, sx[0], record_traces=True)
+        for field in ("votes", "tallies", "predictions", "energies", "line_finals",
+                      "line_traces"):
+            assert np.array_equal(getattr(rec, field), getattr(batch, field))
         assert simulate_digit(synth_system, sx[0]).line_traces is None
         with pytest.raises(ValueError, match=r"\(64,\) feature vector"):
             simulate_digit(synth_system, sx[:2])

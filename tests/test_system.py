@@ -416,14 +416,17 @@ class TestEvaluate:
             system.evaluate(synth_system, sx[:3], np.array(labels), mode=mode)
 
     def test_levels_evaluate_as_their_inputs(self, synth_system, synth_features):
+        # The level products of the inputs evaluate as the inputs do.
         _, _, (sx, sy) = synth_features
         levels = quantizer.quantize_unit(sx[:200], synth_system.quant).astype(np.uint8)
+        products = line_sim.level_products(synth_system, levels)
         for mode in ("digital-quantized", "analog"):
             a = system.evaluate(synth_system, sx[:200], sy[:200], mode=mode)
-            b = system.evaluate(synth_system, None, sy[:200], mode=mode, levels=levels)
+            b = system.evaluate(synth_system, None, sy[:200], mode=mode, products=products)
             assert a.to_dict() == b.to_dict()
         with pytest.raises(ValueError, match="normalized inputs"):
-            system.evaluate(synth_system, None, sy[:200], mode="digital-float", levels=levels)
+            system.evaluate(synth_system, None, sy[:200], mode="digital-float",
+                            products=products)
 
 
 class TestIntegerLevels:
@@ -458,7 +461,8 @@ class TestExactLevelSums:
         s = system.SystemConfig([(0, 1), (2, 3)], L, q)
         levels = np.full((1, n_features), q.max_level)
         top = n_features * q.max_level ** 2
-        assert system.quantized_margins(s, levels=levels).tolist() == [[top, -top]]
-        margins = system.quantized_margins(s, levels=levels - 1)
+        margins = system.quantized_margins(s, products=line_sim.level_products(s, levels))
+        assert margins.tolist() == [[top, -top]]
+        margins = system.quantized_margins(s, products=line_sim.level_products(s, levels - 1))
         assert margins.tolist() == [[top - n_features * q.max_level,
                                      -top + n_features * q.max_level]]
