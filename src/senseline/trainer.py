@@ -226,7 +226,7 @@ def _gd_masked(Xy: np.ndarray, W: np.ndarray, mask: np.ndarray,
                hyper: TrainHyper, epochs: int) -> np.ndarray:
     """Train a batch of linear-logistic models simultaneously, in place.
 
-    Xy is _pair_problem's y * X of the training rows, (n, k) or a (..., n, k)
+    Xy is the label-folded y * X of the training rows, (n, k) or a (..., n, k)
     stack. Row c of W (float64, C-contiguous, (..., C, k)) is one model and is
     updated in place; entries where mask (C, k) is False must be zero on
     entry and stay zero, which makes row c equivalent to a model trained
@@ -266,125 +266,117 @@ def _drop_column(X: np.ndarray, j: int, k: int) -> None:
     flat[j * n:(k - 1) * n] = flat[(j + 1) * n:k * n]
 
 
-# Pairs train in lockstep blocks whose float32 folded matrices total at most
-# this many bytes, so that a block's products read from L2 cache, not memory.
-# Tuned on a Xeon with 2 MB of L2 per core: at 2,000 training rows the 45
-# pairs trained in 0.10 s in 1 MiB blocks and 0.12 s in 512 KiB ones.
+# Selection's lockstep blocks hold at most this many bytes of float32 data and
+# margins, so that a block's products read from L2 cache, not memory.
 _BLOCK_BYTES = 1 << 20
 
 
-def _blocks(items: list, nbytes: list, keys: list) -> list[list]:
-    """items in runs of one key whose nbytes total at most _BLOCK_BYTES (or of one item)."""
-    blocks = []
-    for i, item in enumerate(items):
-        if i and keys[i] == keys[i - 1] and sum(nbytes[i - len(blocks[-1]):i + 1]) <= _BLOCK_BYTES:
-            blocks[-1].append(item)
-        else:
-            blocks.append([item])
-    return blocks
+def _gd_grouped(X: np.ndarray, labels: np.ndarray, pairs: list, mask: np.ndarray,
+                hyper: TrainHyper):
+    """Full-batch gradient descent from zero for distinct digit pairs at once.
 
-
-def _pair_problem(X: np.ndarray, labels: np.ndarray, pair: tuple[int, int], feature_indices):
-    """Check one pair's rows; return (feature_indices, y * X[:, features] in float32).
-
-    y holds the +/-1 labels (+1 = pair[0]); folding them in only flips signs.
-    The data is Fortran-ordered, as the column gather is, and a value beyond
-    float32's range becomes inf, so its pair diverges.
-    """
-    feature_indices = np.asarray(feature_indices, dtype=np.intp)
-    if len(feature_indices) == 0:
-        raise ValueError("feature set must be nonempty")
-    a, b = pair
-    present = set(labels.tolist())  # np.unique would import numpy.ma
-    if not present <= {a, b}:
-        raise ValueError(f"rows contain digits {sorted(present)} outside pair {pair}")
-    if a not in present or b not in present:
-        raise ValueError(f"one class of pair {pair} is empty after filtering")
-    y = np.where(labels == a, 1.0, -1.0)
-    with np.errstate(over="ignore"):
-        return feature_indices, np.multiply(X[:, feature_indices], y[:, None], dtype=np.float32)
-
-
-def _descend(problems: list, hyper: TrainHyper):
-    """Full-batch gradient descent from zero for a block of pairs, in lockstep.
-
-    problems are _pair_problem results. Returns each pair's float64 weights,
-    as views into one array. A pair's epoch is w <- w - lr * g with
-    g = l2*w - (Xy.T @ sigma(-(Xy @ w))) / n; it freezes at the first epoch
-    whose max |g| is below grad_tol, before that epoch's step. Mixed
-    precision, as in _gd_masked: both products and the sigmoid run in
-    float32, on a float32 copy of w; g, the check and the step in float64.
-    The pairs share one buffer per quantity, and every call is per element
-    or per pair, so a pair steps bit for bit as it would alone.
+    Pair p = (a, b), a < b, trains on X's rows of digits a (y = +1) and b
+    (y = -1), on the features where mask[p]. Returns (W, loss): float64
+    (P, d) weights, 0 off the mask, and each pair's final loss. The rows sit
+    by digit in one zero-padded float32 stack Xs (10, n_max, d) and each
+    digit holds 9 slots, its partners' pair weights (negated where it is the
+    b), so an epoch is two products for all pairs, V = y * (X @ w) and
+    G = sigma(-V) @ Xs, pair (a, b)'s data term G[a, b's slot] - G[b, a's
+    slot]; mixed precision as in _gd_masked. A pair freezes at the first
+    epoch with max|g| < grad_tol, before the step, and steps bit for bit as
+    alone. Pairs using a feature non-finite in float32 get NaN weights; it
+    is zeroed for the rest (0 * inf would NaN every slot of its digit).
     """
     lr, l2, tol = hyper.learning_rate, hyper.l2_lambda, hyper.grad_tol
-    Xys, XTs = [Xy for _, Xy in problems], [Xy.T for _, Xy in problems]
-    sizes = [len(f) for f, _ in problems]
-    w_start = np.cumsum([0] + sizes)
-    n_start = np.cumsum([0] + [len(Xy) for Xy in Xys])
-    W = np.zeros(w_start[-1])
-    G, R = np.empty_like(W), np.empty_like(W)
-    Wp, Gp = np.empty(W.shape, np.float32), np.empty(W.shape, np.float32)  # in the data's dtype
-    V = np.empty(n_start[-1], np.float32)  # margins, then sigma(-margins)
-    Wps, Gps = ([A[s:e] for s, e in zip(w_start, w_start[1:])] for A in (Wp, Gp))
-    Vs = [V[s:e] for s, e in zip(n_start, n_start[1:])]
-    n_of_w = np.repeat([float(len(Xy)) for Xy in Xys], sizes)
-    live = np.ones(len(problems), dtype=bool)
-    steps, live_w = range(len(problems)), True
-    # A diverged pair's weights stay non-finite; the caller checks them once.
+    P, d = mask.shape
+    rows = [np.flatnonzero(labels == digit) for digit in range(10)]
+    counts = np.array([len(r) for r in rows])
+    stack = np.zeros((10, d, counts.max()), np.float32)  # Xs.T, C-ordered
+    with np.errstate(over="ignore"):
+        for digit, r in enumerate(rows):
+            stack[digit, :, :len(r)] = X[r].T
+    a, b = np.array(pairs).reshape(P, 2).T
+    bad = ~np.isfinite(np.sum(stack, axis=2, dtype=np.float64))  # (10, d); float64 can't overflow
+    poisoned = (mask & (bad[a] | bad[b])).any(axis=1)
+    stack[bad] = 0.0  # the whole column of the digit: only the poisoned pairs use it
+    slot = np.full((10, 10), 2 * P)  # slot s of digit i: partner s + (s >= i); 2P: zero row
+    slot[a, b], slot[b, a] = np.arange(P), np.arange(P, 2 * P)  # rows w, then -w
+    gather = slot[~np.eye(10, dtype=bool)].reshape(10, 9)
+    halves = np.concatenate([a * 9 + b - 1, b * 9 + a])  # pair p's slot at a, then at b
+    n = (counts[a] + counts[b])[:, None].astype(float)
+    W, G, live = np.zeros((P, d)), np.empty((P, d)), ~poisoned
+    Wp, (Wg, Gs) = np.zeros((2 * P + 1, d), np.float32), np.empty((2, 10, 9, d), np.float32)
+    V, Gh = np.empty((10, 9, stack.shape[2]), np.float32), np.empty((2, P, d), np.float32)
+    # A diverged pair's weights stay non-finite, in its own slots only.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(hyper.max_epochs):
-            np.copyto(Wp, W)
-            for p in steps:
-                np.dot(Xys[p], Wps[p], out=Vs[p])
-            _sigma_neg(V)
-            for p in steps:
-                np.dot(XTs[p], Vs[p], out=Gps[p])
-            np.divide(Gp, n_of_w, out=G)
-            np.multiply(W, l2, out=R)
-            np.subtract(R, G, out=G)
-            frozen = live & (np.maximum.reduceat(np.abs(G), w_start[:-1]) < tol)
-            if frozen.any():
-                live &= ~frozen
-                if not live.any():
-                    break
-                steps = np.flatnonzero(live).tolist()
-                live_w = np.repeat(live, sizes)
+            np.copyto(Wp[:P], W)
+            np.negative(Wp[:P], out=Wp[P:2 * P])
+            np.take(Wp, gather, axis=0, out=Wg, mode="clip")  # "clip": no bounds pass
+            _sigma_neg(np.matmul(Wg, stack, out=V))
+            np.matmul(V, stack.swapaxes(1, 2), out=Gs)
+            np.take(Gs.reshape(90, d), halves, axis=0, out=Gh.reshape(2 * P, d), mode="clip")
+            np.subtract(Gh[0], Gh[1], out=G, dtype=np.float64)
+            G /= n
+            np.copyto(G, 0.0, where=~mask)
+            np.subtract(W * l2, G, out=G)
+            live &= ~(np.abs(G).max(axis=1) < tol)  # a NaN gradient never freezes
+            if not live.any():
+                break
             G *= lr
-            np.subtract(W, G, out=W, where=live_w)
-    return [W[s:e] for s, e in zip(w_start, w_start[1:])]
+            np.subtract(W, G, out=W, where=live[:, None])
+        # The loss from one more product, in float64 as the weights are (float32 margins
+        # overflow at finite weights) and a digit at a time: mean log(1 + exp(-y z)).
+        Wy = np.vstack([W, -W, np.zeros((1, d))])[gather]
+        yz = np.array([w @ x for w, x in zip(Wy, stack)])
+        rows_of = np.arange(stack.shape[2]) < counts[:, None, None]
+        terms = np.maximum(-yz, 0.0) + np.log1p(np.exp(-np.abs(yz)))  # logaddexp(0, -yz), faster
+        sums = np.sum(terms, axis=2, where=rows_of).reshape(90)
+        loss = (sums[halves[:P]] + sums[halves[P:]]) / n[:, 0] + 0.5 * l2 * np.sum(W * W, axis=1)
+    W[poisoned] = np.nan
+    return W, loss
 
 
 def _train_pairs(X: np.ndarray, labels: np.ndarray, tasks: list,
                  hyper: TrainHyper) -> list[BinaryClassifier]:
-    """One classifier per (pair, rows, feature_indices) task, rows a boolean mask.
+    """One classifier per (pair, rows, feature_indices) task, all in one _gd_grouped call.
 
-    Builds each block's pair problems only when the block trains, so at most
-    one block's matrices are held at a time. Raises TrainingDivergedError
-    naming the first pair whose weights or final loss are non-finite.
+    rows must mask exactly the pair's two digits in labels, and neither a
+    pair nor a pair's feature may repeat; a ValueError names the pair.
+    Raises TrainingDivergedError naming the first pair, in task order, whose
+    weights or final loss are non-finite.
     """
     if hyper.learning_rate == 0.0:
         warnings.warn("learning_rate is 0; returning zero-initialized weights", RuntimeWarning)
-    classifiers = []
-    for block in _blocks(tasks, [4 * np.count_nonzero(rows) * len(features)
-                                 for _, rows, features in tasks], [0] * len(tasks)):
-        problems = [_pair_problem(X[rows], labels[rows], pair, features)
-                    for pair, rows, features in block]
-        if hyper.learning_rate == 0.0:
-            classifiers += [BinaryClassifier(pair, f, np.zeros(len(f)))
-                            for (pair, _, _), (f, _) in zip(block, problems)]
-            continue
-        for (pair, _, _), (features, Xy), w in zip(block, problems, _descend(problems, hyper)):
-            if not np.all(np.isfinite(w)):
-                raise TrainingDivergedError(
-                    f"pair {pair}: weights became non-finite; lower the learning rate")
-            # Xy = y * X, so with labels 1 the margins are the label-signed
-            # ones and the loss is the same; too-large weights make it inf or NaN.
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss = logistic_loss(w, Xy, 1.0, hyper.l2_lambda)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"pair {pair}: final loss is non-finite")
-            classifiers.append(BinaryClassifier(pair, features, w.copy()))
+    digits = labels == np.arange(10)[:, None]
+    classifiers, pairs, mask = [], [], np.zeros((len(tasks), X.shape[1]), dtype=bool)
+    for m, (pair, rows, features) in zip(mask, tasks):
+        if len(features) == 0:
+            raise ValueError("feature set must be nonempty")
+        c = BinaryClassifier(tuple(pair), features, np.zeros(len(features)))
+        a, b = c.class_pair
+        if not np.array_equal(rows, digits[a] | digits[b]):
+            present = set(labels[rows].tolist())  # np.unique would import numpy.ma
+            raise ValueError(f"rows contain digits {sorted(present)} outside pair {pair}"
+                             if present - {a, b} else f"rows of pair {pair} must be all rows "
+                             "of its two digits")
+        if not (digits[a].any() and digits[b].any()):
+            raise ValueError(f"one class of pair {pair} is empty after filtering")
+        m[c.feature_indices] = True
+        if np.count_nonzero(m) != len(features) or c.class_pair in pairs:
+            raise ValueError(f"pair {pair} repeats a feature index or an earlier task's pair")
+        classifiers.append(c)
+        pairs.append(c.class_pair)
+    if hyper.learning_rate == 0.0:
+        return classifiers
+    W, loss = _gd_grouped(X, labels, pairs, mask, hyper)
+    for c, w, pair_loss in zip(classifiers, W, loss):
+        if not np.all(np.isfinite(w)):
+            raise TrainingDivergedError(
+                f"pair {c.class_pair}: weights became non-finite; lower the learning rate")
+        if not np.isfinite(pair_loss):  # too-large weights make it inf or NaN
+            raise TrainingDivergedError(f"pair {c.class_pair}: final loss is non-finite")
+        c.weights = w[c.feature_indices]
     return classifiers
 
 
@@ -433,19 +425,21 @@ def sbs_select(pairs: list, train_x: np.ndarray, train_y: np.ndarray,
     feature. The pair's subset is the smallest recorded one whose accuracy
     is at least best-seen minus spec.tolerance. The pairs' candidate rows
     must be equal in number (see sbs_blocks) and hold both digits of their
-    pair. _pair_problem folds them, as for the final training, into one
-    float32 (B, n, d) stack of Fortran-ordered slices, so each pair's trail
-    is bit for bit its trail alone (see _gd_masked). A round removes the
-    eliminated column in place, for the next round's leading [..., :k] view.
-    Accuracy is an exact hit count over n_val. Returns each pair's sorted
-    subset, or with return_record its (subset, trail), a trail being
-    (feature index array, recorded accuracy) pairs.
+    pair. They are folded with their +/-1 labels (+1 = pair[0]; a sign flip)
+    into one float32 (B, n, d) stack of Fortran-ordered slices, so each
+    pair's trail is bit for bit its trail alone (see _gd_masked). A round
+    removes the eliminated column in place, for the next round's leading
+    [..., :k] view. Accuracy is an exact hit count over n_val. Returns each
+    pair's sorted subset, or with return_record its (subset, trail), a trail
+    being (feature index array, recorded accuracy) pairs.
     """
     check_pair_rows(pairs, train_y, "training", "train_count")
     check_pair_rows(pairs, val_y)
     B, d = len(pairs), train_x.shape[1]
     rows = [_candidate_rows(train_y, pair, spec) for pair in pairs]
-    folded = [_pair_problem(train_x[r], train_y[r], p, range(d))[1] for p, r in zip(pairs, rows)]
+    with np.errstate(over="ignore"):  # a value beyond float32's range is inf: its pair diverges
+        folded = [np.multiply(train_x[r], np.where(train_y[r] == p[0], 1.0, -1.0)[:, None],
+                              dtype=np.float32) for p, r in zip(pairs, rows)]
     val = [(np.asfortranarray(X), y, np.count_nonzero(y < 0))
            for X, y in (filter_pair(val_x, val_y, pair) for pair in pairs)]
     if len({len(Xy) for Xy in folded}) > 1:
@@ -521,8 +515,13 @@ def sbs_blocks(train_y: np.ndarray, spec: SBSSpec, d: int) -> list[list]:
     """The 45 pairs in sbs_select's blocks: runs of consecutive pairs with equal
     candidate row counts n whose float32 data and margins (n x d each a pair) fit
     _BLOCK_BYTES. A ValueError names the first pair whose candidate rows hold one digit."""
-    rows = [len(_candidate_rows(train_y, pair, spec)) for pair in all_pairs()]
-    return _blocks(all_pairs(), [8 * n * d for n in rows], rows)
+    blocks, rows = [], [len(_candidate_rows(train_y, pair, spec)) for pair in all_pairs()]
+    for i, (pair, n) in enumerate(zip(all_pairs(), rows)):
+        if i and n == rows[i - 1] and 8 * n * d * (len(blocks[-1]) + 1) <= _BLOCK_BYTES:
+            blocks[-1].append(pair)
+        else:
+            blocks.append([pair])
+    return blocks
 
 
 def pair_votes(model: OvOModel, X: np.ndarray) -> np.ndarray:

@@ -99,24 +99,29 @@ class TestGradient:
             assert abs(num_b - gb) <= 1e-5 * max(1.0, abs(num_b))
 
     def test_descend_epochs_are_gradient_steps(self):
-        # Ties acceptance C8's checked gradient to training: each lockstep
-        # epoch of a pair is w <- w - lr * logistic_grad(w), to float32
-        # rounding (the products run in float32; measured 1.8e-7 of max|step|).
+        # Ties acceptance C8's checked gradient to training: each grouped
+        # epoch of a pair is w <- w - lr * logistic_grad(w) on its subset, to
+        # float32 rounding (the products run in float32; measured 8.2e-8 of
+        # max|step|), and 0 elsewhere.
         rng = np.random.default_rng(11)
         hyper = TrainHyper(learning_rate=0.3, max_epochs=1, grad_tol=0.0, l2_lambda=0.05)
-        rows, problems = [], []
-        for pair, n, d in (((0, 1), 30, 4), ((2, 7), 17, 6)):
-            X = rng.normal(size=(n, d))
-            labels = np.array(pair)[np.arange(n) % 2]
-            rows.append((X, np.where(labels == pair[0], 1.0, -1.0)))
-            problems.append(trainer._pair_problem(X, labels, pair, np.arange(d)))
-        first = trainer._descend(problems, hyper)
-        second = trainer._descend(problems, dataclasses.replace(hyper, max_epochs=2))
-        for (X, y), w1, w2 in zip(rows, first, second):
-            for w_old, w_new in ((np.zeros_like(w1), w1), (w1, w2)):
-                step = w_old - hyper.learning_rate * logistic_grad(w_old, X, y, hyper.l2_lambda)[0]
+        X = rng.normal(size=(47, 6))
+        labels = np.array([0, 1, 2, 7])[np.arange(47) % 4]
+        pairs, subsets = [(0, 1), (2, 7)], [np.arange(4), np.array([1, 2, 3, 4, 5])]
+        mask = np.zeros((2, 6), dtype=bool)
+        for m, f in zip(mask, subsets):
+            m[f] = True
+        first, _ = trainer._gd_grouped(X, labels, pairs, mask, hyper)
+        second, _ = trainer._gd_grouped(X, labels, pairs, mask,
+                                        dataclasses.replace(hyper, max_epochs=2))
+        for (a, b), f, w1, w2 in zip(pairs, subsets, first, second):
+            rows = (labels == a) | (labels == b)
+            Xp, y = X[rows][:, f], np.where(labels[rows] == a, 1.0, -1.0)
+            for w_old, w_new in ((np.zeros(len(f)), w1[f]), (w1[f], w2[f])):
+                step = w_old - hyper.learning_rate * logistic_grad(w_old, Xp, y, hyper.l2_lambda)[0]
                 np.testing.assert_allclose(w_new, step, rtol=0,
                                            atol=F32_ROUNDING * np.abs(step).max())
+        assert not first[~mask].any() and not second[~mask].any()
         assert not np.array_equal(first[0], second[0])
 
     def test_gd_masked_epoch_is_a_gradient_step(self):
@@ -443,14 +448,44 @@ class TestLockstepTrainer:
         (tx, ty), _, _ = synth_features
         hyper = TrainHyper(max_epochs=60, grad_tol=2e-2)
         tasks = lockstep_tasks(ty, features)
-        sizes, descend = [], trainer._descend
-        monkeypatch.setattr(trainer, "_descend",
-                            lambda problems, h: sizes.append(len(problems)) or descend(problems, h))
+        sizes, kernel = [], trainer._gd_grouped
+        monkeypatch.setattr(trainer, "_gd_grouped",
+                            lambda X, labels, pairs, *a: sizes.append(len(pairs))
+                            or kernel(X, labels, pairs, *a))
         block = trainer._train_pairs(tx, ty, tasks, hyper)
-        assert max(sizes) > 1
+        assert sizes == [len(tasks)]  # one kernel call trains all tasks
         for c, task in zip(block, tasks):
             [alone] = trainer._train_pairs(tx, ty, [task], hyper)
             assert_bits_equal(c.weights, alone.weights)
+
+    def test_task_order_does_not_change_weights(self, synth_features):
+        (tx, ty), _, _ = synth_features
+        hyper = TrainHyper(max_epochs=60, grad_tol=2e-2)
+        tasks = lockstep_tasks(ty, "subsets")
+        order = np.random.default_rng(3).permutation(len(tasks))
+        in_order = trainer._train_pairs(tx, ty, tasks, hyper)
+        shuffled = trainer._train_pairs(tx, ty, [tasks[i] for i in order], hyper)
+        for i, c in zip(order, shuffled):
+            assert c.class_pair == tasks[i][0]
+            assert_bits_equal(c.weights, in_order[i].weights)
+
+    def test_rows_must_be_the_pairs_two_digits(self, synth_features, monkeypatch):
+        # Every task trains on all rows of its two digits, so a different
+        # mask is refused, as are a repeated pair and a repeated feature.
+        (tx, ty), _, _ = synth_features
+        monkeypatch.setattr(trainer, "_gd_grouped", lambda *a: pytest.fail("training ran"))
+        rows = (ty == 2) | (ty == 7)
+        fewer = rows.copy()
+        fewer[np.flatnonzero(rows)[0]] = False
+        task = ((2, 7), rows, np.arange(64))
+        for tasks, message in (
+                ([((2, 7), fewer, np.arange(64))], r"rows of pair \(2, 7\) must be all rows"),
+                ([((2, 7), rows | (ty == 3), np.arange(64))],
+                 r"rows contain digits \[2, 3, 7\] outside pair \(2, 7\)"),
+                ([((2, 7), rows, [3, 5, 3])], r"pair \(2, 7\) repeats a feature index"),
+                ([task, task], r"pair \(2, 7\) repeats .* an earlier task's pair")):
+            with pytest.raises(ValueError, match=message):
+                trainer._train_pairs(tx, ty, tasks, TrainHyper(max_epochs=5))
 
     def test_float64_weights_keep_small_updates(self, synth_features):
         # At learning rate 1e-5, epoch 3,000 moves the weights by ~1/3,000 of
